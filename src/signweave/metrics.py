@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -15,14 +14,112 @@ from .motion import PartLayout
 # ---------------------------------------------------------------------------
 # DTW alignment
 
+# path steps as (di, dj): up advances a only, left advances b only
+_UP, _DIAG, _LEFT = (1, 0), (1, 1), (0, 1)
+
+# float64 elements of one (rows, T_b, J) block of per-point distances; bounds
+# the peak memory of a cost pass independently of the sequence lengths
+_BLOCK_ELEMENTS = 1 << 19
+
+
+def _dtw_wavefront(cost: np.ndarray, subsequence: bool = False) -> tuple[np.ndarray, float]:
+    """Least accumulated cost path through a (T_a, T_b) cost matrix.
+
+    The dynamic program (Sakoe & Chiba 1978) advances one anti-diagonal
+    i + j = k at a time: every cell of a diagonal depends only on the two
+    diagonals before it, so each step is a handful of array operations.
+
+    Plain mode aligns (0, 0) to (T_a - 1, T_b - 1) and breaks ties diagonal,
+    then up, then left. Subsequence mode leaves start and end free on the b
+    axis, breaks ties up, then diagonal, then left, and ends at the first
+    column of least cost. Returns the path as an (n, 2) array of (i, j) and
+    the cost accumulated along it.
+    """
+    t_a, t_b = cost.shape
+    n_diag = t_a + t_b - 1
+    order = (_UP, _DIAG, _LEFT) if subsequence else (_DIAG, _UP, _LEFT)
+    # skewed layouts with one row per diagonal: cost (i, j) is skew[i + j, i]
+    # and its accumulated cost acc[i + j + 2, i + 1], so the cell one step
+    # (di, dj) back is di + dj rows up and di columns left. The first two rows
+    # and the first column are the virtual cells just outside the grid,
+    # infinite unless a path may start there.
+    rows = np.arange(t_a)[:, None]
+    skew = np.full((n_diag, t_a), np.inf)
+    skew[rows + np.arange(t_b), rows] = cost
+    acc = np.full((n_diag + 2, t_a + 1), np.inf)
+    if subsequence:
+        acc[:, 0] = 0.0   # the row before i = 0, at every j
+    else:
+        acc[0, 0] = 0.0   # the cell before (0, 0)
+    move = np.zeros((n_diag, t_a), dtype=np.int8)
+    options = np.empty((3, t_a))
+    for k in range(n_diag):
+        lo, hi = max(0, k - t_b + 1), min(k, t_a - 1) + 1
+        opts = options[:, : hi - lo]
+        for slot, (di, dj) in enumerate(order):
+            col = lo + 1 - di
+            opts[slot] = acc[k + 2 - di - dj, col : col + hi - lo]
+        acc[k + 2, lo + 1:hi + 1] = opts.min(axis=0) + skew[k, lo:hi]
+        move[k, lo:hi] = opts.argmin(axis=0)  # the first minimum, so `order` is the tie order
+    i = t_a - 1
+    j = int(acc[t_a + 1 : t_a + t_b + 1, t_a].argmin()) if subsequence else t_b - 1
+    total = float(acc[i + j + 2, i + 1])
+    path = []
+    while i >= 0 and j >= 0:
+        path.append((i, j))
+        di, dj = order[move[i + j, i]]
+        i, j = i - di, j - dj
+    return np.array(path[::-1], dtype=np.intp), total
+
+
+def _point_sequences(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 3 or b.ndim != 3 or a.shape[1:] != b.shape[1:]:
+        raise ValueError("inputs must be (T, J, 3) with matching point counts")
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        raise ValueError("empty sequences")
+    return a, b
+
+
+def _subset_costs(a: np.ndarray, b: np.ndarray, subsets) -> list[np.ndarray]:
+    """frame_cost_matrix restricted to each point subset, from one pass over
+    the per-point distances, taken a block of rows of a at a time."""
+    t_a, t_b = a.shape[0], b.shape[0]
+    costs = [np.empty((t_a, t_b)) for _ in subsets]
+    step = max(_BLOCK_ELEMENTS // max(t_b * a.shape[1], 1), 1)
+    for lo in range(0, t_a, step):
+        # squares summed coordinate by coordinate, in the order np.linalg.norm
+        # sums them, without a (rows, T_b, J, 3) difference array
+        sq = np.zeros((min(step, t_a - lo), t_b, a.shape[1]))
+        for c in range(a.shape[2]):
+            diff = a[lo : lo + step, None, :, c] - b[None, :, :, c]
+            diff *= diff
+            sq += diff
+        dist = np.sqrt(sq)
+        for cost, subset in zip(costs, subsets):
+            cost[lo : lo + step] = dist[:, :, subset].mean(axis=-1)
+    return costs
+
 
 def frame_cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """cost[i, j] = mean Euclidean distance over points between frames i and j.
 
     a, b have shape (T, J, 3).
     """
-    diff = a[:, None, :, :] - b[None, :, :, :]
-    return np.linalg.norm(diff, axis=-1).mean(axis=-1)
+    return _subset_costs(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64),
+                         [slice(None)])[0]
+
+
+def dtw_alignments(a: np.ndarray, b: np.ndarray, subsets) -> list[tuple[np.ndarray, float]]:
+    """DTW alignment of a to b on each point subset of the J axis.
+
+    The per-point distances are computed once for all subsets. Each entry is
+    the path as an (n, 2) array of frame pairs and its accumulated cost, as
+    `dtw_align` finds them.
+    """
+    a, b = _point_sequences(a, b)
+    return [_dtw_wavefront(cost) for cost in _subset_costs(a, b, subsets)]
 
 
 def dtw_align(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[int, int]], float]:
@@ -31,40 +128,8 @@ def dtw_align(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[int, int]], floa
     Ties prefer the diagonal step. Returns the path from (0,0) to the final
     frame pair and the accumulated cost along it.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 3 or b.ndim != 3 or a.shape[1:] != b.shape[1:]:
-        raise ValueError("inputs must be (T, J, 3) with matching point counts")
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("empty sequences")
-    cost = frame_cost_matrix(a, b)
-    t_a, t_b = cost.shape
-    acc = np.full((t_a + 1, t_b + 1), np.inf)
-    acc[0, 0] = 0.0
-    move = np.zeros((t_a, t_b), dtype=np.int8)  # 0 diag, 1 up (i-1), 2 left (j-1)
-    for i in range(t_a):
-        for j in range(t_b):
-            options = (acc[i, j], acc[i, j + 1], acc[i + 1, j])
-            best = int(np.argmin(options))  # argmin returns the first minimum: diagonal wins ties
-            acc[i + 1, j + 1] = options[best] + cost[i, j]
-            move[i, j] = best
-    path = []
-    i, j = t_a - 1, t_b - 1
-    while True:
-        path.append((i, j))
-        if i == 0 and j == 0:
-            break
-        m = move[i, j]
-        if m == 0:
-            i, j = i - 1, j - 1
-        elif m == 1:
-            i -= 1
-        else:
-            j -= 1
-        if i < 0 or j < 0:
-            raise RuntimeError("traceback left the grid")
-    path.reverse()
-    return path, float(acc[t_a, t_b])
+    [(path, total)] = dtw_alignments(a, b, [slice(None)])
+    return [(int(i), int(j)) for i, j in path], total
 
 
 def dtw_error(a: np.ndarray, b: np.ndarray, subset: np.ndarray | None = None,
@@ -75,35 +140,63 @@ def dtw_error(a: np.ndarray, b: np.ndarray, subset: np.ndarray | None = None,
     similarity transform first. The alignment itself uses the same subset of
     points as the reported error.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = _point_sequences(a, b)
     if subset is not None:
         subset = np.asarray(subset, dtype=int)
         if subset.size == 0:
             raise ValueError("empty point subset")
         a = a[:, subset, :]
         b = b[:, subset, :]
-    path, total = dtw_align(a, b)
-    if not procrustes_align:
-        return total / len(path)
-    errs = []
-    for i, j in path:
-        rot, scale, trans, _ = procrustes(a[i], b[j])
-        aligned = scale * (a[i] @ rot.T) + trans
-        errs.append(float(np.linalg.norm(aligned - b[j], axis=-1).mean()))
-    return float(np.mean(errs))
+    path, total = _dtw_wavefront(frame_cost_matrix(a, b))
+    if procrustes_align:
+        return procrustes_path_error(a, b, path)
+    return total / len(path)
 
 
-def dtw_mpjpe(a: np.ndarray, b: np.ndarray, subset: np.ndarray | None = None) -> float:
-    return dtw_error(a, b, subset, procrustes_align=False)
-
-
-def dtw_pa_mpjpe(a: np.ndarray, b: np.ndarray, subset: np.ndarray | None = None) -> float:
-    return dtw_error(a, b, subset, procrustes_align=True)
+def procrustes_path_error(a: np.ndarray, b: np.ndarray, path: np.ndarray) -> float:
+    """Mean per-point error along an alignment path after registering each
+    frame pair (a[i], b[j]) with its own similarity transform."""
+    p, q = a[path[:, 0]], b[path[:, 1]]
+    rot, scale, trans, _ = procrustes_batch(p, q)
+    aligned = scale[:, None, None] * (p @ rot.transpose(0, 2, 1)) + trans[:, None, :]
+    return float(np.linalg.norm(aligned - q, axis=-1).mean(axis=-1).mean())
 
 
 # ---------------------------------------------------------------------------
 # Procrustes similarity registration
+
+
+def procrustes_batch(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`procrustes` of each stacked pair of point sets p[n], q[n] of shape (J, d).
+
+    Returns rotations (N, d, d), scales (N,), translations (N, d) and
+    fallback flags (N,), from one stacked SVD (Umeyama 1991).
+    """
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape or p.ndim != 3:
+        raise ValueError("point sets must share shape (N, J, d)")
+    n, d = p.shape[1], p.shape[2]
+    mu_p = p.mean(axis=1)
+    mu_q = q.mean(axis=1)
+    pc = p - mu_p[:, None, :]
+    qc = q - mu_q[:, None, :]
+    var_p = (pc**2).sum(axis=(1, 2)) / n
+    cov = qc.transpose(0, 2, 1) @ pc / n
+    u, sv, vt = np.linalg.svd(cov)
+    # rank counted as np.linalg.matrix_rank counts it, from the same singular values
+    rank = (sv > sv.max(axis=-1, keepdims=True) * d * np.finfo(np.float64).eps).sum(axis=-1)
+    fallback = (var_p < 1e-18) | (rank < d - 1)
+    sign = np.ones_like(sv)
+    sign[np.linalg.det(u) * np.linalg.det(vt) < 0, -1] = -1.0
+    rot = (u * sign[:, None, :]) @ vt
+    scale = (sv * sign).sum(axis=-1) / np.where(fallback, 1.0, var_p)
+    trans = mu_q - scale[:, None] * (rot @ mu_p[:, :, None])[:, :, 0]
+    # rank-deficient point configurations fall back to translation only
+    rot[fallback] = np.eye(d)
+    scale[fallback] = 1.0
+    trans[fallback] = (mu_q - mu_p)[fallback]
+    return rot, scale, trans, fallback
 
 
 def procrustes(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, bool]:
@@ -116,23 +209,8 @@ def procrustes(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float, np.ndar
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 2:
         raise ValueError("point sets must share shape (J, d)")
-    n = p.shape[0]
-    mu_p = p.mean(axis=0)
-    mu_q = q.mean(axis=0)
-    pc = p - mu_p
-    qc = q - mu_q
-    var_p = (pc**2).sum() / n
-    cov = qc.T @ pc / n
-    if var_p < 1e-18 or np.linalg.matrix_rank(cov) < p.shape[1] - 1:
-        return np.eye(p.shape[1]), 1.0, mu_q - mu_p, True
-    u, d, vt = np.linalg.svd(cov)
-    sign = np.ones(p.shape[1])
-    if np.linalg.det(u) * np.linalg.det(vt) < 0:
-        sign[-1] = -1.0
-    rot = u @ np.diag(sign) @ vt
-    scale = float((d * sign).sum() / var_p)
-    trans = mu_q - scale * rot @ mu_p
-    return rot, scale, trans, False
+    rot, scale, trans, fallback = procrustes_batch(p[None], q[None])
+    return rot[0], float(scale[0]), trans[0], bool(fallback[0])
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +324,6 @@ def token_f1(hyp: Sequence[str], ref: Sequence[str]) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def text_metrics(hyp: Sequence[str], ref: Sequence[str]) -> dict[str, float]:
-    return {"bleu4": bleu4(hyp, ref), "chrf": chrf(hyp, ref), "f1": token_f1(hyp, ref)}
-
-
 # ---------------------------------------------------------------------------
 # ranking metrics
 
@@ -324,28 +398,3 @@ class SyntheticSkeletonAdapter:
         expr = frames[:, self._expr_idx]
         face = np.einsum("vce,te->tvc", self._basis, expr)
         return np.concatenate([body, hands, jaw, face], axis=1)
-
-
-@dataclass
-class MotionMetricsReport:
-    """One row of the evaluation table."""
-
-    dtw_mpjpe_body: float
-    dtw_mpjpe_hands: float
-    dtw_mpjpe_overall: float
-    dtw_mpvpe_face: float
-    dtw_pa_mpjpe: float
-    length_ratio: float
-    extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        row = {
-            "dtw_mpjpe_body": self.dtw_mpjpe_body,
-            "dtw_mpjpe_hands": self.dtw_mpjpe_hands,
-            "dtw_mpjpe_overall": self.dtw_mpjpe_overall,
-            "dtw_mpvpe_face": self.dtw_mpvpe_face,
-            "dtw_pa_mpjpe": self.dtw_pa_mpjpe,
-            "length_ratio": self.length_ratio,
-        }
-        row.update(self.extras)
-        return row

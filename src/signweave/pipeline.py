@@ -45,7 +45,7 @@ from .inpaint import (
     make_boundary_mask,
     train_inpainter,
 )
-from .metrics import SyntheticSkeletonAdapter, dtw_align, dtw_error, fgd, length_ratio
+from .metrics import SyntheticSkeletonAdapter, dtw_alignments, fgd, length_ratio, procrustes_path_error
 from .motion import MotionSequence, resample_frames, write_motion
 from .neuralkit import load_checkpoint, restore_into, save_checkpoint
 from .qc import QcConfig, qc_filters
@@ -301,28 +301,33 @@ def _pair_target_lengths(sample, k: int) -> tuple[int, int]:
     return ea - sa + 1, eb - sb + 1
 
 
+def _pair_examples(data: PreparedData, window: int, held_out: bool) -> list[PairExample]:
+    """Pair examples of the training sentences, or of the held-out ones."""
+    by_id = {s.sentence_id: s for s in data.corpus.sentences}
+    train_set = set(data.train_ids)
+    examples = []
+    for spec in data.corpus.pair_specs:
+        sid = spec.sentence_id.rsplit(".r", 1)[0]
+        if (sid not in train_set) != held_out:
+            continue
+        a, b = _pair_segments(data, spec)
+        la, lb = _pair_target_lengths(by_id[sid], spec.pair_index)
+        feats = pair_features(a, b, window)
+        scale = target_scale(a.shape[0] + b.shape[0], la + lb)
+        alloc = np.array([la, lb], dtype=np.float64)
+        examples.append(PairExample(feats, scale, alloc / alloc.sum()))
+    return examples
+
+
 def build_duration_examples(data: PreparedData, window: int) -> tuple[list[PairExample], list[PairExample], list[SentenceExample]]:
     """Pair examples (train + held-out) and sentence examples from the corpus."""
     by_id = {s.sentence_id: s for s in data.corpus.sentences}
     train_set = set(data.train_ids)
-    train_pairs: list[PairExample] = []
-    eval_pairs: list[PairExample] = []
     sent_examples: list[SentenceExample] = []
     variants_by_round: dict[str, dict[int, int]] = {}
     for spec in data.corpus.pair_specs:
         variants_by_round.setdefault(spec.sentence_id, {})[spec.pair_index] = spec.variant_a
         variants_by_round[spec.sentence_id][spec.pair_index + 1] = spec.variant_b
-
-    for spec in data.corpus.pair_specs:
-        sid = spec.sentence_id.rsplit(".r", 1)[0]
-        sample = by_id[sid]
-        a, b = _pair_segments(data, spec)
-        la, lb = _pair_target_lengths(sample, spec.pair_index)
-        feats = pair_features(a, b, window)
-        scale = target_scale(a.shape[0] + b.shape[0], la + lb)
-        alloc = np.array([la, lb], dtype=np.float64)
-        example = PairExample(feats, scale, alloc / alloc.sum())
-        (train_pairs if sid in train_set else eval_pairs).append(example)
 
     for round_id, variant_map in variants_by_round.items():
         sid = round_id.rsplit(".r", 1)[0]
@@ -337,7 +342,8 @@ def build_duration_examples(data: PreparedData, window: int) -> tuple[list[PairE
         scale = target_scale(t_src, sample.frames.shape[0])
         alloc = target_allocation(sample.gloss_spans)
         sent_examples.append(SentenceExample(tokens, scale, alloc))
-    return train_pairs, eval_pairs, sent_examples
+    return (_pair_examples(data, window, held_out=False), _pair_examples(data, window, held_out=True),
+            sent_examples)
 
 
 def train_duration_stage(config: PipelineConfig, store: StageStore, data: PreparedData):
@@ -537,11 +543,19 @@ def evaluate_composed(
     """
     adapter = adapter if adapter is not None else SyntheticSkeletonAdapter()
     by_id = {s.sentence_id: s for s in data.corpus.sentences}
+    joints = np.concatenate([adapter.body_joints, adapter.hand_joints])
+    # metric -> point subset; the plain and Procrustes-aligned overall errors
+    # share the overall alignment
+    subsets = {
+        "dtw_mpjpe_body": adapter.body_joints,
+        "dtw_mpjpe_hands": adapter.hand_joints,
+        "dtw_mpjpe_overall": joints,
+        "dtw_mpvpe_face": adapter.face_vertices,
+    }
     rows = []
     paths = []
     pooled: dict[str, list[np.ndarray]] = {"ours": [], "baseline": [], "reference": []}
     lengths: dict[str, list[float]] = {"ours": [], "baseline": [], "reference": []}
-    sums: dict[str, dict[str, float]] = {}
     for item in composed:
         sample = by_id[item.sentence_id]
         ref_pts = adapter.to_points(sample.frames)
@@ -549,32 +563,22 @@ def evaluate_composed(
         lengths["reference"].append(sample.frames.shape[0])
         for method, seq in (("ours", item.ours), ("baseline", item.baseline)):
             pts = adapter.to_points(seq.frames)
-            row = {
-                "sentence_id": item.sentence_id,
-                "method": method,
-                "dtw_mpjpe_body": dtw_error(pts, ref_pts, adapter.body_joints),
-                "dtw_mpjpe_hands": dtw_error(pts, ref_pts, adapter.hand_joints),
-                "dtw_mpjpe_overall": dtw_error(
-                    pts, ref_pts, np.concatenate([adapter.body_joints, adapter.hand_joints])),
-                "dtw_mpvpe_face": dtw_error(pts, ref_pts, adapter.face_vertices),
-                "dtw_pa_mpjpe": dtw_error(
-                    pts, ref_pts, np.concatenate([adapter.body_joints, adapter.hand_joints]),
-                    procrustes_align=True),
-                "pred_frames": seq.num_frames,
-                "ref_frames": sample.frames.shape[0],
-                "fallback": item.fallback,
-            }
+            aligned = dict(zip(subsets, dtw_alignments(pts, ref_pts, list(subsets.values()))))
+            row = {"sentence_id": item.sentence_id, "method": method}
+            row.update({key: total / len(path) for key, (path, total) in aligned.items()})
+            path, total = aligned["dtw_mpjpe_overall"]
+            row["dtw_pa_mpjpe"] = procrustes_path_error(pts[:, joints], ref_pts[:, joints], path)
+            row.update({"pred_frames": seq.num_frames, "ref_frames": sample.frames.shape[0],
+                        "fallback": item.fallback})
             rows.append(row)
             pooled[method].append(seq.frames)
             lengths[method].append(seq.num_frames)
             if dump_paths:
-                joints = np.concatenate([adapter.body_joints, adapter.hand_joints])
-                path, cost = dtw_align(pts[:, joints, :], ref_pts[:, joints, :])
                 paths.append({
                     "sentence_id": item.sentence_id,
                     "method": method,
-                    "total_cost": cost,
-                    "path": [[int(i), int(j)] for i, j in path],
+                    "total_cost": total,
+                    "path": path.tolist(),
                 })
     summary = {}
     for method in ("ours", "baseline"):
@@ -594,7 +598,7 @@ def evaluate_composed(
 
 def evaluate_duration(data: PreparedData, gloss_model: GlossDurationPredictor, window: int) -> dict:
     """Held-out scale-prediction error against the identity baseline."""
-    _, eval_pairs, _ = build_duration_examples(data, window)
+    eval_pairs = _pair_examples(data, window, held_out=True)
     if not eval_pairs:
         return {"model_mae": float("nan"), "identity_mae": float("nan"), "pairs": 0}
     model_errors = []

@@ -6,6 +6,7 @@ from typing import Callable
 
 import numpy as np
 
+from .metrics import _dtw_wavefront
 from .motion import GlossClip, MotionSequence, PartLayout, yaw_angle
 
 
@@ -82,39 +83,46 @@ def qc_filters(clip: GlossClip, cfg: QcConfig = QcConfig(), layout: PartLayout |
 # dominant / non-dominant split
 
 
+def _feature_costs(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """cost[i, j] = Euclidean distance between feature frames, over sqrt(D)."""
+    query = np.asarray(query, dtype=np.float64)
+    reference = np.asarray(reference, dtype=np.float64)
+    if query.ndim != 2 or reference.ndim != 2:
+        raise ValueError("query and reference must be (T, D) feature frames")
+    if query.shape[0] == 0:
+        raise ValueError("empty query")
+    if reference.shape[0] == 0:
+        raise ValueError("empty reference")
+    if query.shape[1] != reference.shape[1]:
+        raise ValueError(f"feature dimensions differ: query {query.shape[1]}, "
+                         f"reference {reference.shape[1]}")
+    d = query.shape[1]
+    return np.linalg.norm(query[:, None, :] - reference[None, :, :], axis=-1) / np.sqrt(d)
+
+
+def _subsequence_cost(cost: np.ndarray) -> float:
+    path, total = _dtw_wavefront(cost, subsequence=True)
+    return total / len(path)
+
+
 def subsequence_dtw_distance(query: np.ndarray, reference: np.ndarray) -> float:
     """Path-normalized DTW cost of the query against its best subsegment of
     the reference (free start and end on the reference axis)."""
-    query = np.asarray(query, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    t_q, t_r = query.shape[0], reference.shape[0]
-    d = query.shape[1]
-    cost = np.linalg.norm(query[:, None, :] - reference[None, :, :], axis=-1) / np.sqrt(d)
-    acc = np.full((t_q, t_r), np.inf)
-    steps = np.zeros((t_q, t_r), dtype=np.int32)
-    acc[0, :] = cost[0, :]
-    steps[0, :] = 1
-    for i in range(1, t_q):
-        for j in range(t_r):
-            options = [(acc[i - 1, j], steps[i - 1, j])]
-            if j > 0:
-                options.append((acc[i - 1, j - 1], steps[i - 1, j - 1]))
-                options.append((acc[i, j - 1], steps[i, j - 1]))
-            best_cost, best_steps = min(options, key=lambda o: o[0])
-            acc[i, j] = best_cost + cost[i, j]
-            steps[i, j] = best_steps + 1
-    end = int(np.argmin(acc[-1]))
-    return float(acc[-1, end] / steps[-1, end])
+    return _subsequence_cost(_feature_costs(query, reference))
 
 
 def pairwise_similarity(clips: list[np.ndarray]) -> np.ndarray:
-    """Symmetric similarity: negative mean of the two directed subsequence costs."""
+    """Symmetric similarity: negative mean of the two directed subsequence costs.
+
+    The frame distances are symmetric, so one cost matrix and its transpose
+    serve both directions of a pair.
+    """
     n = len(clips)
     sim = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            d = 0.5 * (subsequence_dtw_distance(clips[i], clips[j])
-                       + subsequence_dtw_distance(clips[j], clips[i]))
+            cost = _feature_costs(clips[i], clips[j])
+            d = 0.5 * (_subsequence_cost(cost) + _subsequence_cost(cost.T))
             sim[i, j] = sim[j, i] = -d
     return sim
 

@@ -5,20 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from dtw_oracles import loop_dtw, loop_dtw_error, loop_procrustes, loop_subsequence
 from signweave.metrics import (
-    MotionMetricsReport,
     SyntheticSkeletonAdapter,
+    _dtw_wavefront,
     bleu4,
     chrf,
     dtw_align,
-    dtw_mpjpe,
-    dtw_pa_mpjpe,
+    dtw_alignments,
+    dtw_error,
     fgd,
     frame_cost_matrix,
     length_ratio,
     procrustes,
+    procrustes_batch,
+    procrustes_path_error,
     ranking_metrics,
-    text_metrics,
     token_f1,
 )
 
@@ -93,13 +95,13 @@ class TestDtwError:
     def test_identical_zero(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(6, 5, 3))
-        assert dtw_mpjpe(a, a) == pytest.approx(0.0, abs=1e-12)
+        assert dtw_error(a, a) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_offset(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(6, 5, 3))
         delta = np.array([0.3, -0.4, 1.2])
-        assert dtw_mpjpe(a, a + delta) == pytest.approx(np.linalg.norm(delta), rel=1e-9)
+        assert dtw_error(a, a + delta) == pytest.approx(np.linalg.norm(delta), rel=1e-9)
 
     def test_randomized_vs_two_pass_oracle(self):
         rng = np.random.default_rng(6)
@@ -107,16 +109,16 @@ class TestDtwError:
         b = rng.normal(size=(4, 4, 3))
         path, _ = dtw_align(a, b)
         expected = np.mean([np.linalg.norm(a[i] - b[j], axis=-1).mean() for i, j in path])
-        assert dtw_mpjpe(a, b) == pytest.approx(expected, rel=1e-12)
+        assert dtw_error(a, b) == pytest.approx(expected, rel=1e-12)
 
     def test_subset_restriction(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(5, 6, 3))
         b = a.copy()
         b[:, 3:, :] += 10.0  # error only outside the subset
-        assert dtw_mpjpe(a, b, subset=np.arange(3)) == pytest.approx(0.0, abs=1e-12)
+        assert dtw_error(a, b, subset=np.arange(3)) == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ValueError):
-            dtw_mpjpe(a, b, subset=np.array([], dtype=int))
+            dtw_error(a, b, subset=np.array([], dtype=int))
 
 
 class TestProcrustes:
@@ -173,7 +175,101 @@ class TestProcrustes:
         for _ in range(25):
             a = rng.normal(size=(4, 8, 3))
             b = rng.normal(size=(4, 8, 3))
-            assert dtw_pa_mpjpe(a, b) <= dtw_mpjpe(a, b) + 1e-9
+            assert dtw_error(a, b, procrustes_align=True) <= dtw_error(a, b) + 1e-9
+
+
+def as_tuples(path):
+    return [tuple(step) for step in np.asarray(path).tolist()]
+
+
+class TestWavefrontKernel:
+    """The anti-diagonal kernel against the cell-by-cell loops it replaced."""
+
+    @pytest.mark.parametrize("subsequence, oracle", [(False, loop_dtw), (True, loop_subsequence)],
+                             ids=["plain", "subsequence"])
+    @pytest.mark.parametrize("quantized", [False, True], ids=["random", "ties"])
+    def test_matches_loop_oracle(self, subsequence, oracle, quantized):
+        rng = np.random.default_rng(19 + quantized)
+        for _ in range(200):
+            t_a, t_b = (int(v) for v in rng.integers(1, 12, size=2))
+            if quantized:  # {0, 1} costs: most cells tie with a neighbour
+                cost = rng.integers(0, 2, size=(t_a, t_b)).astype(np.float64)
+            else:
+                cost = rng.random((t_a, t_b))
+            path, total = _dtw_wavefront(cost, subsequence=subsequence)
+            expected_path, expected_total = oracle(cost)
+            assert as_tuples(path) == expected_path
+            assert total == expected_total
+
+    @pytest.mark.parametrize("subsequence, oracle", [(False, loop_dtw), (True, loop_subsequence)],
+                             ids=["plain", "subsequence"])
+    def test_long_and_transposed(self, subsequence, oracle):
+        cost = np.random.default_rng(21).random((37, 90))
+        for c in (cost, cost.T):
+            path, total = _dtw_wavefront(c, subsequence=subsequence)
+            expected_path, expected_total = oracle(np.ascontiguousarray(c))
+            assert as_tuples(path) == expected_path
+            assert total == expected_total
+
+    def test_subset_alignments_match_separate_runs(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        a = rng.normal(size=(23, 9, 3))
+        b = rng.normal(size=(17, 9, 3))
+        subsets = [np.arange(3), np.array([2, 5, 7, 8]), np.arange(9)]
+        # blocks of a few rows, so the blocked cost pass crosses block edges
+        monkeypatch.setattr("signweave.metrics._BLOCK_ELEMENTS", 200)
+        for subset, (path, total) in zip(subsets, dtw_alignments(a, b, subsets)):
+            cost = np.linalg.norm(a[:, None, subset] - b[None, :, subset], axis=-1).mean(axis=-1)
+            expected_path, expected_total = loop_dtw(cost)
+            assert as_tuples(path) == expected_path
+            assert total == pytest.approx(expected_total, abs=1e-12)
+
+    def test_dtw_error_matches_loop_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            a = rng.normal(size=(int(rng.integers(1, 15)), 7, 3))
+            b = rng.normal(size=(int(rng.integers(1, 15)), 7, 3))
+            subset = np.array([0, 2, 3, 6])
+            assert dtw_error(a, b, subset) == pytest.approx(loop_dtw_error(a, b, subset), abs=1e-12)
+            assert dtw_error(a, b, subset, procrustes_align=True) == pytest.approx(
+                loop_dtw_error(a, b, subset, procrustes_align=True), abs=1e-12)
+
+
+class TestProcrustesBatch:
+    def point_pairs(self):
+        rng = np.random.default_rng(24)
+        p = rng.normal(size=(40, 6, 3))
+        q = rng.normal(size=(40, 6, 3))
+        p[3] = 1.5                                         # zero variance
+        p[4] = np.outer(np.linspace(-1, 1, 6), [1.0, 2.0, -0.5]) + 0.3  # collinear
+        q[5] = np.outer(np.linspace(-1, 1, 6), [0.0, 1.0, 1.0])         # collinear target
+        q[6] = 0.0                                         # zero covariance
+        p[7, :, 2] = 0.0                                   # planar: rank 2 is enough
+        return p, q
+
+    def test_matches_per_pair_oracle(self):
+        p, q = self.point_pairs()
+        rot, scale, trans, fallback = procrustes_batch(p, q)
+        for n in range(p.shape[0]):
+            r_o, s_o, t_o, fb_o = loop_procrustes(p[n], q[n])
+            assert bool(fallback[n]) == fb_o
+            assert np.abs(rot[n] - r_o).max() < 1e-12
+            assert scale[n] == pytest.approx(s_o, abs=1e-12)
+            assert np.abs(trans[n] - t_o).max() < 1e-12
+        assert fallback[[3, 4, 5, 6]].all() and not fallback[[0, 7]].any()
+
+    def test_path_error_matches_per_pair_oracle(self):
+        p, q = self.point_pairs()
+        path = np.stack([np.arange(40), np.arange(40)[::-1]], axis=1)
+        errs = []
+        for i, j in path:
+            rot, s, t, _ = loop_procrustes(p[i], q[j])
+            errs.append(float(np.linalg.norm(s * (p[i] @ rot.T) + t - q[j], axis=-1).mean()))
+        assert procrustes_path_error(p, q, path) == pytest.approx(float(np.mean(errs)), abs=1e-12)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            procrustes_batch(np.zeros((2, 4, 3)), np.zeros((2, 5, 3)))
 
 
 class TestLengthRatio:
@@ -226,17 +322,16 @@ class TestFgd:
 class TestTextMetrics:
     def test_identical(self):
         tokens = "IX-1p LIKE BOOK".split()
-        m = text_metrics(tokens, tokens)
-        assert m["bleu4"] == pytest.approx(1.0)
-        assert m["chrf"] == pytest.approx(1.0)
-        assert m["f1"] == pytest.approx(1.0)
+        assert bleu4(tokens, tokens) == pytest.approx(1.0)
+        assert chrf(tokens, tokens) == pytest.approx(1.0)
+        assert token_f1(tokens, tokens) == pytest.approx(1.0)
 
     def test_disjoint_tokens(self):
         assert token_f1("A B".split(), "C D".split()) == 0.0
 
     def test_empty_hypothesis(self):
-        m = text_metrics([], "A B".split())
-        assert m == {"bleu4": 0.0, "chrf": 0.0, "f1": 0.0}
+        ref = "A B".split()
+        assert (bleu4([], ref), chrf([], ref), token_f1([], ref)) == (0.0, 0.0, 0.0)
 
     def test_four_token_toy_hand_computed(self):
         hyp = "a b c d".split()
@@ -258,8 +353,7 @@ class TestTextMetrics:
         for _ in range(50):
             hyp = list(rng.choice(vocab, size=rng.integers(1, 8)))
             ref = list(rng.choice(vocab, size=rng.integers(1, 8)))
-            m = text_metrics(hyp, ref)
-            for v in m.values():
+            for v in (bleu4(hyp, ref), chrf(hyp, ref), token_f1(hyp, ref)):
                 assert 0.0 <= v <= 1.0 + 1e-12
 
 
@@ -305,8 +399,3 @@ class TestSkeletonAdapter:
         b = adapter.to_points(perturbed)
         assert np.abs(a[:, adapter.face_vertices] - b[:, adapter.face_vertices]).max() > 0
         assert np.allclose(a[:, adapter.body_joints], b[:, adapter.body_joints])
-
-    def test_report_row(self):
-        row = MotionMetricsReport(0.1, 0.2, 0.15, 0.01, 0.05, 1.02, extras={"fgd": 3.0})
-        d = row.to_dict()
-        assert d["length_ratio"] == 1.02 and d["fgd"] == 3.0

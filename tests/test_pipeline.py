@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dtw_oracles import loop_dtw, loop_dtw_error
 from signweave.duration import DurationTrainConfig
 from signweave.inpaint import DenoiserConfig, InpaintTrainConfig
 from signweave.pipeline import (
@@ -14,12 +15,15 @@ from signweave.pipeline import (
     build_duration_examples,
     build_inpaint_items,
     compose_and_stitch,
+    evaluate_composed,
+    evaluate_duration,
     prepare_data,
     run_pipeline,
     stage_hash,
     train_duration_stage,
     train_inpaint_stage,
 )
+from signweave.metrics import SyntheticSkeletonAdapter
 from signweave.synth import SynthSpec
 
 
@@ -152,3 +156,57 @@ class TestWorkersAndFallback:
         ckpt.unlink()
         report = run_pipeline(config)
         assert report["denoiser_fallback"] is True
+
+
+@pytest.fixture(scope="module")
+def composed_case(tmp_path_factory):
+    """Held-out sentences composed with the linear fallback (no denoiser)."""
+    config = tiny_config(tmp_path_factory.mktemp("eval") / "work", steps=0)
+    store = StageStore(config.work_dir)
+    data = prepare_data(config, store)
+    gloss_model, sent_model = train_duration_stage(config, store, data)
+    denoiser, schedule = train_inpaint_stage(config, store, data, gloss_model)
+    composed = compose_and_stitch(config, data, gloss_model, sent_model, denoiser, schedule)
+    return config, data, gloss_model, composed
+
+
+class TestEvaluation:
+    def test_rows_and_paths_match_loop_oracle(self, composed_case):
+        _, data, _, composed = composed_case
+        result = evaluate_composed(composed, data, dump_paths=True)
+        adapter = SyntheticSkeletonAdapter()
+        joints = np.concatenate([adapter.body_joints, adapter.hand_joints])
+        subsets = {"dtw_mpjpe_body": adapter.body_joints, "dtw_mpjpe_hands": adapter.hand_joints,
+                   "dtw_mpjpe_overall": joints, "dtw_mpvpe_face": adapter.face_vertices}
+        by_id = {s.sentence_id: s for s in data.corpus.sentences}
+        outputs = {(c.sentence_id, m): getattr(c, m) for c in composed for m in ("ours", "baseline")}
+        assert len(result["rows"]) == len(result["paths"]) == len(outputs)
+        for row, dumped in zip(result["rows"], result["paths"]):
+            key = (row["sentence_id"], row["method"])
+            assert key == (dumped["sentence_id"], dumped["method"])
+            pts = adapter.to_points(outputs[key].frames)
+            ref_pts = adapter.to_points(by_id[key[0]].frames)
+            for name, subset in subsets.items():
+                assert row[name] == pytest.approx(loop_dtw_error(pts, ref_pts, subset), abs=1e-12)
+            assert row["dtw_pa_mpjpe"] == pytest.approx(
+                loop_dtw_error(pts, ref_pts, joints, procrustes_align=True), abs=1e-12)
+            cost = np.linalg.norm(pts[:, None, joints] - ref_pts[None, :, joints], axis=-1).mean(axis=-1)
+            expected_path, expected_total = loop_dtw(cost)
+            assert [tuple(step) for step in dumped["path"]] == expected_path
+            assert dumped["total_cost"] == pytest.approx(expected_total, abs=1e-12)
+
+    def test_dumped_path_cost_is_overall_error(self, composed_case):
+        _, data, _, composed = composed_case
+        result = evaluate_composed(composed, data, dump_paths=True)
+        for row, dumped in zip(result["rows"], result["paths"]):
+            assert dumped["total_cost"] / len(dumped["path"]) == row["dtw_mpjpe_overall"]
+
+    def test_duration_eval_uses_held_out_pairs(self, composed_case):
+        config, data, gloss_model, _ = composed_case
+        window = config.dur_model.window
+        _, eval_pairs, _ = build_duration_examples(data, window)
+        errors = [abs(gloss_model.predict(ex.features).scale - ex.scale) for ex in eval_pairs]
+        report = evaluate_duration(data, gloss_model, window)
+        assert report["pairs"] == len(eval_pairs) > 0
+        assert report["model_mae"] == float(np.mean(errors))
+        assert report["identity_mae"] == float(np.mean([abs(ex.scale) for ex in eval_pairs]))

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from signweave.motion import GlossClip, MotionSequence, PartLayout
-from signweave.qc import QcConfig, dominant_split, qc_filters, subsequence_dtw_distance
+from dtw_oracles import loop_subsequence_distance
+from signweave.qc import (
+    QcConfig,
+    dominant_split,
+    pairwise_similarity,
+    qc_filters,
+    subsequence_dtw_distance,
+)
 from signweave.records import (
     IngestError,
     export_canonical,
@@ -189,6 +196,32 @@ class TestDominantSplit:
 
     def test_single_clip_dominant(self):
         assert dominant_split([np.zeros((5, 3))]) == [True]
+
+    @pytest.mark.parametrize("query, reference, message", [
+        (np.zeros((0, 4)), np.zeros((6, 4)), "empty query"),
+        (np.zeros((5, 4)), np.zeros((0, 4)), "empty reference"),
+        (np.zeros((5, 4)), np.zeros((6, 3)), "feature dimensions differ"),
+    ], ids=["empty-query", "empty-reference", "dim-mismatch"])
+    def test_invalid_inputs_rejected(self, query, reference, message):
+        with pytest.raises(ValueError, match=message):
+            subsequence_dtw_distance(query, reference)
+
+    def test_distance_matches_loop_oracle(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            query = rng.normal(size=(int(rng.integers(1, 14)), 5))
+            reference = rng.normal(size=(int(rng.integers(1, 14)), 5))
+            assert subsequence_dtw_distance(query, reference) == loop_subsequence_distance(query, reference)
+
+    def test_similarity_matches_both_directed_loops(self):
+        rng = np.random.default_rng(8)
+        clips = [rng.normal(size=(int(rng.integers(3, 12)), 4)) for _ in range(5)]
+        sim = pairwise_similarity(clips)
+        for i in range(5):
+            for j in range(i + 1, 5):
+                expected = -0.5 * (loop_subsequence_distance(clips[i], clips[j])
+                                   + loop_subsequence_distance(clips[j], clips[i]))
+                assert sim[i, j] == sim[j, i] == expected
 
 
 class TestSynth:
