@@ -170,16 +170,6 @@ class GlossClip:
         return MotionSequence(self.motion.frames[s : e + 1].copy(), self.motion.fps)
 
 
-def concat_pair(a: MotionSequence, b: MotionSequence) -> tuple[MotionSequence, int]:
-    """Concatenate two sequences verbatim; returns the result and the boundary index."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.fps != b.fps:
-        raise ValueError(f"fps mismatch: {a.fps} vs {b.fps}")
-    out = np.concatenate([a.frames, b.frames], axis=0)
-    return MotionSequence(out, a.fps), a.num_frames
-
-
 def resample_frames(frames: np.ndarray, t_out: int) -> np.ndarray:
     """Piecewise-linear resampling of a T x D array over normalized time [0, 1]."""
     if t_out < 1:
@@ -191,15 +181,18 @@ def resample_frames(frames: np.ndarray, t_out: int) -> np.ndarray:
         return np.repeat(frames, t_out, axis=0)
     x_in = np.linspace(0.0, 1.0, t_in)
     x_out = np.linspace(0.0, 1.0, t_out)
-    out = np.empty((t_out, frames.shape[1]), dtype=frames.dtype)
-    for d in range(frames.shape[1]):
-        out[:, d] = np.interp(x_out, x_in, frames[:, d])
-    return out
-
-
-def linear_resample(x: MotionSequence, t_out: int) -> MotionSequence:
-    """Resample to t_out frames; endpoints are preserved exactly."""
-    return MotionSequence(resample_frames(x.frames, t_out), x.fps)
+    fp = np.asarray(frames, dtype=np.float64)
+    # np.interp per column, for all columns at once: bracket j with
+    # x_in[j] <= x < x_in[j + 1], then slope * (x - x_in[j]) + fp[j]
+    j = np.searchsorted(x_in, x_out, side="right") - 1
+    seg = np.minimum(j, t_in - 2)
+    slopes = (fp[1:] - fp[:-1]) / (x_in[1:] - x_in[:-1])[:, None]
+    out = slopes[seg] * (x_out - x_in[seg])[:, None] + fp[seg]
+    # as in np.interp, a sample on a knot (the last sample always is) takes
+    # the knot's value
+    on_knot = x_out == x_in[j]
+    out[on_knot] = fp[j[on_knot]]
+    return out.astype(frames.dtype, copy=False)
 
 
 def _savgol_weights(offsets: np.ndarray, order: int, eval_at: float = 0.0) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Minimal differentiable-computation kernel backing the learned components."""
-from .tensor import Tensor, as_tensor, clamp, concat, maximum_const, softmax, stack, tensor, where
+from .tensor import (Tensor, as_tensor, clamp, concat, is_grad_enabled, maximum_const, no_grad,
+                     softmax, stack, tensor, where)
 from .nn import (
     ParameterSet,
     dense,
@@ -28,9 +29,11 @@ __all__ = [
     "gelu",
     "init_dense",
     "init_layer_norm",
+    "is_grad_enabled",
     "layer_norm",
     "load_checkpoint",
     "maximum_const",
+    "no_grad",
     "restore_into",
     "rope_apply",
     "save_checkpoint",

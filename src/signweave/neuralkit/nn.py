@@ -1,9 +1,11 @@
 """Network kernels built on the autodiff tensor: dense, norm, attention, RoPE."""
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .tensor import Tensor, softmax, stack
+from .tensor import Tensor, softmax
 
 SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
@@ -34,27 +36,46 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return centered / (var + eps).sqrt() * gamma + beta
 
 
+@lru_cache(maxsize=32)
+def _rope_tables(n: int, d: int, dtype: np.dtype, base: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n, d) tables for positions 0..n-1: each pair's cosine twice,
+    and its sine as (-sin, +sin), so that rotation is x*C + pairswap(x)*S."""
+    freqs = 1.0 / (base ** (np.arange(0, d, 2, dtype=np.float64) / d))
+    angles = np.arange(n, dtype=np.float64)[:, None] * freqs[None, :]
+    cos = np.cos(angles).astype(dtype)
+    sin = np.sin(angles).astype(dtype)
+    c = np.repeat(cos, 2, axis=-1)
+    s = np.stack([-sin, sin], axis=-1).reshape(n, d)
+    c.setflags(write=False)
+    s.setflags(write=False)
+    return c, s
+
+
+def _pairswap(x: np.ndarray) -> np.ndarray:
+    """Swap each (even, odd) pair along the last axis."""
+    return x.reshape(*x.shape[:-1], x.shape[-1] // 2, 2)[..., ::-1].reshape(x.shape)
+
+
 def rope_apply(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
     """Rotary position embedding over the last axis (pairs of even/odd dims).
 
-    x has shape (..., T, d) with d even; positions has shape (T,).
+    x has shape (..., T, d) with d even; positions are T non-negative integers.
     """
     d = x.shape[-1]
     if d % 2 != 0:
         raise ValueError("rope requires an even feature dimension")
-    freqs = 1.0 / (base ** (np.arange(0, d, 2, dtype=np.float64) / d))
-    angles = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
-    cos = np.cos(angles).astype(x.dtype)
-    sin = np.sin(angles).astype(x.dtype)
+    positions = np.asarray(positions)
+    if positions.size and (positions.dtype.kind not in "iu" or positions.min() < 0):
+        raise ValueError("rope positions must be non-negative integers")
+    n = int(positions.max()) + 1 if positions.size else 0
+    # a power-of-two table length keeps few tables across ragged lengths
+    cos, sin = _rope_tables(1 << max(n - 1, 0).bit_length(), d, x.dtype, float(base))
+    c, s = cos[positions], sin[positions]
 
-    even = x[..., 0::2]
-    odd = x[..., 1::2]
-    cos_t, sin_t = Tensor(cos), Tensor(sin)
-    r_even = even * cos_t - odd * sin_t
-    r_odd = even * sin_t + odd * cos_t
-    # interleave back: stack pairs on a trailing axis then flatten
-    paired = stack([r_even, r_odd], axis=-1)
-    return paired.reshape(*x.shape)
+    def backward(g):
+        x._accumulate(g * c + _pairswap(g * s))
+
+    return Tensor._make(x.data * c + _pairswap(x.data) * s, (x,), backward)
 
 
 def scaled_dot_attention(
@@ -70,16 +91,17 @@ def scaled_dot_attention(
     """
     d = q.shape[-1]
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d))
-    bias = np.zeros(scores.shape, dtype=scores.dtype)
-    if causal:
-        t_q, t_k = scores.shape[-2], scores.shape[-1]
-        future = np.triu(np.ones((t_q, t_k), dtype=bool), k=1)
-        bias = bias + np.where(future, -1e9, 0.0)
-    if key_padding_mask is not None:
-        invalid = ~np.asarray(key_padding_mask, dtype=bool)
-        bias = bias + np.where(invalid, -1e9, 0.0)
-    if np.any(bias):
-        scores = scores + Tensor(bias)
+    if causal or key_padding_mask is not None:
+        bias = np.zeros(scores.shape, dtype=scores.dtype)
+        if causal:
+            t_q, t_k = scores.shape[-2], scores.shape[-1]
+            future = np.triu(np.ones((t_q, t_k), dtype=bool), k=1)
+            bias = bias + np.where(future, -1e9, 0.0)
+        if key_padding_mask is not None:
+            invalid = ~np.asarray(key_padding_mask, dtype=bool)
+            bias = bias + np.where(invalid, -1e9, 0.0)
+        if np.any(bias):
+            scores = scores + Tensor(bias)
     attn = softmax(scores, axis=-1)
     return attn @ v
 

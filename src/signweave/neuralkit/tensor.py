@@ -5,7 +5,31 @@ verification); backward() accumulates exact gradients of a scalar loss.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+_grad_enabled = True
+
+
+def is_grad_enabled() -> bool:
+    return _grad_enabled
+
+
+@contextmanager
+def no_grad():
+    """Inference mode: results made inside the block record no parents, so no
+    autograd graph is kept and backward() through them reaches nothing.
+
+    The switch is process-wide, not per thread; signweave's workers are
+    processes."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -42,7 +66,7 @@ class Tensor:
     @staticmethod
     def _make(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
         out = Tensor(data)
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = parents
             out._backward = backward
@@ -336,10 +360,20 @@ class Tensor:
     def __getitem__(self, key):
         def backward(g):
             full = np.zeros_like(self.data)
-            np.add.at(full, key, g)
+            if _is_basic_key(key):
+                # slices, ints, Ellipsis and None select each element at most once
+                full[key] = g
+            else:
+                # advanced keys may repeat an index, whose gradients must add up
+                np.add.at(full, key, g)
             self._accumulate(full)
 
         return Tensor._make(self.data[key], (self,), backward)
+
+
+def _is_basic_key(key) -> bool:
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(p is None or p is Ellipsis or isinstance(p, (int, np.integer, slice)) for p in parts)
 
 
 def as_tensor(value, dtype=None) -> Tensor:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from signweave import neuralkit as nk
 from signweave.inpaint import (
     Denoiser,
     DenoiserConfig,
@@ -280,6 +281,108 @@ class TestDdim:
         mask = make_boundary_mask(10, 10, 3)
         with pytest.raises(ValueError):
             ddim_refine(self.x_tilde, mask, OracleDenoiser(self.target), self.schedule, steps=1001)
+
+
+SMALL = DenoiserConfig(motion_dim=206, latent=16, layers=2, heads=2, ffn=32, hand_head_depth=2)
+
+
+def perturbed_denoiser(seed: int) -> Denoiser:
+    """A small denoiser whose zero-initialized heads are moved off the copy solution."""
+    denoiser = Denoiser(SMALL, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name in denoiser.params.names():
+        t = denoiser.params[name]
+        t.data = (t.data + rng.normal(0.0, 0.1, size=t.shape)).astype(t.dtype)
+    return denoiser
+
+
+def fresh_copy(denoiser: Denoiser) -> Denoiser:
+    """A new denoiser holding the same live parameter values."""
+    copy = Denoiser(denoiser.cfg, seed=99)
+    nk.restore_into(copy.params, {name: (denoiser.params[name].data.copy(),) * 2
+                                  for name in denoiser.params.names()})
+    return copy
+
+
+class TestPredictX0:
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        self.x_t = rng.normal(size=(18, 206))
+        self.cond = rng.normal(size=(18, 206))
+        self.mask = make_boundary_mask(9, 9, 3).values
+
+    def test_masked_rows_match_full_forward(self):
+        denoiser = perturbed_denoiser(1)
+        full = denoiser.forward(self.x_t, 40, self.cond, self.mask).data.astype(np.float64)
+        out = denoiser.predict_x0(self.x_t, 40, self.cond, self.mask)
+        inside = self.mask > 0.5
+        assert np.allclose(out[inside], full[inside], atol=1e-6, rtol=0.0)
+        assert np.array_equal(out[~inside], self.cond[~inside])
+        assert not np.allclose(out[inside], self.cond[inside], atol=1e-3)
+
+    def test_empty_mask_returns_cond(self):
+        denoiser = perturbed_denoiser(1)
+        out = denoiser.predict_x0(self.x_t, 40, self.cond, np.zeros(18))
+        assert np.array_equal(out, self.cond)
+
+    def test_cache_is_rebuilt_after_parameter_changes(self, tmp_path):
+        denoiser = perturbed_denoiser(2)
+        schedule = DiffusionSchedule()
+
+        def assert_fresh():
+            got = denoiser.predict_x0(self.x_t, 70, self.cond, self.mask)
+            want = fresh_copy(denoiser).predict_x0(self.x_t, 70, self.cond, self.mask)
+            assert np.array_equal(got, want)
+
+        assert_fresh()
+        before = denoiser.predict_x0(self.x_t, 70, self.cond, self.mask)
+        # an optimizer step replaces every parameter array
+        opt = nk.AdamW(denoiser.params, lr=1e-2)
+        item = PairItem(self.cond, self.x_t, boundary_index=9)
+        loss = batch_loss([item], denoiser, schedule, LossConfig(), np.random.default_rng(0))
+        denoiser.params.zero_grad()
+        loss.backward()
+        opt.step()
+        assert_fresh()
+        assert not np.array_equal(before, denoiser.predict_x0(self.x_t, 70, self.cond, self.mask))
+        # EMA swap and restore
+        denoiser.params.ema_update(decay=0.5)
+        saved = denoiser.params.swap_in_ema()
+        assert_fresh()
+        denoiser.params.restore(saved)
+        assert_fresh()
+        # a checkpoint of another model restored into this one
+        other = perturbed_denoiser(3)
+        nk.save_checkpoint(tmp_path / "other.ckpt", other.params)
+        nk.restore_into(denoiser.params, nk.load_checkpoint(tmp_path / "other.ckpt"))
+        assert_fresh()
+
+    def test_other_cond_or_mask_never_served_from_cache(self):
+        denoiser = perturbed_denoiser(4)
+        rng = np.random.default_rng(12)
+        other = rng.normal(size=self.cond.shape)
+        narrow = make_boundary_mask(9, 9, 2).values
+        cond = self.cond.copy()
+        for mask in (self.mask, narrow):
+            got = denoiser.predict_x0(self.x_t, 70, cond, mask)
+            assert np.array_equal(got, fresh_copy(denoiser).predict_x0(self.x_t, 70, cond, mask))
+        # another array of the same shape, then the same array changed in place
+        got = denoiser.predict_x0(self.x_t, 70, other, narrow)
+        assert np.array_equal(got, fresh_copy(denoiser).predict_x0(self.x_t, 70, other, narrow))
+        denoiser.predict_x0(self.x_t, 70, cond, narrow)
+        cond[4:14] += 1.0
+        got = denoiser.predict_x0(self.x_t, 70, cond, narrow)
+        assert np.array_equal(got, fresh_copy(denoiser).predict_x0(self.x_t, 70, cond, narrow))
+
+    def test_inference_forward_equals_training_forward(self):
+        denoiser = perturbed_denoiser(5)
+        graph = denoiser.forward(self.x_t, 10, self.cond, self.mask)
+        with nk.no_grad():
+            first = denoiser.forward(self.x_t, 10, self.cond, self.mask)
+            cached = denoiser.forward(self.x_t, 10, self.cond, self.mask)
+        assert graph.requires_grad and not first.requires_grad
+        assert np.array_equal(first.data, graph.data)
+        assert np.array_equal(cached.data, graph.data)
 
 
 class TestLinearBaseline:

@@ -10,9 +10,8 @@ from signweave.motion import (
     MotionSequence,
     PartLayout,
     axis_angle_to_matrix,
-    concat_pair,
-    linear_resample,
     read_motion,
+    resample_frames,
     savgol_smooth,
     temporal_diff,
     write_motion,
@@ -58,54 +57,36 @@ class TestPartLayout:
 
 
 class TestConcat:
-    def test_lengths_add(self):
-        a = seq(np.zeros((3, 4)))
-        b = seq(np.ones((2, 4)))
-        out, boundary = concat_pair(a, b)
-        assert out.num_frames == 5
-        assert boundary == 3
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             MotionSequence(np.zeros((0, 4)))
-
-    def test_step_exactly_at_boundary(self):
-        a = seq(np.full((4, 2), 1.5))
-        b = seq(np.full((3, 2), -2.0))
-        out, boundary = concat_pair(a, b)
-        assert np.all(out.frames[:boundary] == 1.5)
-        assert np.all(out.frames[boundary:] == -2.0)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            concat_pair(seq(np.zeros((2, 3))), seq(np.zeros((2, 4))))
 
 
 class TestResample:
     def test_identity_is_bitwise_equal(self):
         rng = np.random.default_rng(0)
-        x = seq(rng.normal(size=(9, 5)))
-        out = linear_resample(x, 9)
-        assert np.array_equal(out.frames, x.frames)
+        x = rng.normal(size=(9, 5))
+        out = resample_frames(x, 9)
+        assert np.array_equal(out, x)
 
     def test_linear_ramp(self):
         ramp = np.linspace(0.0, 1.0, 5)[:, None]
-        out = linear_resample(seq(ramp), 9)
-        assert np.allclose(out.frames[:, 0], np.arange(9) / 8.0, atol=1e-15)
+        out = resample_frames(ramp, 9)
+        assert np.allclose(out[:, 0], np.arange(9) / 8.0, atol=1e-15)
 
     def test_endpoints_preserved(self):
         rng = np.random.default_rng(1)
-        x = seq(rng.normal(size=(7, 3)))
-        out = linear_resample(x, 4)
-        assert np.allclose(out.frames[0], x.frames[0])
-        assert np.allclose(out.frames[-1], x.frames[-1])
+        x = rng.normal(size=(7, 3))
+        out = resample_frames(x, 4)
+        assert np.allclose(out[0], x[0])
+        assert np.allclose(out[-1], x[-1])
 
     def test_round_trip_vs_composed_interpolant_oracle(self):
         # oracle: evaluate the composition of the two piecewise-linear maps directly
         rng = np.random.default_rng(2)
         x = rng.normal(size=(7, 2))
-        mid = linear_resample(seq(x), 3).frames
-        back = linear_resample(seq(mid), 7).frames
+        mid = resample_frames(x, 3)
+        back = resample_frames(mid, 7)
 
         grid7 = np.linspace(0.0, 1.0, 7)
         grid3 = np.linspace(0.0, 1.0, 3)
@@ -117,17 +98,31 @@ class TestResample:
 
     def test_affine_exact_for_any_t_out(self):
         t = np.linspace(0.0, 1.0, 6)
-        x = seq((2.5 * t - 1.0)[:, None])
+        x = (2.5 * t - 1.0)[:, None]
         for t_out in [1, 2, 5, 6, 13]:
-            out = linear_resample(x, t_out)
+            out = resample_frames(x, t_out)
             expected = 2.5 * np.linspace(0.0, 1.0, t_out) - 1.0
             if t_out == 1:
                 expected = np.array([-1.0])
-            assert np.allclose(out.frames[:, 0], expected, atol=1e-14)
+            assert np.allclose(out[:, 0], expected, atol=1e-14)
 
     def test_zero_output_rejected(self):
         with pytest.raises(ValueError):
-            linear_resample(seq(np.zeros((3, 1))), 0)
+            resample_frames(np.zeros((3, 1)), 0)
+
+    def test_bitwise_equal_to_per_column_interp(self):
+        rng = np.random.default_rng(3)
+        for _ in range(3000):
+            t_in = int(rng.integers(1, 60))
+            t_out = int(rng.integers(1, 200))
+            dim = int(rng.integers(1, 9))
+            x = rng.normal(size=(t_in, dim)) * 10.0 ** rng.uniform(-3, 3)
+            grid_in = np.linspace(0.0, 1.0, t_in)
+            grid_out = np.linspace(0.0, 1.0, t_out)
+            oracle = np.stack([np.interp(grid_out, grid_in, x[:, d]) for d in range(dim)], axis=1)
+            out = resample_frames(x, t_out)
+            assert out.shape == oracle.shape and out.dtype == oracle.dtype
+            assert np.array_equal(out.view(np.uint64), oracle.view(np.uint64)), (t_in, t_out, dim)
 
 
 class TestSavgol:

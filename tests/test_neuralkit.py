@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rope_oracle import slice_rope
 from signweave.neuralkit import (
     AdamW,
     ParameterSet,
@@ -11,8 +12,10 @@ from signweave.neuralkit import (
     concat,
     dense,
     gelu,
+    is_grad_enabled,
     layer_norm,
     load_checkpoint,
+    no_grad,
     restore_into,
     rope_apply,
     save_checkpoint,
@@ -110,6 +113,52 @@ class TestKernelGradients:
 
         check_gradients(f, [a, b])
 
+    def test_getitem_strided_slice(self):
+        rng = np.random.default_rng(13)
+        x = leaf(rng, (5, 6), "x")
+        weights = rng.normal(size=(3, 4))
+        check_gradients(lambda: (x[::2, 1:5] * weights).sum(), [x])
+        x.grad = None
+        (x[::2, 1:5] * weights).sum().backward()
+        expected = np.zeros((5, 6))
+        expected[::2, 1:5] = weights
+        assert np.array_equal(x.grad, expected)
+
+    def test_getitem_repeated_fancy_index(self):
+        rng = np.random.default_rng(14)
+        x = leaf(rng, (3, 4), "x")
+        idx = np.array([0, 2, 0, 0, 1])
+        weights = rng.normal(size=(5, 4))
+        check_gradients(lambda: (x[idx] * weights).sum(), [x])
+        x.grad = None
+        (x[idx] * weights).sum().backward()
+        expected = np.stack([weights[0] + weights[2] + weights[3], weights[4], weights[1]])
+        assert np.allclose(x.grad, expected, atol=1e-15)
+
+
+class TestNoGrad:
+    def test_builds_no_parents(self):
+        rng = np.random.default_rng(15)
+        x = leaf(rng, (3, 4), "x")
+        w = leaf(rng, (4, 2), "w")
+        with no_grad():
+            assert not is_grad_enabled()
+            out = gelu(dense(x, w))[1:]
+        assert is_grad_enabled()
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert np.array_equal(out.data, gelu(dense(x, w))[1:].data)
+
+    def test_flag_restored_after_exception(self):
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        assert is_grad_enabled()
+        with no_grad():
+            with no_grad():
+                pass
+            assert not is_grad_enabled()
+        assert is_grad_enabled()
+
 
 class TestSoftmaxRows:
     def test_rows_sum_to_one(self):
@@ -133,6 +182,34 @@ class TestRope:
 
         assert rotated_dot(0) == pytest.approx(rotated_dot(7), abs=1e-10)
         assert rotated_dot(3) == pytest.approx(rotated_dot(10), abs=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,positions", [
+        ((5, 8), np.arange(5)),
+        ((3, 7, 16), np.arange(7)),
+        ((2, 4, 6), np.array([9, 0, 3, 3])),
+    ])
+    def test_matches_slice_formula_bitwise(self, dtype, shape, positions):
+        rng = np.random.default_rng(16)
+        x_new = Tensor(rng.normal(size=shape), requires_grad=True, dtype=dtype)
+        x_old = Tensor(x_new.data.copy(), requires_grad=True)
+        upstream = rng.normal(size=shape).astype(dtype)
+        new = rope_apply(x_new, positions)
+        old = slice_rope(x_old, positions)
+        assert new.dtype == old.dtype == dtype
+        assert np.array_equal(new.data, old.data)
+        (new * upstream).sum().backward()
+        (old * upstream).sum().backward()
+        assert np.array_equal(x_new.grad, x_old.grad)
+
+    def test_rejects_bad_positions(self):
+        x = tensor(np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            rope_apply(x, np.array([0, -1]))
+        with pytest.raises(ValueError):
+            rope_apply(x, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            rope_apply(tensor(np.zeros((2, 3))), np.arange(2))
 
 
 class TestAdamW:
