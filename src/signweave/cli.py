@@ -2,36 +2,20 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import glossnorm as gn
-from .duration import DurationTrainConfig, GlossPlan
-from .inpaint import InpaintTrainConfig
+from .duration import GlossPlan
 from .metrics import ranking_metrics
 from .motion import read_motion, write_motion
-from .pipeline import (
-    PipelineConfig,
-    StageStore,
-    apply_overrides,
-    compose_and_stitch,
-    config_to_dict,
-    evaluate_composed,
-    evaluate_duration,
-    prepare_data,
-    run_pipeline,
-    train_duration_stage,
-    train_inpaint_stage,
-)
+from .pipeline import PipelineConfig, apply_overrides, config_from_dict, config_to_dict, run_pipeline
 from .qc import QcConfig, qc_filters
 from .records import export_canonical, ingest, word_record_to_clip
 from .retrieval import load_corpus, retrieve
 from .stitch import assemble_sentence
-from .synth import SynthSpec, synth_generate
+from .synth import synth_generate
 from .trimming import TrimConfig, trim
 
 
@@ -39,49 +23,12 @@ def _load_config(args) -> PipelineConfig:
     config = PipelineConfig()
     if getattr(args, "config", None):
         raw = json.loads(Path(args.config).read_text())
-        config = _config_from_dict(raw)
+        config = config_from_dict(raw)
     overrides = getattr(args, "set", None) or []
     apply_overrides(config, overrides)
     if getattr(args, "work_dir", None):
         config.work_dir = args.work_dir
     return config
-
-
-def _config_from_dict(raw: dict) -> PipelineConfig:
-    """Rebuild the nested config dataclasses from a plain JSON dict."""
-    kwargs = {}
-    nested = {
-        "synth": SynthSpec,
-        "trim": TrimConfig,
-        "qc": QcConfig,
-        "dur_gloss": DurationTrainConfig,
-        "dur_sent": DurationTrainConfig,
-    }
-    from .duration import DurationModelConfig
-    from .inpaint import DenoiserConfig
-
-    nested["dur_model"] = DurationModelConfig
-    nested["denoiser"] = DenoiserConfig
-    nested["inpaint_train"] = InpaintTrainConfig
-    for key, value in raw.items():
-        if key in nested and isinstance(value, dict):
-            cls = nested[key]
-            fields = {f.name: f for f in dataclasses.fields(cls)}
-            clean = {}
-            for k, v in value.items():
-                if k not in fields:
-                    raise ValueError(f"unknown config key {key}.{k}")
-                if isinstance(v, list):
-                    v = tuple(v)
-                if k == "dtype":
-                    v = {"float32": np.float32, "float64": np.float64}[v]
-                clean[k] = v
-            kwargs[key] = cls(**clean)
-        elif key in ("identity_hook",):
-            continue
-        else:
-            kwargs[key] = value
-    return PipelineConfig(**kwargs)
 
 
 def cmd_synth(args) -> int:
@@ -153,55 +100,6 @@ def cmd_trim(args) -> int:
         }
     Path(args.out).write_text(json.dumps(spans, sort_keys=True, indent=1))
     print(f"trimmed {len(spans)} clips; spans at {args.out}")
-    return 0
-
-
-def cmd_train_duration(args) -> int:
-    config = _load_config(args)
-    if args.tau is not None:
-        which = config.dur_gloss if args.which == "gloss" else config.dur_sent
-        which.tau = args.tau
-    if args.epochs is not None:
-        (config.dur_gloss if args.which == "gloss" else config.dur_sent).epochs = args.epochs
-    if args.lr is not None:
-        (config.dur_gloss if args.which == "gloss" else config.dur_sent).lr = args.lr
-    store = StageStore(config.work_dir)
-    data = prepare_data(config, store)
-    gloss_model, sent_model = train_duration_stage(config, store, data)
-    report = evaluate_duration(data, gloss_model, config.dur_model.window)
-    print(json.dumps(report, sort_keys=True))
-    return 0
-
-
-def cmd_train_inpainter(args) -> int:
-    config = _load_config(args)
-    store = StageStore(config.work_dir)
-    data = prepare_data(config, store)
-    gloss_model, _ = train_duration_stage(config, store, data)
-    denoiser, _ = train_inpaint_stage(config, store, data, gloss_model)
-    print(f"denoiser checkpoint under {Path(config.work_dir) / 'inpaint'}"
-          if denoiser is not None else "training skipped (steps <= 0)")
-    return 0
-
-
-def cmd_compose(args) -> int:
-    config = _load_config(args)
-    if args.radius is not None:
-        config.inference_radius = args.radius
-    if args.steps is not None:
-        config.ddim_steps = args.steps
-    store = StageStore(config.work_dir)
-    data = prepare_data(config, store)
-    gloss_model, sent_model = train_duration_stage(config, store, data)
-    denoiser, schedule = train_inpaint_stage(config, store, data, gloss_model)
-    composed = compose_and_stitch(config, data, gloss_model, sent_model, denoiser, schedule)
-    out = Path(args.out) if args.out else store.stage_dir("compose")
-    out.mkdir(parents=True, exist_ok=True)
-    for item in composed:
-        write_motion(out / f"{item.sentence_id}.ours.svmx", item.ours)
-        write_motion(out / f"{item.sentence_id}.baseline.svmx", item.baseline)
-    fallback = any(c.fallback for c in composed)
-    print(f"composed {len(composed)} sentences to {out}" + (" (linear fallback)" if fallback else ""))
     return 0
 
 
@@ -284,29 +182,10 @@ def cmd_retrieve(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_run(args) -> int:
+    """The stage commands: run the pipeline through `args.until`."""
     config = _load_config(args)
-    store = StageStore(config.work_dir)
-    data = prepare_data(config, store)
-    gloss_model, sent_model = train_duration_stage(config, store, data)
-    denoiser, schedule = train_inpaint_stage(config, store, data, gloss_model)
-    composed = compose_and_stitch(config, data, gloss_model, sent_model, denoiser, schedule)
-    result = evaluate_composed(composed, data, dump_paths=args.dump_paths)
-    eval_dir = store.stage_dir("eval")
-    with open(eval_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
-        for row in result["rows"]:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    if args.dump_paths:
-        with open(eval_dir / "paths.jsonl", "w", encoding="utf-8") as fh:
-            for entry in result["paths"]:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    print(json.dumps(result["summary"], indent=1, sort_keys=True))
-    return 0
-
-
-def cmd_pipeline(args) -> int:
-    config = _load_config(args)
-    report = run_pipeline(config)
+    report = run_pipeline(config, until=args.until, dump_paths=getattr(args, "dump_paths", False))
     print(json.dumps(report, indent=1, sort_keys=True))
     return 0
 
@@ -357,24 +236,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lenient", action="store_true")
     p.set_defaults(func=cmd_trim)
 
-    p = sub.add_parser("train-duration", help="train a duration predictor")
+    p = sub.add_parser("train-duration", help="run the pipeline through training the duration predictors")
     common(p)
-    p.add_argument("--which", choices=["gloss", "sent"], default="gloss")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.set_defaults(func=cmd_train_duration)
+    p.set_defaults(func=cmd_run, until="duration")
 
-    p = sub.add_parser("train-inpainter", help="train the boundary-inpainting denoiser")
+    p = sub.add_parser("train-inpainter", help="run the pipeline through training the boundary-inpainting denoiser")
     common(p)
-    p.set_defaults(func=cmd_train_inpainter)
+    p.set_defaults(func=cmd_run, until="inpaint")
 
-    p = sub.add_parser("compose", help="refine pairs and stitch held-out sentences")
+    p = sub.add_parser("compose", help="run the pipeline through refining pairs and stitching held-out sentences")
     common(p)
-    p.add_argument("--radius", type=int, help="inference inpaint radius")
-    p.add_argument("--steps", type=int, help="DDIM step count")
-    p.add_argument("--out", help="output directory for motion binaries")
-    p.set_defaults(func=cmd_compose)
+    p.set_defaults(func=cmd_run, until="compose")
 
     p = sub.add_parser("stitch", help="assemble pair motion files into one sentence")
     p.add_argument("--pairs-manifest", required=True,
@@ -397,15 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-queries", help="JSONL of {query, reference_id}; prints MRR/R@k")
     p.set_defaults(func=cmd_retrieve)
 
-    p = sub.add_parser("eval", help="metrics table for composed sentences")
+    p = sub.add_parser("eval", help="run every stage and score the composed sentences")
     common(p)
     p.add_argument("--dump-paths", action="store_true",
                    help="also write the DTW alignment paths for debugging")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_run, until="eval")
 
     p = sub.add_parser("pipeline", help="run every stage end to end")
     common(p)
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=cmd_run, until="eval")
 
     p = sub.add_parser("show-config", help="print the resolved configuration")
     common(p)

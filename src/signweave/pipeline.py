@@ -95,6 +95,10 @@ STAGE_FIELDS = [
     ("eval", []),
 ]
 
+# the stages `run_pipeline` can stop after; synth, qc and trim run as one
+# prepare step before them
+RUN_STAGES = ("duration", "inpaint", "compose", "eval")
+
 
 def _jsonable(value):
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -116,6 +120,39 @@ def config_to_dict(config: PipelineConfig) -> dict:
     return _jsonable(config)
 
 
+def config_from_dict(raw: dict) -> PipelineConfig:
+    """Rebuild a config from `config_to_dict` output, or any subset of its keys.
+
+    A nested section is built from the keys it gives, with the class defaults
+    of its config type for the rest."""
+    defaults = PipelineConfig()
+    kwargs = {}
+    for key, value in raw.items():
+        if key not in _field_names(defaults):
+            raise ValueError(f"unknown config key {key}")
+        current = getattr(defaults, key)
+        if not dataclasses.is_dataclass(current):
+            kwargs[key] = value
+            continue
+        if not isinstance(value, dict):
+            raise ValueError(f"config key {key} names a nested config and needs an object")
+        clean = {}
+        for k, v in value.items():
+            if k not in _field_names(current):
+                raise ValueError(f"unknown config key {key}.{k}")
+            if isinstance(v, list):
+                v = tuple(v)
+            if k == "dtype":
+                v = {"float32": np.float32, "float64": np.float64}[v]
+            clean[k] = v
+        kwargs[key] = type(current)(**clean)
+    return PipelineConfig(**kwargs)
+
+
+def _field_names(obj) -> set[str]:
+    return {f.name for f in dataclasses.fields(obj)}
+
+
 def stage_hash(config: PipelineConfig, stage: str) -> str:
     """Hash of every config field the stage (and its predecessors) depends on."""
     payload = {}
@@ -134,12 +171,17 @@ def apply_overrides(config: PipelineConfig, overrides: list[str]) -> PipelineCon
         key, _, raw = item.partition("=")
         if not raw:
             raise ValueError(f"override {item!r} must look like key.path=value")
+        *path, leaf = key.split(".")
         target = config
-        parts = key.split(".")
-        for part in parts[:-1]:
-            target = getattr(target, part)
-        leaf = parts[-1]
+        for part in path:
+            target = getattr(target, part) if part in _field_names(target) else None
+            if not dataclasses.is_dataclass(target):
+                raise ValueError(f"unknown config key {key}")
+        if leaf not in _field_names(target):
+            raise ValueError(f"unknown config key {key}")
         current = getattr(target, leaf)
+        if dataclasses.is_dataclass(current):
+            raise ValueError(f"config key {key} names a nested config; set {key}.<field>=value")
         if isinstance(current, bool):
             value = raw.lower() in ("1", "true", "yes")
         elif isinstance(current, int):
@@ -150,7 +192,7 @@ def apply_overrides(config: PipelineConfig, overrides: list[str]) -> PipelineCon
             value = tuple(type(current[0])(v) for v in raw.split(","))
         else:
             value = raw
-        if dataclasses.is_dataclass(target) and getattr(type(target), "__dataclass_params__").frozen:
+        if type(target).__dataclass_params__.frozen:
             raise ValueError(f"field {key} belongs to a frozen config; set it in the config file")
         setattr(target, leaf, value)
     return config
@@ -617,52 +659,68 @@ def evaluate_duration(data: PreparedData, gloss_model: GlossDurationPredictor, w
     }
 
 
-def run_pipeline(config: PipelineConfig) -> dict:
-    """Execute every stage and return (and persist) the final report."""
+def _write_jsonl(path: Path, rows: list[dict]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def run_pipeline(config: PipelineConfig, until: str = "eval", dump_paths: bool = False) -> dict:
+    """Run the stages in order through `until` and return the report so far.
+
+    prepare, duration and inpaint reuse outputs whose manifest matches the
+    config; compose and eval are recomputed on every run. The report after
+    duration already holds the held-out duration evaluation. The eval stage
+    also writes metrics.jsonl and report.json under eval/, and paths.jsonl
+    with the DTW alignment paths when dump_paths is set.
+    """
+    if until not in RUN_STAGES:
+        raise ValueError(f"unknown stage {until!r}; expected one of {', '.join(RUN_STAGES)}")
     store = StageStore(config.work_dir)
-    timings = {}
+    timings: dict[str, float] = {}
     t0 = time.time()
+
+    def lap(stage: str) -> None:
+        nonlocal t0
+        timings[stage] = round(time.time() - t0, 2)
+        t0 = time.time()
+
+    report = {"config_hash": stage_hash(config, until), "seed": config.seed, "timings": timings}
     data = prepare_data(config, store)
-    timings["prepare"] = time.time() - t0
+    report.update(trim_fallbacks=data.trim_fallbacks, eval_sentences=len(data.eval_ids))
+    lap("prepare")
 
-    t0 = time.time()
     gloss_model, sent_model = train_duration_stage(config, store, data)
-    timings["duration"] = time.time() - t0
+    report["duration_eval"] = evaluate_duration(data, gloss_model, config.dur_model.window)
+    lap("duration")
+    if until == "duration":
+        return report
 
-    t0 = time.time()
     denoiser, schedule = train_inpaint_stage(config, store, data, gloss_model)
-    timings["inpaint"] = time.time() - t0
+    lap("inpaint")
+    if until == "inpaint":
+        return report
 
-    t0 = time.time()
     composed = compose_and_stitch(config, data, gloss_model, sent_model, denoiser, schedule)
     compose_dir = store.stage_dir("compose")
     for item in composed:
         write_motion(compose_dir / f"{item.sentence_id}.ours.svmx", item.ours)
         write_motion(compose_dir / f"{item.sentence_id}.baseline.svmx", item.baseline)
+    report["denoiser_fallback"] = any(c.fallback for c in composed)
     store.write_manifest("compose", stage_hash(config, "compose"), config.seed,
                          [f"{c.sentence_id}.ours.svmx" for c in composed],
-                         {"fallback": any(c.fallback for c in composed)})
-    timings["compose"] = time.time() - t0
+                         {"fallback": report["denoiser_fallback"]})
+    lap("compose")
+    if until == "compose":
+        return report
 
-    t0 = time.time()
-    eval_result = evaluate_composed(composed, data)
-    duration_eval = evaluate_duration(data, gloss_model, config.dur_model.window)
-    timings["eval"] = time.time() - t0
-
-    report = {
-        "config_hash": stage_hash(config, "eval"),
-        "seed": config.seed,
-        "timings": {k: round(v, 2) for k, v in timings.items()},
-        "trim_fallbacks": data.trim_fallbacks,
-        "eval_sentences": len(data.eval_ids),
-        "denoiser_fallback": any(c.fallback for c in composed),
-        "duration_eval": duration_eval,
-        "sentence": eval_result["summary"],
-    }
+    eval_result = evaluate_composed(composed, data, dump_paths=dump_paths)
+    report["sentence"] = eval_result["summary"]
+    lap("eval")
     eval_dir = store.stage_dir("eval")
-    with open(eval_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
-        for row in eval_result["rows"]:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    _write_jsonl(eval_dir / "metrics.jsonl", eval_result["rows"])
+    if dump_paths:
+        _write_jsonl(eval_dir / "paths.jsonl", eval_result["paths"])
     (eval_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1))
     store.write_manifest("eval", stage_hash(config, "eval"), config.seed,
                          ["metrics.jsonl", "report.json"])

@@ -7,6 +7,7 @@ import pytest
 
 from signweave.cli import main
 from signweave.motion import MotionSequence, read_motion, write_motion
+from signweave.pipeline import RUN_STAGES, apply_overrides, config_from_dict, stage_hash
 from signweave.records import parts_from_frames
 from signweave.retrieval import Document, save_corpus
 
@@ -140,3 +141,56 @@ def test_eval_dump_paths(tmp_path, tiny_config_file, capsys):
     assert paths_file.exists()
     entries = [json.loads(l) for l in paths_file.read_text().splitlines()]
     assert entries and entries[0]["path"][0] == [0, 0]
+
+
+def test_show_config_output_reloads_identically(tmp_path, tiny_config_file, capsys):
+    assert main(["show-config", "--config", str(tiny_config_file)]) == 0
+    shown = capsys.readouterr().out
+    dumped = tmp_path / "shown.json"
+    dumped.write_text(shown)
+    assert main(["show-config", "--config", str(dumped)]) == 0
+    assert capsys.readouterr().out == shown
+    config = json.loads(shown)
+    assert config["dur_model"]["dtype"] == "float32" and config["denoiser"]["dtype"] == "float32"
+    assert config["qc"]["identity_hook"] is None
+
+
+def _loaded_config(config_file, work_dir, overrides=()):
+    config = config_from_dict(json.loads(config_file.read_text()))
+    apply_overrides(config, list(overrides))
+    config.work_dir = str(work_dir)
+    return config
+
+
+@pytest.mark.parametrize("command, stage", [("train-duration", "duration"),
+                                            ("train-inpainter", "inpaint"),
+                                            ("compose", "compose")])
+def test_stage_command_stops_at_its_stage(tmp_path, tiny_config_file, capsys, command, stage):
+    work = tmp_path / "stage_work"
+    assert main([command, "--config", str(tiny_config_file), "--work-dir", str(work)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    config = _loaded_config(tiny_config_file, work)
+    assert report["config_hash"] == stage_hash(config, stage)
+    assert "duration_eval" in report and "sentence" not in report
+    manifest = json.loads((work / stage / "manifest.json").read_text())
+    assert manifest["config_hash"] == stage_hash(config, stage)
+    later = RUN_STAGES[RUN_STAGES.index(stage) + 1:]
+    assert not [s for s in later if (work / s).exists()]
+
+
+def test_eval_override_reaches_every_eval_output(tmp_path, tiny_config_file, capsys):
+    work = tmp_path / "eval_work"
+    common = ["--config", str(tiny_config_file), "--work-dir", str(work)]
+    assert main(["pipeline", *common]) == 0
+    first = json.loads((work / "eval" / "report.json").read_text())
+    assert main(["eval", *common, "--set", "ddim_steps=1"]) == 0
+    config = _loaded_config(tiny_config_file, work, ["ddim_steps=1"])
+    assert first["config_hash"] != stage_hash(config, "eval")
+    report = json.loads((work / "eval" / "report.json").read_text())
+    assert report["config_hash"] == stage_hash(config, "eval")
+    for stage in ("compose", "eval"):
+        manifest = json.loads((work / stage / "manifest.json").read_text())
+        assert manifest["config_hash"] == stage_hash(config, stage)
+    rows = [json.loads(l) for l in (work / "eval" / "metrics.jsonl").read_text().splitlines()]
+    ours = [r["dtw_mpjpe_overall"] for r in rows if r["method"] == "ours"]
+    assert report["sentence"]["ours"]["dtw_mpjpe_overall"] == float(np.mean(ours))

@@ -15,6 +15,8 @@ from signweave.pipeline import (
     build_duration_examples,
     build_inpaint_items,
     compose_and_stitch,
+    config_from_dict,
+    config_to_dict,
     evaluate_composed,
     evaluate_duration,
     prepare_data,
@@ -210,3 +212,30 @@ class TestEvaluation:
         assert report["pairs"] == len(eval_pairs) > 0
         assert report["model_mae"] == float(np.mean(errors))
         assert report["identity_mae"] == float(np.mean([abs(ex.scale) for ex in eval_pairs]))
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("override", ["synth=3", "inpaint_train=1", "ddim_step=3",
+                                          "inpaint_train.stepz=3", "seed.x=1", "workers=2"])
+    def test_bad_override_key_rejected(self, tmp_path, override):
+        # a nested config object or a name that is no config field
+        config = tiny_config(tmp_path)
+        before = config_to_dict(config)
+        with pytest.raises(ValueError, match="config key"):
+            apply_overrides(config, [override])
+        assert config_to_dict(config) == before
+
+    @pytest.mark.parametrize("raw", [{"ddim_step": 5}, {"synth": {"vocab": 3}}, {"synth": 3}])
+    def test_config_from_dict_rejects_bad_keys(self, raw):
+        with pytest.raises(ValueError, match="config key"):
+            config_from_dict(raw)
+
+    def test_config_dict_round_trip(self, tmp_path):
+        config = tiny_config(tmp_path)
+        assert config_from_dict(config_to_dict(config)) == config
+        assert config_from_dict(config_to_dict(PipelineConfig())) == PipelineConfig()
+
+    def test_unknown_stage_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown stage"):
+            run_pipeline(tiny_config(tmp_path / "work"), until="stitch")
+        assert not (tmp_path / "work").exists()
