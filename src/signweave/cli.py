@@ -20,19 +20,16 @@ from .trimming import TrimConfig, trim
 
 
 def _load_config(args) -> PipelineConfig:
-    config = PipelineConfig()
-    if getattr(args, "config", None):
-        raw = json.loads(Path(args.config).read_text())
-        config = config_from_dict(raw)
-    overrides = getattr(args, "set", None) or []
-    apply_overrides(config, overrides)
-    if getattr(args, "work_dir", None):
+    """The config of a command with the --config, --set and --work-dir flags."""
+    config = config_from_dict(json.loads(Path(args.config).read_text())) if args.config else PipelineConfig()
+    apply_overrides(config, args.set or [])
+    if args.work_dir:
         config.work_dir = args.work_dir
     return config
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args)
+    config = args.pipeline_config
     corpus = synth_generate(config.synth, rounds=config.pair_rounds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -184,14 +181,14 @@ def cmd_retrieve(args) -> int:
 
 def cmd_run(args) -> int:
     """The stage commands: run the pipeline through `args.until`."""
-    config = _load_config(args)
+    config = args.pipeline_config
     report = run_pipeline(config, until=args.until, dump_paths=getattr(args, "dump_paths", False))
     print(json.dumps(report, indent=1, sort_keys=True))
     return 0
 
 
 def cmd_show_config(args) -> int:
-    config = _load_config(args)
+    config = args.pipeline_config
     print(json.dumps(config_to_dict(config), indent=1, sort_keys=True))
     return 0
 
@@ -203,12 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, work_dir=True):
+    def common(p):
         p.add_argument("--config", help="JSON pipeline config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="dotted config override, e.g. --set inpaint_train.steps=500")
-        if work_dir:
-            p.add_argument("--work-dir", help="stage output directory")
+        p.add_argument("--work-dir", help="stage output directory")
 
     p = sub.add_parser("synth", help="generate the synthetic corpus")
     common(p)
@@ -291,6 +287,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "retrieve" and not args.query and not args.eval_queries:
         parser.error("retrieve requires --query or --eval-queries")
+    if hasattr(args, "set"):
+        try:
+            args.pipeline_config = _load_config(args)
+        except ValueError as err:
+            parser.error(str(err))
     return args.func(args)
 
 

@@ -86,29 +86,31 @@ def _pinball_t(u: Tensor, tau: float) -> Tensor:
     return nk.where(u.data >= 0, u * tau, u * (tau - 1.0))
 
 
-def cross_entropy_simplex(w_hat: Tensor, w_target: np.ndarray, valid: np.ndarray | None = None) -> Tensor:
-    """CE(w_hat, w_target) = -sum_k w_target_k log w_hat_k with log clamped at 1e-12."""
-    logs = nk.maximum_const(w_hat, LOG_EPS).log()
-    terms = logs * Tensor(np.asarray(w_target, dtype=np.float64))
-    if valid is not None:
-        terms = nk.where(np.asarray(valid, dtype=bool), terms, Tensor(np.zeros(terms.shape)))
-    return -terms.sum()
-
-
 def duration_loss(
     s_hat: Tensor | float,
     w_hat: Tensor | np.ndarray,
-    s_target: float,
+    s_target: float | np.ndarray,
     w_target: np.ndarray,
     tau: float,
     lambda_split: float = 1.0,
     valid: np.ndarray | None = None,
 ) -> Tensor:
-    """Pinball on the scale residual plus cross-entropy on the allocation."""
+    """Pinball on the scale residual plus cross-entropy on the allocation, each
+    averaged over the batch.
+
+    Takes one example (scalar scale, (K,) allocation) or a batch ((B, 1)
+    scales, (B, K) allocations); `valid` (B, K) drops padded slots from the
+    cross-entropy, whose log is clamped at LOG_EPS. Targets are used at the
+    dtype they come in: fp32 predictions and targets give an fp32 loss.
+    """
     s_hat = nk.as_tensor(s_hat)
     w_hat = nk.as_tensor(w_hat)
-    residual = Tensor(np.asarray(s_target, dtype=np.float64)) - s_hat
-    return _pinball_t(residual, tau) + cross_entropy_simplex(w_hat, w_target, valid) * lambda_split
+    pin = _pinball_t(Tensor(s_target) - s_hat, tau).mean()
+    terms = nk.maximum_const(w_hat, LOG_EPS).log() * Tensor(w_target)
+    if valid is not None:
+        terms = nk.where(valid, terms, Tensor(np.zeros(terms.shape, dtype=terms.dtype)))
+    ce = -terms.sum(axis=-1).mean()
+    return pin + ce * lambda_split
 
 
 # ---------------------------------------------------------------------------
@@ -357,35 +359,11 @@ def train_gloss_predictor(
     cfg: DurationTrainConfig = DurationTrainConfig(),
 ) -> list[float]:
     """Minimize the duration loss over gloss pairs; returns per-epoch means."""
-    rng = np.random.default_rng(cfg.seed)
-    opt = nk.AdamW(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    feats = np.stack([ex.features for ex in examples]).astype(model.params.dtype)
-    scales = np.array([ex.scale for ex in examples])
-    allocs = np.stack([ex.allocation for ex in examples])
-    n = len(examples)
-    steps_total = cfg.epochs * max(1, n // cfg.batch_size)
-    history = []
-    step = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            scale, alloc = model.forward(feats[idx])
-            dtype = model.params.dtype
-            residual = Tensor(scales[idx][:, None].astype(dtype)) - scale
-            pin = _pinball_t(residual, cfg.tau).mean()
-            logs = nk.maximum_const(alloc, LOG_EPS).log()
-            ce = -(logs * Tensor(allocs[idx].astype(dtype))).sum(axis=-1).mean()
-            loss = pin + ce * cfg.lambda_split
-            model.params.zero_grad()
-            loss.backward()
-            model.params.clip_grad_norm(cfg.grad_clip)
-            opt.step(lr=nk.cosine_lr(step, steps_total, cfg.lr))
-            step += 1
-            epoch_losses.append(loss.item())
-        history.append(float(np.mean(epoch_losses)))
-    return history
+    dtype = model.params.dtype
+    feats = np.stack([ex.features for ex in examples]).astype(dtype)
+    scales = np.array([ex.scale for ex in examples])[:, None].astype(dtype)
+    allocs = np.stack([ex.allocation for ex in examples]).astype(dtype)
+    return _fit(model, cfg, len(examples), lambda idx: ((feats[idx],), scales[idx], allocs[idx], None))
 
 
 def train_sentence_predictor(
@@ -393,9 +371,39 @@ def train_sentence_predictor(
     model: SentenceDurationPredictor,
     cfg: DurationTrainConfig = DurationTrainConfig(tau=0.60, epochs=60),
 ) -> list[float]:
+    """Minimize the duration loss over sentences, padded per batch to the
+    longest one; returns per-epoch means."""
+    dtype = model.params.dtype
+
+    def batch(idx):
+        chosen = [examples[i] for i in idx]
+        k_max = max(ex.tokens.shape[0] for ex in chosen)
+        tokens = np.zeros((len(chosen), k_max, chosen[0].tokens.shape[1]))
+        valid = np.zeros((len(chosen), k_max), dtype=bool)
+        w_target = np.zeros((len(chosen), k_max))
+        s_target = np.zeros((len(chosen), 1))
+        for i, ex in enumerate(chosen):
+            k = ex.tokens.shape[0]
+            tokens[i, :k] = ex.tokens
+            valid[i, :k] = True
+            w_target[i, :k] = ex.allocation
+            s_target[i, 0] = ex.scale
+        return (tokens, valid), s_target.astype(dtype), w_target.astype(dtype), valid
+
+    return _fit(model, cfg, len(examples), batch)
+
+
+def _fit(model, cfg: DurationTrainConfig, n: int, batch) -> list[float]:
+    """AdamW with a cosine learning rate and gradient clipping over shuffled
+    minibatches of n examples; returns the per-epoch mean losses.
+
+    `batch(idx)` returns the model inputs of the examples idx, their scale and
+    allocation targets cast to the parameter dtype, and the valid mask or None.
+    The targets follow the parameters, not the predictions: the padding bias
+    of a padded sentence batch promotes its predictions to fp64.
+    """
     rng = np.random.default_rng(cfg.seed)
     opt = nk.AdamW(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    n = len(examples)
     steps_total = cfg.epochs * max(1, n // cfg.batch_size)
     history = []
     step = 0
@@ -403,28 +411,9 @@ def train_sentence_predictor(
         order = rng.permutation(n)
         epoch_losses = []
         for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            batch = [examples[i] for i in idx]
-            k_max = max(ex.tokens.shape[0] for ex in batch)
-            f_dim = batch[0].tokens.shape[1]
-            tokens = np.zeros((len(batch), k_max, f_dim))
-            valid = np.zeros((len(batch), k_max), dtype=bool)
-            w_target = np.zeros((len(batch), k_max))
-            s_target = np.zeros((len(batch), 1))
-            for i, ex in enumerate(batch):
-                k = ex.tokens.shape[0]
-                tokens[i, :k] = ex.tokens
-                valid[i, :k] = True
-                w_target[i, :k] = ex.allocation
-                s_target[i, 0] = ex.scale
-            scale, alloc = model.forward(tokens, valid)
-            dtype = model.params.dtype
-            pin = _pinball_t(Tensor(s_target.astype(dtype)) - scale, cfg.tau).mean()
-            logs = nk.maximum_const(alloc, LOG_EPS).log()
-            masked = nk.where(valid, logs * Tensor(w_target.astype(dtype)),
-                              Tensor(np.zeros(valid.shape, dtype=dtype)))
-            ce = -masked.sum(axis=-1).mean()
-            loss = pin + ce * cfg.lambda_split
+            inputs, s_target, w_target, valid = batch(order[lo : lo + cfg.batch_size])
+            scale, alloc = model.forward(*inputs)
+            loss = duration_loss(scale, alloc, s_target, w_target, cfg.tau, cfg.lambda_split, valid)
             model.params.zero_grad()
             loss.backward()
             model.params.clip_grad_norm(cfg.grad_clip)

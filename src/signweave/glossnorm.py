@@ -1,7 +1,6 @@
 """Parser and normalizer for SignStream-style gloss sequences, plus pair filters."""
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import Counter
@@ -129,9 +128,6 @@ class FilterReport:
     def __post_init__(self):
         if self.decision == "discard" and not self.reasons:
             raise ValueError("discard decisions must carry reasons")
-
-    def to_json(self) -> str:
-        return json.dumps({"decision": self.decision, "reasons": self.reasons}, sort_keys=True)
 
 
 def _char_trigrams(text: str) -> Counter:

@@ -22,11 +22,6 @@ class InpaintMask:
         if not np.array_equal(self.values > 0.5, expected):
             raise ValueError("mask values do not match the boundary/radius definition")
 
-    @property
-    def diff_values(self) -> np.ndarray:
-        """Velocity-domain mask: differences between two supervised frames."""
-        return self.values[:-1] * self.values[1:]
-
 
 def make_boundary_mask(t_a: int, t_b: int, radius: int) -> InpaintMask:
     """Mask is set where |i - t_a| <= radius."""

@@ -165,10 +165,6 @@ class GlossClip:
         if not (0 <= s <= e < self.motion.num_frames):
             raise ValueError(f"core_span {self.core_span} out of range for T={self.motion.num_frames}")
 
-    def core_motion(self) -> MotionSequence:
-        s, e = self.core_span
-        return MotionSequence(self.motion.frames[s : e + 1].copy(), self.motion.fps)
-
 
 def resample_frames(frames: np.ndarray, t_out: int) -> np.ndarray:
     """Piecewise-linear resampling of a T x D array over normalized time [0, 1]."""

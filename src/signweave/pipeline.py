@@ -14,6 +14,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -123,8 +124,8 @@ def config_to_dict(config: PipelineConfig) -> dict:
 def config_from_dict(raw: dict) -> PipelineConfig:
     """Rebuild a config from `config_to_dict` output, or any subset of its keys.
 
-    A nested section is built from the keys it gives, with the class defaults
-    of its config type for the rest."""
+    A nested section takes the keys it gives and keeps `PipelineConfig()`'s
+    values (what `show-config` prints) for the rest."""
     defaults = PipelineConfig()
     kwargs = {}
     for key, value in raw.items():
@@ -145,7 +146,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             if k == "dtype":
                 v = {"float32": np.float32, "float64": np.float64}[v]
             clean[k] = v
-        kwargs[key] = type(current)(**clean)
+        kwargs[key] = dataclasses.replace(current, **clean)
     return PipelineConfig(**kwargs)
 
 
@@ -264,6 +265,17 @@ class PreparedData:
     eval_ids: list[str]
     trim_fallbacks: int = 0
 
+    @cached_property
+    def round_variants(self) -> dict[str, dict[int, int]]:
+        """Round id (sentence id + ".r<n>") -> {gloss index: clip variant},
+        for the rounds that have pair specs, in pair-spec order."""
+        variants: dict[str, dict[int, int]] = {}
+        for spec in self.corpus.pair_specs:
+            by_index = variants.setdefault(spec.sentence_id, {})
+            by_index[spec.pair_index] = spec.variant_a
+            by_index[spec.pair_index + 1] = spec.variant_b
+        return variants
+
 
 def _split_sentences(corpus: SynthCorpus, holdout: float, seed: int) -> tuple[list[str], list[str]]:
     ids = [s.sentence_id for s in corpus.sentences]
@@ -331,29 +343,27 @@ def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
     return PreparedData(corpus, cores, train_ids, eval_ids, fallbacks)
 
 
-def _pair_segments(data: PreparedData, spec) -> tuple[np.ndarray, np.ndarray]:
-    a = data.cores[f"{spec.gloss_a}.v{spec.variant_a}"]
-    b = data.cores[f"{spec.gloss_b}.v{spec.variant_b}"]
-    return a, b
-
-
-def _pair_target_lengths(sample, k: int) -> tuple[int, int]:
-    sa, ea = sample.gloss_spans[k]
-    sb, eb = sample.gloss_spans[k + 1]
-    return ea - sa + 1, eb - sb + 1
-
-
-def _pair_examples(data: PreparedData, window: int, held_out: bool) -> list[PairExample]:
-    """Pair examples of the training sentences, or of the held-out ones."""
+def _pairs(data: PreparedData, held_out: bool):
+    """(spec, sample, a, b) for each pair spec of the training sentences, or of
+    the held-out ones: the spec, its sentence and the two trimmed cores."""
     by_id = {s.sentence_id: s for s in data.corpus.sentences}
     train_set = set(data.train_ids)
-    examples = []
     for spec in data.corpus.pair_specs:
         sid = spec.sentence_id.rsplit(".r", 1)[0]
         if (sid not in train_set) != held_out:
             continue
-        a, b = _pair_segments(data, spec)
-        la, lb = _pair_target_lengths(by_id[sid], spec.pair_index)
+        a = data.cores[f"{spec.gloss_a}.v{spec.variant_a}"]
+        b = data.cores[f"{spec.gloss_b}.v{spec.variant_b}"]
+        yield spec, by_id[sid], a, b
+
+
+def _pair_examples(data: PreparedData, window: int, held_out: bool) -> list[PairExample]:
+    """Pair examples of the training sentences, or of the held-out ones."""
+    examples = []
+    for spec, sample, a, b in _pairs(data, held_out):
+        sa, ea = sample.gloss_spans[spec.pair_index]
+        sb, eb = sample.gloss_spans[spec.pair_index + 1]
+        la, lb = ea - sa + 1, eb - sb + 1
         feats = pair_features(a, b, window)
         scale = target_scale(a.shape[0] + b.shape[0], la + lb)
         alloc = np.array([la, lb], dtype=np.float64)
@@ -362,23 +372,19 @@ def _pair_examples(data: PreparedData, window: int, held_out: bool) -> list[Pair
 
 
 def build_duration_examples(data: PreparedData, window: int) -> tuple[list[PairExample], list[PairExample], list[SentenceExample]]:
-    """Pair examples (train + held-out) and sentence examples from the corpus."""
+    """Pair examples (train + held-out) and sentence examples from the corpus.
+
+    A training sentence gives one sentence example per round that has pair
+    specs, built from that round's clip variants."""
     by_id = {s.sentence_id: s for s in data.corpus.sentences}
     train_set = set(data.train_ids)
     sent_examples: list[SentenceExample] = []
-    variants_by_round: dict[str, dict[int, int]] = {}
-    for spec in data.corpus.pair_specs:
-        variants_by_round.setdefault(spec.sentence_id, {})[spec.pair_index] = spec.variant_a
-        variants_by_round[spec.sentence_id][spec.pair_index + 1] = spec.variant_b
-
-    for round_id, variant_map in variants_by_round.items():
+    for round_id, variants in data.round_variants.items():
         sid = round_id.rsplit(".r", 1)[0]
         if sid not in train_set:
             continue
         sample = by_id[sid]
-        segments = [
-            data.cores[f"{g}.v{variant_map[i]}"] for i, g in enumerate(sample.glosses)
-        ]
+        segments = [data.cores[f"{g}.v{variants[i]}"] for i, g in enumerate(sample.glosses)]
         tokens = sentence_token_features(segments)
         t_src = sum(seg.shape[0] for seg in segments)
         scale = target_scale(t_src, sample.frames.shape[0])
@@ -421,15 +427,8 @@ def duration_adjust_pair(a: np.ndarray, b: np.ndarray, gloss_model: GlossDuratio
 
 def build_inpaint_items(config: PipelineConfig, data: PreparedData,
                         gloss_model: GlossDurationPredictor) -> list[PairItem]:
-    by_id = {s.sentence_id: s for s in data.corpus.sentences}
-    train_set = set(data.train_ids)
     items = []
-    for spec in data.corpus.pair_specs:
-        sid = spec.sentence_id.rsplit(".r", 1)[0]
-        if sid not in train_set:
-            continue
-        sample = by_id[sid]
-        a, b = _pair_segments(data, spec)
+    for spec, sample, a, b in _pairs(data, held_out=False):
         adjusted, plan = duration_adjust_pair(a, b, gloss_model, config.dur_model.window,
                                               config.min_gloss_len)
         sa, ea = sample.gloss_spans[spec.pair_index]
@@ -495,12 +494,6 @@ def compose_and_stitch(
     """
     by_id = {s.sentence_id: s for s in data.corpus.sentences}
     ids = sentence_ids if sentence_ids is not None else data.eval_ids
-    variant_map: dict[str, dict[int, int]] = {}
-    for spec in data.corpus.pair_specs:
-        if spec.sentence_id.endswith(".r0"):
-            sid = spec.sentence_id.rsplit(".r", 1)[0]
-            variant_map.setdefault(sid, {})[spec.pair_index] = spec.variant_a
-            variant_map[sid][spec.pair_index + 1] = spec.variant_b
 
     ema_swap = None
     if denoiser is not None:
@@ -509,7 +502,7 @@ def compose_and_stitch(
     try:
         for sid in ids:
             sample = by_id[sid]
-            variants = variant_map.get(sid, {})
+            variants = data.round_variants.get(f"{sid}.r0", {})
             segments = [data.cores[f"{g}.v{variants.get(i, 0)}"] for i, g in enumerate(sample.glosses)]
             k = len(segments)
             digest = int(hashlib.sha256(sid.encode("utf-8")).hexdigest()[:8], 16)

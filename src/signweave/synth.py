@@ -107,10 +107,6 @@ class PairSpec:
     variant_a: int
     variant_b: int
 
-    @property
-    def pair_id(self) -> str:
-        return f"{self.sentence_id}.p{self.pair_index}"
-
 
 @dataclass
 class SynthCorpus:

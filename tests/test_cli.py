@@ -194,3 +194,32 @@ def test_eval_override_reaches_every_eval_output(tmp_path, tiny_config_file, cap
     rows = [json.loads(l) for l in (work / "eval" / "metrics.jsonl").read_text().splitlines()]
     ours = [r["dtw_mpjpe_overall"] for r in rows if r["method"] == "ours"]
     assert report["sentence"]["ours"]["dtw_mpjpe_overall"] == float(np.mean(ours))
+
+
+def test_partial_config_section_keeps_pipeline_defaults(tmp_path, capsys):
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps({"inpaint_train": {"steps": 500}, "dur_gloss": {"lr": 0.01}}))
+    assert main(["show-config", "--config", str(partial)]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert main(["show-config"]) == 0
+    defaults = json.loads(capsys.readouterr().out)
+    assert shown == defaults | {"inpaint_train": defaults["inpaint_train"] | {"steps": 500},
+                                "dur_gloss": defaults["dur_gloss"] | {"lr": 0.01}}
+    assert shown["inpaint_train"]["ema_decay"] == 0.995 and shown["dur_gloss"]["epochs"] == 30
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("show-config", ["--set", "synth=3"], "config key synth names a nested config"),
+    ("pipeline", ["--set", "ddim_step=3"], "unknown config key ddim_step"),
+    ("train-duration", ["--config", "bad.json"], "unknown config key dur_gloss.stepz"),
+])
+def test_bad_config_key_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flags, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps({"dur_gloss": {"stepz": 3}}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--work-dir", "work"] + flags)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: signweave") and f"error: {message}" in captured.err
+    assert not (tmp_path / "work").exists()

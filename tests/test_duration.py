@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from signweave import neuralkit as nk
 from signweave.duration import (
     DurationModelConfig,
     DurationPrediction,
@@ -12,16 +13,22 @@ from signweave.duration import (
     GlossDurationPredictor,
     PairExample,
     SentenceDurationPredictor,
+    SentenceExample,
     duration_loss,
     integer_plan,
+    pair_feature_dim,
     pair_features,
     pinball_loss,
     sentence_token_features,
     target_allocation,
     target_scale,
+    token_feature_dim,
     train_gloss_predictor,
+    train_sentence_predictor,
 )
 from signweave.neuralkit.gradcheck import check_directional
+
+from duration_oracles import loop_train_gloss_predictor, loop_train_sentence_predictor
 
 
 class TestTargets:
@@ -108,6 +115,31 @@ class TestDurationLoss:
                 np.sum(w_gt * np.log(np.maximum(w_hat, 1e-12)))
             )
             assert got == pytest.approx(expected, rel=1e-9)
+
+    def test_fp32_inputs_give_fp32_loss(self):
+        rng = np.random.default_rng(30)
+        w_hat = nk.tensor(rng.dirichlet(np.ones(3), size=4).astype(np.float32), requires_grad=True)
+        s_hat = nk.tensor(rng.normal(size=(4, 1)).astype(np.float32), requires_grad=True)
+        w_gt = rng.dirichlet(np.ones(3), size=4).astype(np.float32)
+        s_gt = rng.normal(size=(4, 1)).astype(np.float32)
+        valid = np.array([[True] * 3, [True, True, False], [True] * 3, [True, False, False]])
+        for mask in (None, valid):
+            loss = duration_loss(s_hat, w_hat, s_gt, w_gt, tau=0.55, valid=mask)
+            assert loss.dtype == np.float32
+            loss.backward()
+            assert s_hat.grad.dtype == np.float32 and w_hat.grad.dtype == np.float32
+
+    def test_batch_is_mean_of_single_examples(self):
+        rng = np.random.default_rng(31)
+        w_hat = rng.dirichlet(np.ones(4), size=3)
+        w_gt = rng.dirichlet(np.ones(4), size=3)
+        s_hat, s_gt = rng.normal(size=(3, 1)), rng.normal(size=(3, 1))
+        # padded slots hold nonzero targets here, so only the mask drops them
+        valid = np.array([[True] * 4, [True, True, True, False], [True, True, False, False]])
+        got = duration_loss(s_hat, w_hat, s_gt, w_gt, tau=0.6, lambda_split=1.5, valid=valid).item()
+        singles = [duration_loss(s_hat[i, 0], w_hat[i, :k], s_gt[i, 0], w_gt[i, :k], tau=0.6, lambda_split=1.5).item()
+                   for i, k in enumerate(valid.sum(axis=1))]
+        assert got == pytest.approx(np.mean(singles), rel=1e-12)
 
     def test_zero_pred_prob_is_clamped(self):
         loss = duration_loss(0.0, np.array([0.0, 1.0]), 0.0, np.array([1.0, 0.0]), tau=0.5).item()
@@ -221,3 +253,45 @@ class TestGradients:
             return duration_loss(scale.reshape(()), alloc.reshape(3), 0.25, w_gt[0], tau=0.6)
 
         check_directional(f, model.params, rng, directions=3, tol=1e-4)
+
+
+def _ragged_examples(motion_dim: int, n: int, seed: int) -> tuple[list[PairExample], list[SentenceExample]]:
+    rng = np.random.default_rng(seed)
+    pairs = [PairExample(rng.normal(size=pair_feature_dim(motion_dim)), float(rng.normal(scale=0.3)),
+                         rng.dirichlet(np.ones(2))) for _ in range(n)]
+    sentences = []
+    for _ in range(n):
+        k = int(rng.integers(1, 7))
+        sentences.append(SentenceExample(rng.normal(size=(k, token_feature_dim(motion_dim))),
+                                         float(rng.normal(scale=0.3)), rng.dirichlet(np.ones(k))))
+    return pairs, sentences
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestTrainingMatchesOracleLoops:
+    """The shared loop against the per-predictor loops it replaced: 40 examples,
+    batch 16 (a short last batch), sentences of 1 to 6 glosses."""
+
+    cfg = DurationTrainConfig(tau=0.6, epochs=4, batch_size=16, lr=3e-3, seed=5)
+
+    def _assert_same(self, make_model, train, oracle, examples):
+        model, reference = make_model(), make_model()
+        history = train(examples, model, self.cfg)
+        expected = oracle(examples, reference, self.cfg)
+        assert history == expected
+        assert model.params.names() == reference.params.names()
+        for name in model.params.names():
+            got, want = model.params[name].data, reference.params[name].data
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    def test_gloss_predictor(self, dtype):
+        cfg = DurationModelConfig(motion_dim=5, hidden=16, mlp_layers=2, dtype=dtype)
+        pairs, _ = _ragged_examples(5, 40, seed=32)
+        self._assert_same(lambda: GlossDurationPredictor(cfg, seed=6), train_gloss_predictor,
+                          loop_train_gloss_predictor, pairs)
+
+    def test_sentence_predictor(self, dtype):
+        cfg = DurationModelConfig(motion_dim=5, hidden=16, sent_layers=2, sent_heads=2, sent_ffn=32, dtype=dtype)
+        _, sentences = _ragged_examples(5, 40, seed=33)
+        self._assert_same(lambda: SentenceDurationPredictor(cfg, seed=7), train_sentence_predictor,
+                          loop_train_sentence_predictor, sentences)

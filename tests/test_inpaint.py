@@ -120,10 +120,6 @@ class TestMask:
         with pytest.raises(ValueError):
             make_boundary_mask(0, 0, 1)
 
-    def test_diff_mask_adjacency(self):
-        m = make_boundary_mask(2, 2, 0)  # values [0, 0, 1, 0]
-        assert np.array_equal(m.diff_values, [0, 0, 0])
-
 
 class TestReconLoss:
     def test_perfect_prediction_zero(self):

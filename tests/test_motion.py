@@ -246,8 +246,3 @@ class TestGlossClip:
         GlossClip("HELLO", m, (1, 3))
         with pytest.raises(ValueError):
             GlossClip("HELLO", m, (3, 5))
-
-    def test_core_motion(self):
-        m = seq(np.arange(10.0)[:, None])
-        clip = GlossClip("X", m, (2, 5))
-        assert np.allclose(clip.core_motion().frames[:, 0], [2, 3, 4, 5])
