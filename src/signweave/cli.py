@@ -153,7 +153,7 @@ def cmd_glossnorm(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = args.memory
     if args.eval_queries:
         rank_lists, refs = [], []
         with open(args.eval_queries, "r", encoding="utf-8") as fh:
@@ -285,8 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "retrieve" and not args.query and not args.eval_queries:
-        parser.error("retrieve requires --query or --eval-queries")
+    if args.command == "retrieve":
+        if not args.query and not args.eval_queries:
+            parser.error("retrieve requires --query or --eval-queries")
+        try:
+            args.memory = load_corpus(args.corpus)
+        except ValueError as err:
+            parser.error(str(err))
     if hasattr(args, "set"):
         try:
             args.pipeline_config = _load_config(args)

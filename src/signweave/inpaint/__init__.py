@@ -1,7 +1,7 @@
 """Boundary-refinement diffusion: masks, noising, losses, denoiser, DDIM composition."""
 from .schedule import DiffusionSchedule, min_snr_weight, q_sample
 from .masks import INFERENCE_RADIUS, RADIUS_MAX, RADIUS_MIN, InpaintMask, make_boundary_mask, sample_radius
-from .losses import LossConfig, combined_loss, masked_l2_loss, masked_recon_loss, smooth_l1, velocity_loss
+from .losses import LossConfig, combined_loss, masked_recon_loss, smooth_l1, velocity_loss
 from .denoiser import Denoiser, DenoiserConfig
 from .sampler import ddim_refine, linear_transition_baseline
 from .train import InpaintTrainConfig, PairItem, batch_loss, sample_step_loss, train_inpainter
@@ -22,7 +22,6 @@ __all__ = [
     "ddim_refine",
     "linear_transition_baseline",
     "make_boundary_mask",
-    "masked_l2_loss",
     "masked_recon_loss",
     "min_snr_weight",
     "q_sample",

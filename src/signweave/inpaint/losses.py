@@ -20,8 +20,6 @@ class LossConfig:
     lambda_vel: float = 0.5
     huber_beta: float = 1.0
     min_snr_gamma: float = 5.0
-    # optional masked L2 term; disabled by default
-    lambda_l2: float = 0.0
 
     def __post_init__(self):
         if min(self.omega_body, self.omega_face, self.omega_hand) <= 0:
@@ -80,22 +78,6 @@ def velocity_loss(
     return (err * Tensor(weights.astype(dtype))).sum() * (1.0 / denom)
 
 
-def masked_l2_loss(
-    x0_hat: Tensor | np.ndarray,
-    x0: np.ndarray,
-    mask: np.ndarray,
-    part_weights: np.ndarray,
-) -> Tensor:
-    """Weighted mean squared error over the supervised frames."""
-    x0_hat = nk.as_tensor(x0_hat)
-    dtype = x0_hat.dtype
-    mask = np.asarray(mask, dtype=np.float64)
-    weights = mask[:, None] * np.asarray(part_weights, dtype=np.float64)[None, :]
-    denom = max(float(weights.sum()), DENOM_EPS)
-    err = (x0_hat - Tensor(np.asarray(x0, dtype=dtype))) ** 2
-    return (err * Tensor(weights.astype(dtype))).sum() * (1.0 / denom)
-
-
 def combined_loss(
     x0_hat: Tensor | np.ndarray,
     x0: np.ndarray,
@@ -104,11 +86,7 @@ def combined_loss(
     weight_t: float,
     cfg: LossConfig = LossConfig(),
 ) -> Tensor:
-    """w(t) * (recon + lambda_vel * velocity [+ lambda_l2 * l2]); the training
-    objective per sample. The L2 term is off unless lambda_l2 > 0."""
+    """w(t) * (recon + lambda_vel * velocity); the training objective per sample."""
     recon = masked_recon_loss(x0_hat, x0, mask, part_weights, cfg.huber_beta)
     vel = velocity_loss(x0_hat, x0, mask, part_weights, cfg.huber_beta)
-    total = recon + vel * cfg.lambda_vel
-    if cfg.lambda_l2 > 0.0:
-        total = total + masked_l2_loss(x0_hat, x0, mask, part_weights) * cfg.lambda_l2
-    return total * weight_t
+    return (recon + vel * cfg.lambda_vel) * weight_t

@@ -1,8 +1,7 @@
 """Alignment and quality metrics: DTW errors, Procrustes variants, length
-ratio, Frechet gesture distance, translation metrics, and ranking metrics."""
+ratio, Frechet gesture distance, token F1, and ranking metrics."""
 from __future__ import annotations
 
-import math
 from collections import Counter
 from typing import Sequence
 
@@ -132,27 +131,6 @@ def dtw_align(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[int, int]], floa
     return [(int(i), int(j)) for i, j in path], total
 
 
-def dtw_error(a: np.ndarray, b: np.ndarray, subset: np.ndarray | None = None,
-              procrustes_align: bool = False) -> float:
-    """Mean per-point position error along the DTW path.
-
-    With procrustes_align, each aligned frame pair is registered with a
-    similarity transform first. The alignment itself uses the same subset of
-    points as the reported error.
-    """
-    a, b = _point_sequences(a, b)
-    if subset is not None:
-        subset = np.asarray(subset, dtype=int)
-        if subset.size == 0:
-            raise ValueError("empty point subset")
-        a = a[:, subset, :]
-        b = b[:, subset, :]
-    path, total = _dtw_wavefront(frame_cost_matrix(a, b))
-    if procrustes_align:
-        return procrustes_path_error(a, b, path)
-    return total / len(path)
-
-
 def procrustes_path_error(a: np.ndarray, b: np.ndarray, path: np.ndarray) -> float:
     """Mean per-point error along an alignment path after registering each
     frame pair (a[i], b[j]) with its own similarity transform."""
@@ -252,62 +230,7 @@ def fgd(feats_a: np.ndarray, feats_b: np.ndarray, eps: float = 1e-6) -> float:
 
 
 # ---------------------------------------------------------------------------
-# text metrics
-
-
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
-def bleu4(hyp: Sequence[str], ref: Sequence[str]) -> float:
-    """BLEU-4 with brevity penalty and add-one smoothing on orders 2..4."""
-    if not ref:
-        raise ValueError("reference must be non-empty")
-    if not hyp:
-        return 0.0
-    log_precisions = []
-    for n in range(1, 5):
-        hyp_counts = _ngram_counts(hyp, n)
-        ref_counts = _ngram_counts(ref, n)
-        matches = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-        total = max(len(hyp) - n + 1, 0)
-        if n == 1:
-            if matches == 0:
-                return 0.0
-            p = matches / total
-        else:
-            p = (matches + 1.0) / (total + 1.0)
-        log_precisions.append(math.log(p))
-    bp = 1.0 if len(hyp) >= len(ref) else math.exp(1.0 - len(ref) / len(hyp))
-    return bp * math.exp(sum(log_precisions) / 4.0)
-
-
-def chrf(hyp: Sequence[str], ref: Sequence[str], max_n: int = 6, beta: float = 2.0) -> float:
-    """Character n-gram F-score; whitespace is ignored."""
-    if not ref:
-        raise ValueError("reference must be non-empty")
-    hyp_text = "".join(" ".join(hyp).split())
-    ref_text = "".join(" ".join(ref).split())
-    if not hyp_text:
-        return 0.0
-    precisions, recalls = [], []
-    for n in range(1, max_n + 1):
-        hyp_counts = _ngram_counts(hyp_text, n)
-        ref_counts = _ngram_counts(ref_text, n)
-        overlap = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-        hyp_total = sum(hyp_counts.values())
-        ref_total = sum(ref_counts.values())
-        if hyp_total > 0:
-            precisions.append(overlap / hyp_total)
-        if ref_total > 0:
-            recalls.append(overlap / ref_total)
-    if not precisions or not recalls:
-        return 0.0
-    p = float(np.mean(precisions))
-    r = float(np.mean(recalls))
-    if p == 0.0 and r == 0.0:
-        return 0.0
-    return (1.0 + beta**2) * p * r / (beta**2 * p + r)
+# token overlap
 
 
 def token_f1(hyp: Sequence[str], ref: Sequence[str]) -> float:

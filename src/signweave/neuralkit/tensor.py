@@ -21,8 +21,8 @@ def no_grad():
     """Inference mode: results made inside the block record no parents, so no
     autograd graph is kept and backward() through them reaches nothing.
 
-    The switch is process-wide, not per thread; signweave's workers are
-    processes."""
+    The switch is process-wide, not per thread; signweave runs in a single
+    thread."""
     global _grad_enabled
     previous = _grad_enabled
     _grad_enabled = False

@@ -1,8 +1,5 @@
-"""Loss kernels for block-autoregressive sign response modeling.
-
-Covers anatomy-factorized conditional flow matching, boundary prediction with
-rate calibration, CTC planning/post losses, the landmark gloss loss, and the
-plan-conditioned decoder-memory augmentation.
+"""Loss kernels: anatomy-factorized conditional flow matching, positive-weighted
+boundary BCE with rate calibration, and the CTC forward loss.
 """
 from __future__ import annotations
 
@@ -14,39 +11,7 @@ import numpy as np
 from . import neuralkit as nk
 from .neuralkit import Tensor
 
-BLOCK_SIZE = 8
 PART_NAMES = ("body", "face", "hand")
-
-# fixed combination weights for the full objective
-LOSS_WEIGHTS = {
-    "fm": 1.0,
-    "bdry": 0.3,
-    "plan": 0.35,
-    "post": 0.05,
-    "lm": 0.02,
-}
-
-# curriculum schedule constants (recorded as configuration; no scheduler here)
-PLAN_TO_FLOW_FINAL_WEIGHT = 0.4
-PLAN_TO_FLOW_WARMUP_STEPS = (2000, 10000)
-PLAN_CTC_WARMUP_STEPS = (500, 5000)
-POST_LANDMARK_WARMUP_STEPS = (3000, 8000)
-
-
-@dataclass
-class MotionBlock:
-    """A fixed-length block of frames split into anatomical components."""
-
-    body: np.ndarray
-    face: np.ndarray
-    hand: np.ndarray
-    block_size: int = BLOCK_SIZE
-
-    def __post_init__(self):
-        for name in PART_NAMES:
-            arr = getattr(self, name)
-            if arr.shape[0] != self.block_size:
-                raise ValueError(f"{name} component must have {self.block_size} frames")
 
 
 @dataclass
@@ -63,13 +28,6 @@ class BoundaryTargets:
             raise ValueError("target arrays must share shape")
         if not self.valid.any():
             raise ValueError("no valid blocks")
-
-
-def flow_interpolate(x0: np.ndarray, x1: np.ndarray, tau: float) -> np.ndarray:
-    """Linear interpolation point x_tau = (1 - tau) x0 + tau x1."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    return (1.0 - tau) * np.asarray(x0) + tau * np.asarray(x1)
 
 
 def fm_loss(
@@ -183,81 +141,3 @@ def ctc_loss(logprobs: np.ndarray, target: list[int], blank: int | None = None) 
             if best > -math.inf:
                 alpha[s] = best + logprobs[t, expanded[s]]
     return float(-_logsumexp([alpha[s_len - 1], alpha[s_len - 2]]))
-
-
-def landmark_loss(post_logprobs: np.ndarray, landmarks: list[tuple[int, int]]) -> float:
-    """Mean negative log probability of each landmark gloss at its block index.
-
-    Landmarks are (gloss_id, block_index) pairs; an empty set is masked to 0.
-    """
-    if not landmarks:
-        return 0.0
-    post_logprobs = np.asarray(post_logprobs, dtype=np.float64)
-    length = post_logprobs.shape[0]
-    total = 0.0
-    for gloss_id, block in landmarks:
-        if not 0 <= block < length:
-            raise ValueError(f"landmark block {block} out of range")
-        total += -float(post_logprobs[block, gloss_id])
-    return total / len(landmarks)
-
-
-# ---------------------------------------------------------------------------
-# decoder-memory augmentation
-
-
-@dataclass
-class PlanConditioning:
-    """Embedding tables for boundary states and the soft gloss plan."""
-
-    boundary_embed: np.ndarray  # (num_states, H)
-    gloss_embed: np.ndarray     # (V, E)
-    proj_weight: np.ndarray     # (E, H)
-    proj_bias: np.ndarray       # (H,)
-
-    @classmethod
-    def init(cls, hidden: int, vocab: int, embed: int | None = None,
-             num_states: int = 3, seed: int = 0) -> "PlanConditioning":
-        rng = np.random.default_rng(seed)
-        embed = hidden if embed is None else embed
-        return cls(
-            boundary_embed=rng.normal(0.0, 0.02, size=(num_states, hidden)),
-            gloss_embed=rng.normal(0.0, 0.02, size=(vocab, embed)),
-            proj_weight=rng.normal(0.0, 1.0 / np.sqrt(embed), size=(embed, hidden)),
-            proj_bias=np.zeros(hidden),
-        )
-
-    def plan_projection(self, plan: np.ndarray) -> np.ndarray:
-        """phi_plan: expectation of gloss embeddings under the plan, projected."""
-        expected = np.asarray(plan, dtype=np.float64) @ self.gloss_embed
-        return expected @ self.proj_weight + self.proj_bias
-
-
-def augment_memory(
-    memory: np.ndarray,
-    boundary_state: int | np.ndarray,
-    plan: np.ndarray,
-    alpha_s: float,
-    conditioning: PlanConditioning,
-) -> np.ndarray:
-    """memory + boundary embedding + alpha_s * projected soft gloss plan."""
-    memory = np.asarray(memory, dtype=np.float64)
-    plan = np.asarray(plan, dtype=np.float64)
-    row_sums = plan.sum(axis=-1)
-    if not np.allclose(row_sums, 1.0, atol=1e-6):
-        raise ValueError("plan rows must sum to 1")
-    bdry = conditioning.boundary_embed[boundary_state]
-    return memory + bdry + alpha_s * conditioning.plan_projection(plan)
-
-
-def total_objective(
-    fm: float,
-    bdry: float,
-    plan: float,
-    post: float,
-    lm: float,
-    weights: dict[str, float] = LOSS_WEIGHTS,
-) -> float:
-    """Fixed-weight combination of the five loss components."""
-    return (weights["fm"] * fm + weights["bdry"] * bdry + weights["plan"] * plan
-            + weights["post"] * post + weights["lm"] * lm)

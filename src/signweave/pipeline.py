@@ -11,7 +11,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import os
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -57,8 +56,6 @@ from .trimming import TrimConfig, trim
 
 log = logging.getLogger(__name__)
 
-WORKERS_ENV = "SIGNWEAVE_WORKERS"
-
 
 @dataclass
 class PipelineConfig:
@@ -68,7 +65,6 @@ class PipelineConfig:
     pair_rounds: int = 2
     holdout_fraction: float = 0.08
     trim: TrimConfig = field(default_factory=TrimConfig)
-    use_annotated_spans: bool = False
     qc: QcConfig = field(default_factory=QcConfig)
     dur_model: DurationModelConfig = field(default_factory=DurationModelConfig)
     dur_gloss: DurationTrainConfig = field(default_factory=lambda: DurationTrainConfig(tau=0.55, epochs=30))
@@ -80,16 +76,12 @@ class PipelineConfig:
     inference_radius: int = 10
     baseline_transition_frames: int = 4
 
-    @property
-    def workers(self) -> int:
-        return max(int(os.environ.get(WORKERS_ENV, "1")), 1)
-
 
 # stage order with the config fields each stage depends on (cumulative hashing)
 STAGE_FIELDS = [
     ("synth", ["seed", "synth", "pair_rounds", "holdout_fraction"]),
     ("qc", ["qc"]),
-    ("trim", ["trim", "use_annotated_spans"]),
+    ("trim", ["trim"]),
     ("duration", ["dur_model", "dur_gloss", "dur_sent", "min_gloss_len"]),
     ("inpaint", ["denoiser", "inpaint_train"]),
     ("compose", ["ddim_steps", "inference_radius", "baseline_transition_frames"]),
@@ -236,27 +228,6 @@ class StageStore:
 # stage implementations
 
 
-def _trim_one(args) -> tuple[tuple[int, int], bool]:
-    """Worker task: core span for one clip (annotated span on fallback)."""
-    clip, cfg, use_annotated = args
-    if use_annotated:
-        return clip.core_span, False
-    result = trim(clip, None, cfg)
-    if "boundary-fallback" in result.flags or "span-too-short" in result.flags:
-        return clip.core_span, True
-    return result.span, False
-
-
-def _map_items(fn, items, workers: int):
-    """Map over independent items, optionally on a process pool."""
-    if workers <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=max(len(items) // (workers * 4), 1)))
-
-
 @dataclass
 class PreparedData:
     corpus: SynthCorpus
@@ -323,13 +294,14 @@ def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
     if store.is_done("trim", h_trim) and spans_path.exists():
         spans = {k: v for k, v in json.loads(spans_path.read_text()).items()}
     else:
-        all_clips = [clip for clips in corpus.clips.values() for clip in clips]
-        results = _map_items(_trim_one,
-                             [(clip, config.trim, config.use_annotated_spans) for clip in all_clips],
-                             config.workers)
-        for clip, (span, fell_back) in zip(all_clips, results):
-            fallbacks += int(fell_back)
-            spans[clip.source["id"]] = [int(span[0]), int(span[1])]
+        # a clip whose trim falls back keeps its annotated core span
+        for clips in corpus.clips.values():
+            for clip in clips:
+                result = trim(clip, None, config.trim)
+                fell_back = "boundary-fallback" in result.flags or "span-too-short" in result.flags
+                fallbacks += int(fell_back)
+                span = clip.core_span if fell_back else result.span
+                spans[clip.source["id"]] = [int(span[0]), int(span[1])]
         spans_path.write_text(json.dumps(spans, sort_keys=True))
         store.write_manifest("trim", h_trim, config.seed, ["spans.json"], {"fallbacks": fallbacks})
 
@@ -371,8 +343,9 @@ def _pair_examples(data: PreparedData, window: int, held_out: bool) -> list[Pair
     return examples
 
 
-def build_duration_examples(data: PreparedData, window: int) -> tuple[list[PairExample], list[PairExample], list[SentenceExample]]:
-    """Pair examples (train + held-out) and sentence examples from the corpus.
+def build_duration_examples(data: PreparedData, window: int) -> tuple[list[PairExample], list[SentenceExample]]:
+    """Training pair examples and sentence examples from the corpus; the
+    held-out pairs are built by `evaluate_duration`.
 
     A training sentence gives one sentence example per round that has pair
     specs, built from that round's clip variants."""
@@ -390,8 +363,7 @@ def build_duration_examples(data: PreparedData, window: int) -> tuple[list[PairE
         scale = target_scale(t_src, sample.frames.shape[0])
         alloc = target_allocation(sample.gloss_spans)
         sent_examples.append(SentenceExample(tokens, scale, alloc))
-    return (_pair_examples(data, window, held_out=False), _pair_examples(data, window, held_out=True),
-            sent_examples)
+    return _pair_examples(data, window, held_out=False), sent_examples
 
 
 def train_duration_stage(config: PipelineConfig, store: StageStore, data: PreparedData):
@@ -405,7 +377,7 @@ def train_duration_stage(config: PipelineConfig, store: StageStore, data: Prepar
         restore_into(gloss_model.params, load_checkpoint(gloss_ckpt))
         restore_into(sent_model.params, load_checkpoint(sent_ckpt))
         return gloss_model, sent_model
-    train_pairs, _, sent_examples = build_duration_examples(data, config.dur_model.window)
+    train_pairs, sent_examples = build_duration_examples(data, config.dur_model.window)
     t0 = time.time()
     train_gloss_predictor(train_pairs, gloss_model, config.dur_gloss)
     train_sentence_predictor(sent_examples, sent_model, config.dur_sent)

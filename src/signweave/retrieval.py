@@ -1,5 +1,5 @@
-"""Translation-memory retrieval: anonymization, BM25, hybrid fusion, and the
-retrieval-based semantic evaluator for sentence-level motion."""
+"""Translation-memory retrieval: BM25, hybrid fusion, and the retrieval-based
+semantic evaluator for sentence-level motion."""
 from __future__ import annotations
 
 import json
@@ -16,63 +16,9 @@ from .glossnorm import trigram_tfidf_cosine
 from .metrics import token_f1
 from .motion import MotionSequence, PartLayout
 
-PLACEHOLDERS = {
-    "PERSON": "someone",
-    "ORG": "some organization",
-    "GPE": "some place",
-    "LOC": "some place",
-    "FAC": "some facility",
-    "NORP": "some group",
-}
-
 FUSE_ALPHA = 0.35
 RERANK_WEIGHT = 0.85
 FIRST_STAGE_WEIGHT = 0.15
-
-
-@dataclass(frozen=True)
-class EntitySpan:
-    start: int
-    end: int
-    label: str
-
-
-def resolve_spans(spans: Sequence[EntitySpan]) -> list[EntitySpan]:
-    """Drop overlapping spans, retaining the longest (same-start ties included)."""
-    chosen: list[EntitySpan] = []
-    for span in sorted(spans, key=lambda s: (-(s.end - s.start), s.start)):
-        if all(span.end <= c.start or span.start >= c.end for c in chosen):
-            chosen.append(span)
-    return sorted(chosen, key=lambda s: s.start)
-
-
-def anonymize(text: str, spans: Sequence[EntitySpan]) -> str:
-    """Replace entity spans with coarse placeholders, right to left."""
-    out = text
-    for span in reversed(resolve_spans(spans)):
-        placeholder = PLACEHOLDERS.get(span.label)
-        if placeholder is None:
-            continue
-        out = out[: span.start] + placeholder + out[span.end :]
-    return out
-
-
-class NerProvider(Protocol):
-    def entities(self, text: str) -> list[EntitySpan]: ...
-
-
-class GazetteerNer:
-    """Deterministic lookup-based NER stub for tests and offline runs."""
-
-    def __init__(self, lexicon: dict[str, str]):
-        self.lexicon = {k.lower(): v for k, v in lexicon.items()}
-
-    def entities(self, text: str) -> list[EntitySpan]:
-        spans = []
-        for word, label in self.lexicon.items():
-            for m in re.finditer(rf"\b{re.escape(word)}\b", text, flags=re.IGNORECASE):
-                spans.append(EntitySpan(m.start(), m.end(), label))
-        return spans
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +37,7 @@ class Document:
 
 
 class Corpus:
-    """Inverted-index corpus over anonymized English text."""
+    """Inverted-index corpus over English text."""
 
     def __init__(self, documents: list[Document]):
         if not documents:
@@ -236,14 +182,23 @@ def retrieve(
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Line-delimited JSON records with english, gloss, and id fields."""
+    """Line-delimited JSON records with english, gloss, and id fields.
+
+    A line that is not a JSON object with english and gloss raises a
+    ValueError naming the path and the 1-based line number."""
     documents = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            where = f"{path}, line {line_no + 1}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{where}: not valid JSON ({err.msg})") from None
+            if not isinstance(rec, dict) or not {"english", "gloss"} <= rec.keys():
+                raise ValueError(f"{where}: expected a JSON object with english and gloss fields")
             documents.append(Document(rec["english"], rec["gloss"], rec.get("id", str(line_no))))
     return Corpus(documents)
 

@@ -6,7 +6,6 @@ an arm-posture cue, scanned with a continuity-confirmed threshold criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
@@ -18,8 +17,6 @@ class TrimConfig:
     lambda_v: float = 1.0
     lambda_a: float = 0.5
     theta_act: float = 0.35
-    # low-motion cutoff for auxiliary boundary protection; recorded but inactive
-    theta_low: float = 0.4
     tau_post_on: float = 0.6
     tau_post_off: float = 0.25
     n_consecutive: int = 3
@@ -32,7 +29,7 @@ class TrimConfig:
     q_hi: float = 0.95
 
     def __post_init__(self):
-        for name in ["theta_act", "theta_low", "tau_post_on", "tau_post_off", "q_lo", "q_hi"]:
+        for name in ["theta_act", "tau_post_on", "tau_post_off", "q_lo", "q_hi"]:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
@@ -201,33 +198,3 @@ def apply_margins(t_on: int, t_off: int, t: int, cfg: TrimConfig = TrimConfig())
         flags.append("span-too-short")
         return 0, t - 1, flags
     return t_start, t_end, flags
-
-
-class SpanRefiner(Protocol):
-    """External hook that refines a coarse articulation span.
-
-    Implementations may call out to external models. They return either a
-    refined (start, end) pair or a single representative frame index (used
-    for fingerspelled single-posture signs).
-    """
-
-    def refine(self, clip_id: str, coarse_span: tuple[int, int]) -> tuple[int, int] | int: ...
-
-
-class NullRefiner:
-    """Refiner that returns the coarse span unchanged."""
-
-    def refine(self, clip_id: str, coarse_span: tuple[int, int]) -> tuple[int, int]:
-        return coarse_span
-
-
-def apply_refiner(clip: GlossClip, result: TrimResult, refiner: SpanRefiner | None = None) -> GlossClip:
-    """Attach the (optionally refined) span to the clip as its core span."""
-    span = result.span
-    if refiner is not None:
-        refined = refiner.refine(clip.source.get("id", clip.gloss), span)
-        span = (refined, refined) if isinstance(refined, int) else tuple(refined)
-    t = clip.motion.num_frames
-    s = int(np.clip(span[0], 0, t - 1))
-    e = int(np.clip(span[1], s, t - 1))
-    return GlossClip(clip.gloss, clip.motion, (s, e), clip.source)

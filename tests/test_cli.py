@@ -75,6 +75,18 @@ def test_retrieve_command(tmp_path, capsys):
     assert table["mrr"] == 1.0 and table["r@1"] == 1.0
 
 
+def test_retrieve_malformed_corpus_is_a_usage_error(tmp_path, capsys):
+    corpus_path = tmp_path / "bad.jsonl"
+    corpus_path.write_text(json.dumps({"gloss": "TEA", "id": "a"}) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["retrieve", "--corpus", str(corpus_path), "--query", "hi"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: signweave")
+    assert f"error: {corpus_path}, line 1: expected a JSON object with english" in captured.err
+
+
 def test_stitch_command(tmp_path):
     rng = np.random.default_rng(0)
     pair1 = rng.normal(size=(10, 206))

@@ -208,17 +208,14 @@ class TestCombinedLoss:
         l2 = combined_loss(x_hat, x0, m, w, weight_t=2.0).item()
         assert l2 == pytest.approx(2.0 * l1, rel=1e-12)
 
-    def test_optional_l2_term_off_by_default(self):
+    def test_constant_offset_hand_computed(self):
         rng = np.random.default_rng(12)
         x0 = rng.normal(size=(8, 4))
         x_hat = x0 + 0.5
         m = make_boundary_mask(4, 4, 2).values
-        w = np.ones(4)
-        base = combined_loss(x_hat, x0, m, w, weight_t=1.0).item()
-        with_l2 = combined_loss(x_hat, x0, m, w, weight_t=1.0, cfg=LossConfig(lambda_l2=1.0)).item()
-        # constant error 0.5: huber term 0.125 per entry, l2 term adds 0.25
-        assert base == pytest.approx(0.125, rel=1e-9)
-        assert with_l2 == pytest.approx(0.125 + 0.25, rel=1e-9)
+        # constant error 0.5: huber term 0.125 per entry, no velocity error
+        loss = combined_loss(x_hat, x0, m, np.ones(4), weight_t=1.0).item()
+        assert loss == pytest.approx(0.125, rel=1e-9)
 
     def test_training_loss_decreases(self):
         rng = np.random.default_rng(7)

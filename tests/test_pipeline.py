@@ -11,6 +11,7 @@ from signweave.inpaint import DenoiserConfig, InpaintTrainConfig
 from signweave.pipeline import (
     PipelineConfig,
     StageStore,
+    _pair_examples,
     apply_overrides,
     build_duration_examples,
     build_inpaint_items,
@@ -78,7 +79,8 @@ class TestDataPreparation:
     def test_duration_examples_cover_pairs(self, tmp_path):
         config = tiny_config(tmp_path)
         data = prepare_data(config, StageStore(config.work_dir))
-        train_pairs, eval_pairs, sentences = build_duration_examples(data, config.dur_model.window)
+        train_pairs, sentences = build_duration_examples(data, config.dur_model.window)
+        eval_pairs = _pair_examples(data, config.dur_model.window, held_out=True)
         total_pairs = sum(len(s.glosses) - 1 for s in data.corpus.sentences)
         assert len(train_pairs) + len(eval_pairs) == total_pairs  # one round
         assert len(sentences) == len(data.train_ids)
@@ -139,17 +141,6 @@ class TestDeterminism:
 
 
 class TestWorkersAndFallback:
-    def test_trim_stage_with_worker_pool(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SIGNWEAVE_WORKERS", "2")
-        config = tiny_config(tmp_path / "par")
-        data_par = prepare_data(config, StageStore(config.work_dir))
-        monkeypatch.setenv("SIGNWEAVE_WORKERS", "1")
-        config_seq = tiny_config(tmp_path / "seq")
-        data_seq = prepare_data(config_seq, StageStore(config_seq.work_dir))
-        assert set(data_par.cores) == set(data_seq.cores)
-        for cid in data_par.cores:
-            assert np.array_equal(data_par.cores[cid], data_seq.cores[cid])
-
     def test_removed_checkpoint_falls_back(self, tmp_path):
         config = tiny_config(tmp_path / "work")
         run_pipeline(config)
@@ -206,7 +197,7 @@ class TestEvaluation:
     def test_duration_eval_uses_held_out_pairs(self, composed_case):
         config, data, gloss_model, _ = composed_case
         window = config.dur_model.window
-        _, eval_pairs, _ = build_duration_examples(data, window)
+        eval_pairs = _pair_examples(data, window, held_out=True)
         errors = [abs(gloss_model.predict(ex.features).scale - ex.scale) for ex in eval_pairs]
         report = evaluate_duration(data, gloss_model, window)
         assert report["pairs"] == len(eval_pairs) > 0
@@ -225,7 +216,8 @@ class TestConfigKeys:
             apply_overrides(config, [override])
         assert config_to_dict(config) == before
 
-    @pytest.mark.parametrize("raw", [{"ddim_step": 5}, {"synth": {"vocab": 3}}, {"synth": 3}])
+    @pytest.mark.parametrize("raw", [{"ddim_step": 5}, {"synth": {"vocab": 3}}, {"synth": 3},
+                                     {"use_annotated_spans": True}, {"trim": {"theta_low": 0.4}}])
     def test_config_from_dict_rejects_bad_keys(self, raw):
         with pytest.raises(ValueError, match="config key"):
             config_from_dict(raw)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,64 +10,23 @@ from signweave.metrics import token_f1
 from signweave.retrieval import (
     Corpus,
     Document,
-    EntitySpan,
-    GazetteerNer,
     OverlapReranker,
     RetrievalResult,
     SemanticEvalConfig,
     SentenceMemoryItem,
     StatisticsEncoder,
     TrigramSparseScorer,
-    anonymize,
     bm25_score,
     build_gloss_prototypes,
     load_corpus,
     min_max_normalize,
     normalize_english,
-    resolve_spans,
     retrieve,
     save_corpus,
     segment_frames,
     semantic_eval,
     word_tokens,
 )
-
-
-class TestAnonymize:
-    def test_person_placeholders(self):
-        text = "John met Mary"
-        spans = [EntitySpan(0, 4, "PERSON"), EntitySpan(9, 13, "PERSON")]
-        assert anonymize(text, spans) == "someone met someone"
-
-    def test_overlap_keeps_longest(self):
-        text = "New York City is big"
-        spans = [EntitySpan(0, 8, "GPE"), EntitySpan(0, 13, "GPE")]
-        assert anonymize(text, spans) == "some place is big"
-
-    def test_no_entities(self):
-        assert anonymize("nothing here", []) == "nothing here"
-
-    def test_same_start_tie_keeps_longest(self):
-        spans = [EntitySpan(0, 3, "ORG"), EntitySpan(0, 7, "ORG"), EntitySpan(5, 9, "ORG")]
-        resolved = resolve_spans(spans)
-        assert resolved == [EntitySpan(0, 7, "ORG")]
-
-    def test_label_map(self):
-        cases = {
-            "ORG": "some organization",
-            "GPE": "some place",
-            "LOC": "some place",
-            "FAC": "some facility",
-            "NORP": "some group",
-        }
-        for label, expected in cases.items():
-            assert anonymize("X", [EntitySpan(0, 1, label)]) == expected
-
-    def test_gazetteer_stub(self):
-        ner = GazetteerNer({"jessica": "PERSON", "paris": "GPE"})
-        spans = ner.entities("Do you talk with Jessica in Paris?")
-        got = anonymize("Do you talk with Jessica in Paris?", spans)
-        assert got == "Do you talk with someone in some place?"
 
 
 def three_doc_corpus():
@@ -178,6 +138,16 @@ class TestCorpusIo:
         corpus = load_corpus(path)
         assert [d.doc_id for d in corpus.documents] == ["d0", "d1", "d2"]
         assert corpus.documents[1].gloss == "LAZY DOG SLEEP"
+
+    @pytest.mark.parametrize("bad_line", ['{"gloss": "DOG", "id": "d9"}', '{"english": "a dog",',
+                                          '["a dog", "DOG"]'],
+                             ids=["no-english", "broken-json", "not-an-object"])
+    def test_malformed_line_names_path_and_line(self, tmp_path, bad_line):
+        path = tmp_path / "memory.jsonl"
+        save_corpus(path, three_doc_corpus().documents)
+        path.write_text(path.read_text() + "\n" + bad_line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 5: ")):
+            load_corpus(path)
 
 
 def build_semantic_fixture(seed=0, n_items=6, dim=206):

@@ -5,11 +5,9 @@ import pytest
 
 from signweave.motion import GlossClip, MotionSequence
 from signweave.trimming import (
-    NullRefiner,
     PostureTrack,
     TrimConfig,
     apply_margins,
-    apply_refiner,
     detect_boundaries,
     motion_energy,
     normalize_and_gate,
@@ -182,19 +180,3 @@ class TestTrim:
         r2 = trim(scaled)
         assert r1.span == r2.span
 
-
-class TestRefiner:
-    def test_null_refiner_keeps_span(self):
-        clip = synthetic_clip()
-        result = trim(clip)
-        refined = apply_refiner(clip, result, NullRefiner())
-        assert refined.core_span == result.span
-
-    def test_single_frame_refiner(self):
-        class OneFrame:
-            def refine(self, clip_id, coarse_span):
-                return 12
-
-        clip = synthetic_clip()
-        refined = apply_refiner(clip, trim(clip), OneFrame())
-        assert refined.core_span == (12, 12)
