@@ -12,7 +12,7 @@ from .metrics import ranking_metrics
 from .motion import read_motion, write_motion
 from .pipeline import PipelineConfig, apply_overrides, config_from_dict, config_to_dict, run_pipeline
 from .qc import QcConfig, qc_filters
-from .records import export_canonical, ingest, word_record_to_clip
+from .records import export_canonical, ingest, read_json_lines, word_record_to_clip
 from .retrieval import load_corpus, retrieve
 from .stitch import assemble_sentence
 from .synth import synth_generate
@@ -119,10 +119,7 @@ def cmd_glossnorm(args) -> int:
     if args.pairs:
         # filter mode: JSONL of {english, gloss}; emits one report per line
         reports = []
-        for line in Path(args.pairs).read_text().splitlines():
-            if not line.strip():
-                continue
-            rec = json.loads(line)
+        for rec in args.pair_records:
             tokens = gn.normalize(gn.tokenize(rec["gloss"]))
             report = gn.filter_pair(rec["english"], tokens)
             reports.append(json.dumps({
@@ -156,14 +153,10 @@ def cmd_retrieve(args) -> int:
     corpus = args.memory
     if args.eval_queries:
         rank_lists, refs = [], []
-        with open(args.eval_queries, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                result = retrieve(rec["query"], corpus, k_out=args.k)
-                rank_lists.append([c.document.doc_id for c in result.candidates])
-                refs.append(rec.get("reference_id"))
+        for rec in args.queries:
+            result = retrieve(rec["query"], corpus, k_out=args.k)
+            rank_lists.append([c.document.doc_id for c in result.candidates])
+            refs.append(rec.get("reference_id"))
         table = ranking_metrics(rank_lists, refs, ks=(1, 5, 10))
         print(json.dumps(table, sort_keys=True))
         return 0
@@ -285,18 +278,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "retrieve":
-        if not args.query and not args.eval_queries:
-            parser.error("retrieve requires --query or --eval-queries")
-        try:
+    if args.command == "retrieve" and not args.query and not args.eval_queries:
+        parser.error("retrieve requires --query or --eval-queries")
+    # input files are read before dispatch: a missing or malformed one is a
+    # usage error, with the path and the line
+    try:
+        if args.command == "retrieve":
             args.memory = load_corpus(args.corpus)
-        except ValueError as err:
-            parser.error(str(err))
-    if hasattr(args, "set"):
-        try:
+            if args.eval_queries:
+                args.queries = [rec for _, rec in read_json_lines(args.eval_queries, ("query",))]
+        if args.command == "glossnorm" and args.pairs:
+            args.pair_records = [rec for _, rec in read_json_lines(args.pairs, ("english", "gloss"))]
+        if hasattr(args, "set"):
             args.pipeline_config = _load_config(args)
-        except ValueError as err:
-            parser.error(str(err))
+    except (OSError, ValueError) as err:
+        parser.error(str(err))
     return args.func(args)
 
 

@@ -399,8 +399,7 @@ def _fit(model, cfg: DurationTrainConfig, n: int, batch) -> list[float]:
 
     `batch(idx)` returns the model inputs of the examples idx, their scale and
     allocation targets cast to the parameter dtype, and the valid mask or None.
-    The targets follow the parameters, not the predictions: the padding bias
-    of a padded sentence batch promotes its predictions to fp64.
+    A non-finite loss raises a ValueError naming the step and the batch.
     """
     rng = np.random.default_rng(cfg.seed)
     opt = nk.AdamW(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -411,9 +410,11 @@ def _fit(model, cfg: DurationTrainConfig, n: int, batch) -> list[float]:
         order = rng.permutation(n)
         epoch_losses = []
         for lo in range(0, n, cfg.batch_size):
-            inputs, s_target, w_target, valid = batch(order[lo : lo + cfg.batch_size])
+            idx = order[lo : lo + cfg.batch_size]
+            inputs, s_target, w_target, valid = batch(idx)
             scale, alloc = model.forward(*inputs)
             loss = duration_loss(scale, alloc, s_target, w_target, cfg.tau, cfg.lambda_split, valid)
+            nk.check_finite_loss(loss, step, idx)
             model.params.zero_grad()
             loss.backward()
             model.params.clip_grad_norm(cfg.grad_clip)

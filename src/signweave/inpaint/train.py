@@ -93,7 +93,9 @@ def train_inpainter(
     cfg: InpaintTrainConfig = InpaintTrainConfig(),
     loss_cfg: LossConfig = LossConfig(),
 ) -> list[float]:
-    """Seeded single-coordinator training; returns the per-step loss history."""
+    """Seeded single-coordinator training; returns the per-step loss history.
+
+    A non-finite loss raises a ValueError naming the step and the batch."""
     if schedule is None:
         schedule = DiffusionSchedule()
     rng = np.random.default_rng(cfg.seed)
@@ -106,6 +108,7 @@ def train_inpainter(
         batch = [pairs[i] for i in idx]
         loss = batch_loss(batch, denoiser, schedule, loss_cfg, rng,
                           (cfg.radius_min, cfg.radius_max), training=True)
+        nk.check_finite_loss(loss, step, idx)
         denoiser.params.zero_grad()
         loss.backward()
         denoiser.params.clip_grad_norm(cfg.grad_clip)

@@ -13,7 +13,7 @@ from .nn import (
     scaled_dot_attention,
     sinusoidal_embedding,
 )
-from .optim import AdamW, cosine_lr
+from .optim import AdamW, check_finite_loss, cosine_lr
 from .checkpoint import load_checkpoint, restore_into, save_checkpoint
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "ParameterSet",
     "Tensor",
     "as_tensor",
+    "check_finite_loss",
     "clamp",
     "concat",
     "cosine_lr",

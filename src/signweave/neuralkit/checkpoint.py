@@ -1,6 +1,7 @@
 """Binary checkpoint format: u32 count, then (name, shape, f32 data, f32 ema) records."""
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -26,19 +27,37 @@ def save_checkpoint(path: str | Path, params: ParameterSet) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Returns {name: (data, ema)} as float32 arrays."""
+    """Returns {name: (data, ema)} as float32 arrays.
+
+    A file that ends inside a record, has bytes after the last one, or holds
+    a name that is not UTF-8 raises a ValueError naming the path."""
+    buf = memoryview(Path(path).read_bytes())
+    pos = 0
+
+    def take(n: int) -> memoryview:
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise ValueError(f"{path}: truncated checkpoint (needs {n} bytes at offset {pos}, "
+                             f"file has {len(buf)})")
+        pos += n
+        return buf[pos - n : pos]
+
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    with open(path, "rb") as fh:
-        (count,) = struct.unpack("<I", fh.read(4))
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-            size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(4 * size), dtype="<f4").reshape(shape).copy()
-            ema = np.frombuffer(fh.read(4 * size), dtype="<f4").reshape(shape).copy()
-            out[name] = (data, ema)
+    (count,) = struct.unpack("<I", take(4))
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", take(4))
+        try:
+            name = str(take(name_len), "utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: a checkpoint parameter name is not UTF-8") from None
+        (ndim,) = struct.unpack("<I", take(4))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        size = math.prod(shape)
+        data = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape).copy()
+        ema = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape).copy()
+        out[name] = (data, ema)
+    if pos != len(buf):
+        raise ValueError(f"{path}: {len(buf) - pos} trailing bytes after the last checkpoint record")
     return out
 
 

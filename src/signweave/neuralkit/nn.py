@@ -1,6 +1,7 @@
 """Network kernels built on the autodiff tensor: dense, norm, attention, RoPE."""
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -87,21 +88,24 @@ def scaled_dot_attention(
 ) -> Tensor:
     """Attention over shapes (..., T_q, d) x (..., T_k, d) -> (..., T_q, d_v).
 
-    key_padding_mask is a boolean array over T_k, True for valid keys.
+    key_padding_mask is a boolean array over T_k, True for valid keys, that
+    broadcasts against the (..., T_q, T_k) scores, e.g. (B, 1, 1, T_k).
     """
     d = q.shape[-1]
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d))
-    if causal or key_padding_mask is not None:
-        bias = np.zeros(scores.shape, dtype=scores.dtype)
-        if causal:
-            t_q, t_k = scores.shape[-2], scores.shape[-1]
-            future = np.triu(np.ones((t_q, t_k), dtype=bool), k=1)
-            bias = bias + np.where(future, -1e9, 0.0)
-        if key_padding_mask is not None:
-            invalid = ~np.asarray(key_padding_mask, dtype=bool)
-            bias = bias + np.where(invalid, -1e9, 0.0)
-        if np.any(bias):
-            scores = scores + Tensor(bias)
+    # masked keys as a boolean that broadcasts against the scores: (T_q, T_k)
+    # when causal, otherwise the key padding mask as given
+    masked = None
+    if causal:
+        t_q, t_k = scores.shape[-2], scores.shape[-1]
+        masked = np.triu(np.ones((t_q, t_k), dtype=bool), k=1)
+    if key_padding_mask is not None:
+        invalid = ~np.asarray(key_padding_mask, dtype=bool)
+        masked = invalid if masked is None else masked | invalid
+    if masked is not None and masked.any():
+        # built in the scores' dtype, so fp32 attention stays fp32
+        bias = np.where(masked, scores.dtype.type(-1e9), scores.dtype.type(0.0))
+        scores = scores + Tensor(bias)
     attn = softmax(scores, axis=-1)
     return attn @ v
 
@@ -173,11 +177,13 @@ class ParameterSet:
             self._params[name].data = data
 
     def global_grad_norm(self) -> float:
+        """L2 norm over every gradient, each tensor's sum of squares taken in
+        its own dtype and added up as a Python float."""
         total = 0.0
         for t in self._params.values():
             if t.grad is not None:
-                total += float(np.sum(t.grad.astype(np.float64) ** 2))
-        return float(np.sqrt(total))
+                total += float(np.vdot(t.grad, t.grad))
+        return math.sqrt(total)
 
     def clip_grad_norm(self, max_norm: float) -> float:
         norm = self.global_grad_norm()

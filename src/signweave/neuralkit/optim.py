@@ -1,12 +1,22 @@
-"""AdamW optimizer with decoupled weight decay, plus a cosine LR schedule."""
+"""AdamW optimizer with decoupled weight decay, a cosine LR schedule, and a
+guard that stops training on a non-finite loss."""
 from __future__ import annotations
 
 import numpy as np
 
 from .nn import ParameterSet
+from .tensor import Tensor
 
 
 class AdamW:
+    """AdamW (Loshchilov & Hutter, arXiv:1711.05101).
+
+    The moments of each tensor live in that tensor's dtype and are updated in
+    place, so fp32 parameters train in fp32 throughout. Each step assigns a
+    new array to every parameter it updates, which is how the denoiser's
+    inference cache sees that its parameters changed.
+    """
+
     def __init__(
         self,
         params: ParameterSet,
@@ -21,35 +31,52 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m = {name: np.zeros_like(params[name].data, dtype=np.float64) for name in params.names()}
-        self._v = {name: np.zeros_like(params[name].data, dtype=np.float64) for name in params.names()}
+        self._m = {name: np.zeros_like(params[name].data) for name in params.names()}
+        self._v = {name: np.zeros_like(params[name].data) for name in params.names()}
 
     def step(self, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
-        b1, b2 = self.betas
+        # Python floats, so that no numpy float64 scalar promotes fp32 arrays
+        lr = float(self.lr if lr is None else lr)
+        b1, b2 = (float(b) for b in self.betas)
         self.step_count += 1
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
         for name in self.params.names():
             p = self.params[name]
-            if p.grad is None:
+            g = p.grad
+            if g is None:
                 continue
-            g = p.grad.astype(np.float64)
             m = self._m[name]
             v = self._v[name]
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            new = p.data.astype(np.float64) - lr * update
+            # (m / bc1) / (sqrt(v / bc2) + eps), with two temporaries
+            denom = v / bc2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update = m / bc1
+            update /= denom
+            update *= lr
+            new = p.data - update
             if self.weight_decay > 0.0:
-                new -= lr * self.weight_decay * p.data.astype(np.float64)
-            p.data = new.astype(p.data.dtype)
+                new -= lr * self.weight_decay * p.data
+            p.data = new
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float, min_lr: float = 0.0) -> float:
+    """Cosine decay from base_lr at step 0 to min_lr at the last step, as a
+    Python float: a numpy float64 would promote the fp32 arrays it scales."""
     if total_steps <= 1:
-        return base_lr
+        return float(base_lr)
     frac = min(max(step / (total_steps - 1), 0.0), 1.0)
-    return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + np.cos(np.pi * frac))
+    return float(min_lr + 0.5 * (base_lr - min_lr) * (1.0 + np.cos(np.pi * frac)))
+
+
+def check_finite_loss(loss: Tensor, step: int, batch: np.ndarray) -> None:
+    """Raise a ValueError naming the step and the example indices of the
+    batch when the loss is NaN or infinite."""
+    if not np.all(np.isfinite(loss.data)):
+        raise ValueError(f"non-finite loss {loss.item()} at step {step} "
+                         f"(batch indices {np.asarray(batch).tolist()})")

@@ -161,6 +161,30 @@ def ingest(path: str | Path, schema: str, strict: bool = True):
     return records
 
 
+def read_json_lines(path: str | Path, fields: tuple[str, ...]) -> list[tuple[int, dict]]:
+    """The non-blank lines of a line-delimited JSON file as (1-based line
+    number, object) pairs.
+
+    A line that is not a JSON object carrying every one of `fields` raises a
+    ValueError naming the path and the line number."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}, line {line_no}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{where}: not valid JSON ({err.msg})") from None
+            if not isinstance(rec, dict) or not set(fields) <= rec.keys():
+                wanted = " and ".join(fields) + (" fields" if len(fields) > 1 else " field")
+                raise ValueError(f"{where}: expected a JSON object with {wanted}")
+            rows.append((line_no, rec))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # conversions to the motion model
 

@@ -15,6 +15,7 @@ import numpy as np
 from .glossnorm import trigram_tfidf_cosine
 from .metrics import token_f1
 from .motion import MotionSequence, PartLayout
+from .records import read_json_lines
 
 FUSE_ALPHA = 0.35
 RERANK_WEIGHT = 0.85
@@ -186,20 +187,8 @@ def load_corpus(path: str | Path) -> Corpus:
 
     A line that is not a JSON object with english and gloss raises a
     ValueError naming the path and the 1-based line number."""
-    documents = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}, line {line_no + 1}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{where}: not valid JSON ({err.msg})") from None
-            if not isinstance(rec, dict) or not {"english", "gloss"} <= rec.keys():
-                raise ValueError(f"{where}: expected a JSON object with english and gloss fields")
-            documents.append(Document(rec["english"], rec["gloss"], rec.get("id", str(line_no))))
+    documents = [Document(rec["english"], rec["gloss"], rec.get("id", str(line_no - 1)))
+                 for line_no, rec in read_json_lines(path, ("english", "gloss"))]
     return Corpus(documents)
 
 

@@ -87,6 +87,33 @@ def test_retrieve_malformed_corpus_is_a_usage_error(tmp_path, capsys):
     assert f"error: {corpus_path}, line 1: expected a JSON object with english" in captured.err
 
 
+@pytest.mark.parametrize("command, lines, message", [
+    ("eval-queries", [{"query": "drink coffee", "reference_id": "b"}, {"reference_id": "a"}],
+     "line 2: expected a JSON object with query field"),
+    ("pairs", ["", {"english": "hello"}], "line 2: expected a JSON object with english and gloss fields"),
+    ("pairs", ['{"english": "hello", "gloss"'], "line 1: not valid JSON"),
+    ("missing-corpus", [], "No such file or directory"),
+])
+def test_jsonl_input_errors_are_usage_errors(tmp_path, capsys, command, lines, message):
+    corpus_path = tmp_path / "memory.jsonl"
+    save_corpus(corpus_path, [Document("we drink coffee", "IX-1p DRINK COFFEE", "b")])
+    path = tmp_path / "input.jsonl"
+    path.write_text("".join((l if isinstance(l, str) else json.dumps(l)) + "\n" for l in lines))
+    argv = {
+        "eval-queries": ["retrieve", "--corpus", str(corpus_path), "--eval-queries", str(path)],
+        "pairs": ["glossnorm", "--pairs", str(path)],
+        "missing-corpus": ["retrieve", "--corpus", str(tmp_path / "missing.jsonl"), "--query", "hi"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: signweave")
+    where = tmp_path / "missing.jsonl" if command == "missing-corpus" else f"{path}, "
+    assert str(where) in captured.err and message in captured.err
+
+
 def test_stitch_command(tmp_path):
     rng = np.random.default_rng(0)
     pair1 = rng.normal(size=(10, 206))

@@ -295,3 +295,60 @@ class TestTrainingMatchesOracleLoops:
         _, sentences = _ragged_examples(5, 40, seed=33)
         self._assert_same(lambda: SentenceDurationPredictor(cfg, seed=7), train_sentence_predictor,
                           loop_train_sentence_predictor, sentences)
+
+
+class TestPaddedBatch:
+    def test_padded_batch_matches_per_sentence_forwards(self):
+        cfg = DurationModelConfig(motion_dim=5, hidden=16, sent_layers=2, sent_heads=2, sent_ffn=32)
+        model = SentenceDurationPredictor(cfg, seed=8)
+        rng = np.random.default_rng(34)
+        for name in ("scale_head.weight", "alloc_head.weight"):
+            t = model.params[name]
+            t.data = (t.data + rng.normal(size=t.shape) * 0.3).astype(np.float32)
+        _, sentences = _ragged_examples(5, 12, seed=35)
+        lengths = [ex.tokens.shape[0] for ex in sentences]
+        tokens = np.zeros((len(sentences), max(lengths), token_feature_dim(5)))
+        valid = np.zeros((len(sentences), max(lengths)), dtype=bool)
+        for i, ex in enumerate(sentences):
+            tokens[i, : lengths[i]] = ex.tokens
+            valid[i, : lengths[i]] = True
+        assert not valid.all()
+        scale, alloc = model.forward(tokens, valid)
+        assert scale.dtype == np.float32 and alloc.dtype == np.float32
+        for i, k in enumerate(lengths):
+            s_one, a_one = model.forward(tokens[i : i + 1, :k], valid[i : i + 1, :k])
+            np.testing.assert_allclose(scale.data[i], s_one.data[0], rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(alloc.data[i, :k], a_one.data[0], rtol=1e-5, atol=1e-6)
+            assert np.all(alloc.data[i, k:] == 0.0)
+
+
+class TestNonFiniteLoss:
+    cfg = DurationTrainConfig(epochs=2, batch_size=8, seed=3)
+
+    def _assert_stops_at_bad_example(self, train, model, examples, bad):
+        before = {name: model.params[name].data.copy() for name in model.params.names()}
+        with pytest.raises(ValueError, match="non-finite loss") as exc:
+            train(examples, model, self.cfg)
+        # the first batch holding the bad example, in the loop's shuffled order
+        order = np.random.default_rng(self.cfg.seed).permutation(len(examples))
+        step = int(np.flatnonzero(order == bad)[0]) // self.cfg.batch_size
+        batch = order[step * self.cfg.batch_size : (step + 1) * self.cfg.batch_size].tolist()
+        assert f"at step {step} (batch indices {batch})" in str(exc.value)
+        # no optimizer step took the non-finite gradient
+        for name in model.params.names():
+            assert np.all(np.isfinite(model.params[name].data)), name
+        if step == 0:
+            assert all(np.array_equal(model.params[n].data, before[n]) for n in before)
+
+    def test_gloss_predictor_nan_feature(self):
+        pairs, _ = _ragged_examples(5, 20, seed=36)
+        pairs[13].features[4] = np.nan
+        model = GlossDurationPredictor(DurationModelConfig(motion_dim=5, hidden=8, mlp_layers=2), seed=0)
+        self._assert_stops_at_bad_example(train_gloss_predictor, model, pairs, bad=13)
+
+    def test_sentence_predictor_nan_feature(self):
+        _, sentences = _ragged_examples(5, 20, seed=37)
+        sentences[6].tokens[-1, 2] = np.nan
+        cfg = DurationModelConfig(motion_dim=5, hidden=8, sent_layers=1, sent_heads=2, sent_ffn=16)
+        self._assert_stops_at_bad_example(train_sentence_predictor, SentenceDurationPredictor(cfg, seed=0),
+                                          sentences, bad=6)

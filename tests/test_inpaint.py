@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,24 @@ class TestCombinedLoss:
         first = float(np.mean(history[:20]))
         last = float(np.mean(history[-20:]))
         assert last < first
+
+    def test_non_finite_loss_stops_training(self):
+        rng = np.random.default_rng(8)
+        cfg = DenoiserConfig(motion_dim=206, latent=8, layers=1, heads=2, ffn=16, hand_head_depth=1)
+        items = []
+        for _ in range(3):
+            x_tilde = rng.normal(size=(20, 206)) * 0.3
+            items.append(PairItem(x_tilde, x_tilde + rng.normal(size=x_tilde.shape) * 0.05, boundary_index=10))
+        items[1].x0[10, 5] = np.nan
+        denoiser = Denoiser(cfg, seed=0)
+        with pytest.raises(ValueError, match=r"non-finite loss nan at step \d+ \(batch indices \[") as exc:
+            train_inpainter(items, denoiser, DiffusionSchedule(),
+                            InpaintTrainConfig(steps=50, batch_size=2, radius_min=3, radius_max=6, seed=0))
+        batch = exc.value.args[0].split("batch indices ")[1].strip("()")
+        assert 1 in json.loads(batch)
+        for name in denoiser.params.names():
+            assert np.all(np.isfinite(denoiser.params[name].data)), name
+            assert np.all(np.isfinite(denoiser.params.ema_value(name))), name
 
 
 class TestDdim:

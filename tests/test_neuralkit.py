@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from optim_oracles import Fp64MomentAdamW
 from rope_oracle import slice_rope
 from signweave.neuralkit import (
     AdamW,
@@ -10,6 +11,7 @@ from signweave.neuralkit import (
     Tensor,
     clamp,
     concat,
+    cosine_lr,
     dense,
     gelu,
     is_grad_enabled,
@@ -77,6 +79,15 @@ class TestKernelGradients:
         v = leaf(rng, (5, 4), "v")
         check_gradients(lambda: (scaled_dot_attention(q, k, v, causal=True) ** 2).sum(), [q, k, v])
 
+    def test_attention_key_padding(self):
+        rng = np.random.default_rng(6)
+        q = leaf(rng, (2, 2, 4, 3), "q")
+        k = leaf(rng, (2, 2, 4, 3), "k")
+        v = leaf(rng, (2, 2, 4, 3), "v")
+        valid = np.array([[True, True, True, False], [True, False, False, False]])[:, None, None, :]
+        check_gradients(lambda: (scaled_dot_attention(q, k, v, key_padding_mask=valid) ** 2).sum(),
+                        [q, k, v])
+
     def test_rope(self):
         rng = np.random.default_rng(6)
         x = leaf(rng, (5, 8), "x")
@@ -134,6 +145,29 @@ class TestKernelGradients:
         (x[idx] * weights).sum().backward()
         expected = np.stack([weights[0] + weights[2] + weights[3], weights[4], weights[1]])
         assert np.allclose(x.grad, expected, atol=1e-15)
+
+
+class TestAttentionMask:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_padded_keys_match_unpadded_attention(self, dtype):
+        rng = np.random.default_rng(7)
+        q, k, v = (rng.normal(size=(2, 3, 5, 4)).astype(dtype) for _ in range(3))
+        lengths = [5, 2]
+        valid = np.arange(5)[None, :] < np.array(lengths)[:, None]
+        out = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), key_padding_mask=valid[:, None, None, :])
+        assert out.dtype == dtype
+        tol = 1e-6 if dtype == np.float32 else 1e-13
+        for b, n in enumerate(lengths):
+            alone = scaled_dot_attention(Tensor(q[b]), Tensor(k[b, :, :n]), Tensor(v[b, :, :n]))
+            np.testing.assert_allclose(out.data[b], alone.data, rtol=tol, atol=tol)
+
+    def test_causal_fp32_stays_fp32(self):
+        rng = np.random.default_rng(8)
+        q, k, v = (Tensor(rng.normal(size=(4, 3)).astype(np.float32)) for _ in range(3))
+        out = scaled_dot_attention(q, k, v, causal=True)
+        assert out.dtype == np.float32
+        # the first query sees only the first key
+        np.testing.assert_allclose(out.data[0], v.data[0], rtol=1e-6)
 
 
 class TestNoGrad:
@@ -242,6 +276,96 @@ class TestAdamW:
         assert p.data[0] == pytest.approx(expected, abs=1e-15)
 
 
+def _twin_param_sets(dtype, seed):
+    """Two parameter sets with equal values, as for the optimizer and its oracle."""
+    rng = np.random.default_rng(seed)
+    shapes = {"w": (6, 5), "b": (5,), "g": (3, 2, 4)}
+    values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    sets = []
+    for _ in range(2):
+        params = ParameterSet(dtype=dtype)
+        for name, value in values.items():
+            params.add(name, value)
+        sets.append(params)
+    return sets
+
+
+def _adamw_pair(dtype, steps, seed=20):
+    """AdamW and the fp64-moment oracle fed the same gradients under a cosine
+    learning rate, with weight decay; one tensor has no gradient on odd steps."""
+    params, ref_params = _twin_param_sets(dtype, seed)
+    opt = AdamW(params, lr=3e-3, betas=(0.9, 0.99), weight_decay=0.05)
+    ref = Fp64MomentAdamW(ref_params, lr=3e-3, betas=(0.9, 0.99), weight_decay=0.05)
+    rng = np.random.default_rng(seed + 1)
+    for step in range(steps):
+        for name in params.names():
+            g = None
+            if name != "b" or step % 2 == 0:
+                g = (rng.normal(size=params[name].shape) * 10.0 ** rng.uniform(-3, 1)).astype(dtype)
+            params[name].grad = g
+            ref_params[name].grad = None if g is None else g.copy()
+        lr = cosine_lr(step, steps, 3e-3)
+        opt.step(lr=lr)
+        ref.step(lr=lr)
+    return params, ref_params, opt
+
+
+class TestAdamWAgainstFp64Oracle:
+    def test_fp64_parameters_match_exactly(self):
+        params, ref_params, _ = _adamw_pair(np.float64, steps=50)
+        for name in params.names():
+            assert np.array_equal(params[name].data, ref_params[name].data), name
+
+    def test_fp32_parameters_match_within_fp32_rounding(self):
+        params, ref_params, opt = _adamw_pair(np.float32, steps=50)
+        for name in params.names():
+            got, want = params[name].data, ref_params[name].data
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5, err_msg=name)
+            assert opt._m[name].dtype == np.float32 and opt._v[name].dtype == np.float32
+
+    def test_step_assigns_new_parameter_arrays(self):
+        params, _ = _twin_param_sets(np.float32, seed=3)
+        before = {name: params[name].data for name in params.names()}
+        for name in params.names():
+            params[name].grad = np.ones_like(params[name].data)
+        AdamW(params, lr=1e-2).step()
+        for name in params.names():
+            assert params[name].data is not before[name]
+            assert not np.shares_memory(params[name].data, before[name])
+
+
+class TestCosineLr:
+    def test_returns_a_python_float(self):
+        # a numpy float64 scalar would promote an fp32 array it scales to fp64
+        for step in (0, 3, 9):
+            lr = cosine_lr(step, 10, 1e-3, min_lr=1e-5)
+            assert type(lr) is float
+            assert (lr * np.ones(3, dtype=np.float32)).dtype == np.float32
+        assert type(cosine_lr(0, 1, np.float64(1e-3))) is float
+
+    def test_endpoints(self):
+        assert cosine_lr(0, 10, 1e-3, min_lr=1e-5) == pytest.approx(1e-3)
+        assert cosine_lr(9, 10, 1e-3, min_lr=1e-5) == pytest.approx(1e-5)
+
+
+class TestGradNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_fp64_norm_and_clip_keeps_dtype(self, dtype):
+        params, _ = _twin_param_sets(dtype, seed=4)
+        rng = np.random.default_rng(5)
+        for name in params.names():
+            g = rng.normal(size=params[name].shape).astype(dtype)
+            # a non-contiguous gradient, as a transposed product leaves one
+            params[name].grad = np.asfortranarray(g) if g.ndim > 1 else g
+        expected = np.sqrt(sum(np.sum(params[n].grad.astype(np.float64) ** 2) for n in params.names()))
+        norm = params.clip_grad_norm(1.0)
+        assert type(norm) is float
+        assert norm == pytest.approx(expected, rel=1e-6 if dtype == np.float32 else 1e-12)
+        assert params.global_grad_norm() == pytest.approx(1.0, rel=1e-5)
+        assert all(params[n].grad.dtype == dtype for n in params.names())
+
+
 class TestEma:
     def test_identical_shadow_unchanged(self):
         params = ParameterSet(dtype=np.float64, ema_decay=0.9)
@@ -284,6 +408,40 @@ class TestCheckpoint:
         restore_into(fresh, load_checkpoint(path))
         assert np.array_equal(fresh["layer.weight"].data, params["layer.weight"].data)
         assert np.array_equal(fresh.ema_value("layer.bias"), params.ema_value("layer.bias"))
+
+    def _small_checkpoint(self, tmp_path):
+        params = ParameterSet(dtype=np.float32)
+        params.add("w", np.arange(6.0).reshape(2, 3))
+        params.add("scalar", np.array(1.5))
+        params.add("b", np.ones(2))
+        path = tmp_path / "small.ckpt"
+        save_checkpoint(path, params)
+        return path, path.read_bytes()
+
+    def test_every_truncation_is_rejected_with_the_path(self, tmp_path):
+        path, raw = self._small_checkpoint(tmp_path)
+        assert set(load_checkpoint(path)) == {"w", "scalar", "b"}
+        cut = tmp_path / "cut.ckpt"
+        for length in range(len(raw)):
+            cut.write_bytes(raw[:length])
+            with pytest.raises(ValueError, match="truncated checkpoint") as exc:
+                load_checkpoint(cut)
+            assert str(cut) in str(exc.value), length
+
+    def test_trailing_bytes_are_rejected(self, tmp_path):
+        path, raw = self._small_checkpoint(tmp_path)
+        for extra in (b"\x00", b"\x01\x00\x00\x00", raw):
+            path.write_bytes(raw + extra)
+            with pytest.raises(ValueError, match=f"{len(extra)} trailing bytes") as exc:
+                load_checkpoint(path)
+            assert str(path) in str(exc.value)
+
+    def test_name_that_is_not_utf8_is_rejected(self, tmp_path):
+        path, raw = self._small_checkpoint(tmp_path)
+        path.write_bytes(raw[:8] + b"\xff" + raw[9:])  # the first name's only byte
+        with pytest.raises(ValueError, match="not UTF-8") as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
 
     def test_missing_param_rejected(self, tmp_path):
         params = ParameterSet()
