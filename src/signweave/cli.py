@@ -41,7 +41,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    records = ingest(args.path, args.schema, strict=not args.lenient)
+    records = args.records
     print(f"{args.path}: {len(records)} valid {args.schema} records")
     if args.export:
         export_canonical(records, args.export, args.schema)
@@ -50,7 +50,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_qc(args) -> int:
-    records = ingest(args.path, "W", strict=not args.lenient)
+    records = args.records
     cfg = QcConfig()
     kept = 0
     dominant_labels: dict[str, bool] = {}
@@ -85,7 +85,7 @@ def cmd_qc(args) -> int:
 
 
 def cmd_trim(args) -> int:
-    records = ingest(args.path, "W", strict=not args.lenient)
+    records = args.records
     cfg = TrimConfig()
     spans = {}
     for record in records:
@@ -100,16 +100,34 @@ def cmd_trim(args) -> int:
     return 0
 
 
-def cmd_stitch(args) -> int:
-    manifest = json.loads(Path(args.pairs_manifest).read_text())
+def _read_json_object(path: str | Path, key: str) -> dict:
+    """A JSON file holding an object with a list under `key`; anything else
+    raises a ValueError naming the path."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: not valid JSON ({err.msg})") from None
+    if not isinstance(obj, dict) or not isinstance(obj.get(key), list):
+        raise ValueError(f"{path}: expected a JSON object with a {key} list")
+    return obj
+
+
+def _load_stitch_inputs(manifest_path: str, plan_path: str) -> tuple[list, GlossPlan]:
+    """The (frames, boundary) pairs a stitch manifest names, and the plan."""
+    base = Path(manifest_path).parent
     pairs = []
-    base = Path(args.pairs_manifest).parent
-    for entry in manifest["pairs"]:
-        seq = read_motion(base / entry["file"])
-        pairs.append((seq.frames, int(entry["boundary"])))
-    plan_raw = json.loads(Path(args.plan).read_text())
-    plan = GlossPlan(list(plan_raw["lengths"]), sum(plan_raw["lengths"]))
-    out = assemble_sentence(pairs, plan)
+    for i, entry in enumerate(_read_json_object(manifest_path, "pairs")["pairs"]):
+        if not isinstance(entry, dict) or not isinstance(entry.get("file"), str) \
+                or not isinstance(entry.get("boundary"), int):
+            raise ValueError(f"{manifest_path}: pair {i} is not an object with a file and an integer boundary")
+        pairs.append((read_motion(base / entry["file"]).frames, entry["boundary"]))
+    lengths = list(_read_json_object(plan_path, "lengths")["lengths"])
+    return pairs, GlossPlan(lengths, sum(lengths))
+
+
+def cmd_stitch(args) -> int:
+    pairs = args.stitch_pairs
+    out = assemble_sentence(pairs, args.gloss_plan)
     write_motion(args.out, out)
     print(f"stitched {len(pairs)} pairs into {out.num_frames} frames at {args.out}")
     return 0
@@ -134,9 +152,8 @@ def cmd_glossnorm(args) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    source = Path(args.input).read_text().splitlines() if args.input else sys.stdin.read().splitlines()
     out_lines = []
-    for line in source:
+    for line in args.lines:
         tokens = gn.normalize(gn.tokenize(line))
         if args.collapse_fingerspell:
             tokens = gn.collapse_fingerspell(tokens)
@@ -289,6 +306,12 @@ def main(argv: list[str] | None = None) -> int:
                 args.queries = [rec for _, rec in read_json_lines(args.eval_queries, ("query",))]
         if args.command == "glossnorm" and args.pairs:
             args.pair_records = [rec for _, rec in read_json_lines(args.pairs, ("english", "gloss"))]
+        elif args.command == "glossnorm":
+            args.lines = (Path(args.input).read_text() if args.input else sys.stdin.read()).splitlines()
+        if args.command in ("ingest", "qc", "trim"):
+            args.records = ingest(args.path, getattr(args, "schema", "W"), strict=not args.lenient)
+        if args.command == "stitch":
+            args.stitch_pairs, args.gloss_plan = _load_stitch_inputs(args.pairs_manifest, args.plan)
         if hasattr(args, "set"):
             args.pipeline_config = _load_config(args)
     except (OSError, ValueError) as err:

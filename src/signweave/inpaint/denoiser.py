@@ -148,6 +148,8 @@ class Denoiser:
 
         With `rows`, the last block's queries, its FFN, the final norm and the
         heads run on those rows only; keys and values still cover every frame.
+        Training and `predict_x0` both pass the rows inside the mask, the only
+        ones the loss and DDIM composition read.
         """
         cfg = self.cfg
         dtype = self.params.dtype

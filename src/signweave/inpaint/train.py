@@ -54,12 +54,18 @@ def sample_step_loss(
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> Tensor:
-    """Single-sample objective at a fixed timestep/radius/noise draw."""
+    """Single-sample objective at a fixed timestep/radius/noise draw.
+
+    The loss reads only the frames inside the boundary mask, one contiguous
+    run, so the denoiser predicts those rows only and the loss is scored on
+    them: the same frames and velocity pairs as on the full pair.
+    """
     mask = make_boundary_mask(item.boundary_index, item.x0.shape[0] - item.boundary_index, radius)
+    rows = np.flatnonzero(mask.values > 0.5)
     x_t = q_sample(item.x0, t, noise, schedule)
-    x0_hat = denoiser.forward(x_t, t, item.x_tilde, mask.values, rng=rng, training=training)
+    x0_hat = denoiser.forward(x_t, t, item.x_tilde, mask.values, rng=rng, training=training, rows=rows)
     w_t = min_snr_weight(t, schedule, loss_cfg.min_snr_gamma)
-    return combined_loss(x0_hat, item.x0, mask.values, part_weights, w_t, loss_cfg)
+    return combined_loss(x0_hat, item.x0[rows], mask.values[rows], part_weights, w_t, loss_cfg)
 
 
 def batch_loss(

@@ -25,16 +25,49 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """tanh-approximation GELU."""
-    inner = (x + (x**3) * 0.044715) * SQRT_2_OVER_PI
-    return x * 0.5 * (inner.tanh() + 1.0)
+    """tanh-approximation GELU as one autograd node.
+
+    The forward repeats the composed Tensor expression operation by operation
+    (constants in x's dtype), so its values are bit-identical to it."""
+    a = x.data
+    c = a.dtype.type  # Tensor arithmetic casts its constants to the operand's dtype
+    th = np.tanh((a + (a * a * a) * c(0.044715)) * c(SQRT_2_OVER_PI))
+    out_data = (a * c(0.5)) * (th + c(1.0))
+
+    def backward(g):
+        d_inner = (1.0 - th * th) * (SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044715 * (a * a)))
+        x._accumulate(g * (0.5 * (th + 1.0) + 0.5 * a * d_inner))
+
+    return Tensor._make(out_data, (x,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * gamma + beta
+    """Layer norm over the last axis as one autograd node (Ba et al. 2016).
+
+    The forward repeats the composed Tensor expression operation by operation:
+    each mean is a sum times 1/n, as `Tensor.mean` computes it, so the values
+    are bit-identical to it. The backward is the closed form
+    dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std."""
+    a = x.data
+    inv_n = a.dtype.type(1.0 / a.shape[-1])
+    centered = a - a.sum(axis=-1, keepdims=True) * inv_n
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt(var + a.dtype.type(eps))
+    xhat = centered / std
+    out_data = xhat * gamma.data + beta.data
+
+    def backward(g):
+        if gamma.requires_grad:
+            gamma._accumulate(g * xhat)
+        if beta.requires_grad:
+            beta._accumulate(g)
+        if x.requires_grad:
+            dxhat = g * gamma.data
+            mean_d = dxhat.sum(axis=-1, keepdims=True) * inv_n
+            mean_dx = (dxhat * xhat).sum(axis=-1, keepdims=True) * inv_n
+            x._accumulate((dxhat - mean_d - xhat * mean_dx) / std)
+
+    return Tensor._make(out_data, (x, gamma, beta), backward)
 
 
 @lru_cache(maxsize=32)

@@ -146,7 +146,10 @@ def _parse_dialogue(raw: dict, record_id: str, strict: bool) -> DialogueRecord:
 def ingest(path: str | Path, schema: str, strict: bool = True):
     """Load and validate a word-level ('W') or dialogue-level ('U') JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: not valid JSON ({err.msg})") from None
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON array of records")
     records = []

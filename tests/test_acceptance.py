@@ -430,6 +430,7 @@ def desk_scale_report(tmp_path_factory):
     return report_dict
 
 
+@pytest.mark.desk
 def test_acceptance_11_desk_scale_inpainting(desk_scale_report):
     r = desk_scale_report
     ours = r["sentence"]["ours"]
@@ -447,6 +448,7 @@ def test_acceptance_11_desk_scale_inpainting(desk_scale_report):
     )
 
 
+@pytest.mark.desk
 def test_acceptance_12_desk_scale_duration(desk_scale_report):
     r = desk_scale_report
     dur = r["duration_eval"]

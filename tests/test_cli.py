@@ -114,6 +114,50 @@ def test_jsonl_input_errors_are_usage_errors(tmp_path, capsys, command, lines, m
     assert str(where) in captured.err and message in captured.err
 
 
+@pytest.mark.parametrize("case, culprit, message", [
+    ("glossnorm-input", "missing.txt", "No such file or directory"),
+    ("ingest-path", "missing.json", "No such file or directory"),
+    ("qc-path", "missing.json", "No such file or directory"),
+    ("trim-path", "missing.json", "No such file or directory"),
+    ("stitch-manifest", "missing.json", "No such file or directory"),
+    ("stitch-plan", "missing.json", "No such file or directory"),
+    ("stitch-motion-file", "gone.svmx", "No such file or directory"),
+    ("manifest-without-pairs", "pairs.json", "expected a JSON object with a pairs list"),
+    ("plan-without-lengths", "plan.json", "expected a JSON object with a lengths list"),
+    ("pair-without-boundary", "pairs.json", "pair 0 is not an object with a file and an integer boundary"),
+])
+def test_input_file_errors_are_usage_errors(tmp_path, capsys, case, culprit, message):
+    write_motion(tmp_path / "p0.svmx", MotionSequence(np.zeros((10, 206))))
+    manifest = tmp_path / "pairs.json"
+    entries = [{"file": "gone.svmx" if case == "stitch-motion-file" else "p0.svmx",
+                "boundary": None if case == "pair-without-boundary" else 4}]
+    manifest.write_text(json.dumps({"entries": entries} if case == "manifest-without-pairs" else {"pairs": entries}))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"sizes": [5, 5]} if case == "plan-without-lengths" else {"lengths": [5, 5]}))
+    missing, out = str(tmp_path / "missing.json"), str(tmp_path / "s.svmx")
+    stitch = ["stitch", "--pairs-manifest", str(manifest), "--plan", str(plan), "--out", out]
+    argv = {
+        "glossnorm-input": ["glossnorm", "--input", str(tmp_path / "missing.txt")],
+        "ingest-path": ["ingest", "--path", missing, "--schema", "W"],
+        "qc-path": ["qc", "--path", missing, "--out", str(tmp_path / "qc.jsonl")],
+        "trim-path": ["trim", "--path", missing, "--out", str(tmp_path / "spans.json")],
+        "stitch-manifest": ["stitch", "--pairs-manifest", missing, "--plan", str(plan), "--out", out],
+        "stitch-plan": ["stitch", "--pairs-manifest", str(manifest), "--plan", missing, "--out", out],
+        "stitch-motion-file": stitch,
+        "manifest-without-pairs": stitch,
+        "plan-without-lengths": stitch,
+        "pair-without-boundary": stitch,
+    }[case]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: signweave")
+    assert str(tmp_path / culprit) in captured.err and message in captured.err
+    assert not (tmp_path / "qc.jsonl").exists() and not (tmp_path / "s.svmx").exists()
+
+
 def test_stitch_command(tmp_path):
     rng = np.random.default_rng(0)
     pair1 = rng.normal(size=(10, 206))

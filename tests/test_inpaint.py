@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from inpaint_oracles import full_row_step_loss
 from signweave import neuralkit as nk
 from signweave.inpaint import (
     Denoiser,
@@ -426,3 +427,37 @@ class TestGradient:
                                     noise=noise, part_weights=weights)
 
         check_directional(f, denoiser.params, rng, directions=3, tol=1e-4)
+
+
+class TestRowsOnlyTraining:
+    """The objective predicts only the rows inside the mask; the full-pair
+    objective it replaced gives the same loss and parameter gradients, up to
+    the float32 rounding of sums over a different number of rows."""
+
+    @pytest.mark.parametrize("length, boundary, radius", [
+        (40, 19, 6),   # interior mask
+        (30, 4, 9),    # clipped at the start: radius > boundary_index
+        (30, 24, 6),   # clipped at the end: radius >= T - boundary_index
+        (120, 60, 30),  # a pair of training length at the largest radius
+    ])
+    def test_matches_full_row_objective(self, length, boundary, radius):
+        rng = np.random.default_rng(length + boundary)
+        denoiser = perturbed_denoiser(boundary)
+        x_tilde = rng.normal(size=(length, 206)) * 0.5
+        item = PairItem(x_tilde, x_tilde + rng.normal(size=x_tilde.shape) * 0.1, boundary)
+        schedule = DiffusionSchedule()
+        noise = rng.standard_normal(x_tilde.shape)
+        weights = LossConfig().part_weights(denoiser.layout)
+        results = []
+        for objective in (full_row_step_loss, sample_step_loss):
+            denoiser.params.zero_grad()
+            loss = objective(item, denoiser, schedule, LossConfig(), 300, radius, noise, weights)
+            loss.backward()
+            results.append((loss.data, {n: denoiser.params[n].grad for n in denoiser.params.names()}))
+        (want, want_grads), (got, got_grads) = results
+        assert got.dtype == np.float32
+        assert got == pytest.approx(want, rel=1e-6)
+        for name, grad in got_grads.items():
+            assert grad.dtype == np.float32, name
+            np.testing.assert_allclose(grad, want_grads[name], rtol=1e-5, atol=1e-6 * np.abs(want_grads[name]).max(),
+                                       err_msg=name)

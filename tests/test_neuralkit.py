@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from nn_oracles import composed_gelu, composed_layer_norm
 from optim_oracles import Fp64MomentAdamW
 from rope_oracle import slice_rope
 from signweave.neuralkit import (
@@ -509,3 +510,60 @@ class TestDeterminism:
         w_b, e_b = run()
         assert np.array_equal(w_a, w_b)
         assert np.array_equal(e_a, e_b)
+
+
+class TestFusedKernelsAgainstOracles:
+    """layer_norm and gelu are single autograd nodes; the composed versions in
+    nn_oracles give the same forward bit for bit and the same gradients within
+    the rounding of the dtype, and float32 inputs get float32 gradients."""
+
+    SHAPES = [(7, 64), (3, 5, 64), (2, 3, 4, 33)]
+    RTOL = {np.float32: 1e-5, np.float64: 1e-10}
+
+    @staticmethod
+    def run(kernel, arrays, weight):
+        leaves = [tensor(a, requires_grad=True) for a in arrays]
+        out = kernel(*leaves)
+        (out * Tensor(weight)).sum().backward()
+        return out.data, [t.grad for t in leaves]
+
+    def check(self, monkeypatch, kernel, oracle, arrays, weight, dtype):
+        want, want_grads = self.run(oracle, arrays, weight)
+        # the dtypes the kernel's backward computes in, before a leaf would
+        # cast them to its own
+        computed = []
+        accumulate = Tensor._accumulate
+        monkeypatch.setattr(Tensor, "_accumulate",
+                            lambda t, g: computed.append(np.asarray(g).dtype) or accumulate(t, g))
+        got, got_grads = self.run(kernel, arrays, weight)
+        assert computed and set(computed) == {np.dtype(dtype)}
+        assert got.dtype == dtype and np.array_equal(got, want)
+        for got_grad, want_grad in zip(got_grads, want_grads):
+            assert got_grad.dtype == dtype
+            np.testing.assert_allclose(got_grad, want_grad, rtol=self.RTOL[dtype],
+                                       atol=self.RTOL[dtype] * np.abs(want_grad).max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_layer_norm(self, monkeypatch, dtype, shape):
+        rng = np.random.default_rng(len(shape))
+        x = (rng.normal(size=shape) * 3.0 + 1.0).astype(dtype)
+        gamma = rng.normal(size=shape[-1]).astype(dtype)
+        beta = rng.normal(size=shape[-1]).astype(dtype)
+        weight = rng.normal(size=shape).astype(dtype)
+        self.check(monkeypatch, layer_norm, composed_layer_norm, [x, gamma, beta], weight, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gelu(self, monkeypatch, dtype, shape):
+        rng = np.random.default_rng(len(shape) + 10)
+        x = (rng.normal(size=shape) * 3.0).astype(dtype)
+        weight = rng.normal(size=shape).astype(dtype)
+        self.check(monkeypatch, gelu, composed_gelu, [x], weight, dtype)
+
+    def test_layer_norm_with_frozen_affine(self):
+        rng = np.random.default_rng(3)
+        x = tensor(rng.normal(size=(4, 8)), requires_grad=True)
+        gamma, beta = tensor(rng.normal(size=8)), tensor(rng.normal(size=8))
+        layer_norm(x, gamma, beta).sum().backward()
+        assert x.grad is not None and gamma.grad is None and beta.grad is None
