@@ -179,13 +179,14 @@ class GlossDurationPredictor:
     """MLP over pair features predicting the scale and a two-way split.
 
     Output heads are zero-initialized so a fresh model produces identity
-    rescaling and a uniform allocation.
+    rescaling and a uniform allocation. seed=None builds zero parameters
+    without drawing them, for `restore_into` to fill from a checkpoint.
     """
 
-    def __init__(self, cfg: DurationModelConfig = DurationModelConfig(), seed: int = 0):
+    def __init__(self, cfg: DurationModelConfig = DurationModelConfig(), seed: int | None = 0):
         self.cfg = cfg
         self.params = ParameterSet(dtype=cfg.dtype)
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         in_dim = pair_feature_dim(cfg.motion_dim)
         dims = [in_dim] + [cfg.hidden] * cfg.mlp_layers
         self._layers = []
@@ -211,12 +212,15 @@ class GlossDurationPredictor:
 
 
 class SentenceDurationPredictor:
-    """Token-based Transformer encoder over per-gloss tokens (padding-masked)."""
+    """Token-based Transformer encoder over per-gloss tokens (padding-masked).
 
-    def __init__(self, cfg: DurationModelConfig = DurationModelConfig(), seed: int = 0):
+    seed=None builds zero parameters without drawing them, for `restore_into`
+    to fill from a checkpoint."""
+
+    def __init__(self, cfg: DurationModelConfig = DurationModelConfig(), seed: int | None = 0):
         self.cfg = cfg
         self.params = ParameterSet(dtype=cfg.dtype)
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         h = cfg.hidden
         self._proj = nk.init_dense(self.params, "proj", token_feature_dim(cfg.motion_dim), h, rng)
         self._blocks = []

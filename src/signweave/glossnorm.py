@@ -130,24 +130,29 @@ class FilterReport:
             raise ValueError("discard decisions must carry reasons")
 
 
-def _char_trigrams(text: str) -> Counter:
+def char_trigrams(text: str) -> Counter:
+    """Counts of the character trigrams of the lowercased, space-padded text."""
     padded = f" {text.lower()} "
     return Counter(padded[i : i + 3] for i in range(max(len(padded) - 2, 0)))
 
 
 def trigram_tfidf_cosine(a: str, b: str) -> float:
     """Cosine of character-trigram TF-IDF vectors over the two-document corpus."""
-    ta, tb = _char_trigrams(a), _char_trigrams(b)
+    return trigram_counts_cosine(char_trigrams(a), char_trigrams(b))
+
+
+# smooth idf over the pair treated as a two-document corpus, log(3 / (1 + df)) + 1,
+# for a term in one of the two texts and for a term in both
+IDF_ONE = math.log(3.0 / 2.0) + 1.0
+IDF_BOTH = math.log(3.0 / 3.0) + 1.0
+
+
+def trigram_counts_cosine(ta: Counter, tb: Counter) -> float:
+    """`trigram_tfidf_cosine` of two texts from their `char_trigrams` counts."""
     if not ta or not tb:
         return 0.0
-    vocab = set(ta) | set(tb)
-    # smooth idf over the pair treated as a two-document corpus
-    idf = {}
-    for term in vocab:
-        df = (term in ta) + (term in tb)
-        idf[term] = math.log(3.0 / (1.0 + df)) + 1.0
-    va = {t: ta[t] * idf[t] for t in ta}
-    vb = {t: tb[t] * idf[t] for t in tb}
+    va = {t: c * (IDF_BOTH if t in tb else IDF_ONE) for t, c in ta.items()}
+    vb = {t: c * (IDF_BOTH if t in ta else IDF_ONE) for t, c in tb.items()}
     dot = sum(va[t] * vb[t] for t in va if t in vb)
     na = math.sqrt(sum(v * v for v in va.values()))
     nb = math.sqrt(sum(v * v for v in vb.values()))

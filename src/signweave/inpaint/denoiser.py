@@ -45,19 +45,24 @@ def _group_slices(layout: PartLayout) -> dict[str, tuple[int, int]]:
 
 
 class Denoiser:
-    def __init__(self, cfg: DenoiserConfig = DenoiserConfig(), layout: PartLayout | None = None, seed: int = 0):
+    """seed=None builds zero parameters without drawing them, for
+    `restore_into` to fill from a checkpoint."""
+
+    def __init__(self, cfg: DenoiserConfig = DenoiserConfig(), layout: PartLayout | None = None,
+                 seed: int | None = 0):
         self.cfg = cfg
         self.layout = layout if layout is not None else PartLayout.base()
         if self.layout.dim != cfg.motion_dim:
             raise ValueError("layout dim does not match motion_dim")
         self.group_slices = _group_slices(self.layout)
         self.params = ParameterSet(dtype=cfg.dtype)
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         h = cfg.latent
         p = self.params
         self._in_proj = nk.init_dense(p, "in_proj", cfg.motion_dim, h, rng)
         self._cond_proj = nk.init_dense(p, "cond_proj", cfg.motion_dim, h, rng)
-        self._mask_embed = p.add("mask_embed", rng.normal(0.0, 0.02, size=(2, h)))
+        self._mask_embed = p.add("mask_embed", np.zeros((2, h)) if rng is None
+                                 else rng.normal(0.0, 0.02, size=(2, h)))
         self._t1 = nk.init_dense(p, "time.0", h, h, rng)
         self._t2 = nk.init_dense(p, "time.1", h, h, rng)
         self._blocks = []

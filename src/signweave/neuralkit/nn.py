@@ -229,11 +229,14 @@ class ParameterSet:
 
 
 def init_dense(params: ParameterSet, name: str, fan_in: int, fan_out: int,
-               rng: np.random.Generator, scale: float | None = None,
+               rng: np.random.Generator | None, scale: float | None = None,
                zero: bool = False) -> tuple[Tensor, Tensor]:
-    """Weight + bias pair; zero=True gives an identity-output head."""
-    if zero:
-        w = np.zeros((fan_in, fan_out))
+    """Weight + bias pair; zero=True gives an identity-output head.
+
+    rng=None draws nothing and gives a zero weight, for a model whose
+    parameters a checkpoint restore is about to overwrite."""
+    if zero or rng is None:
+        w = np.zeros((fan_in, fan_out), dtype=params.dtype)
     else:
         std = scale if scale is not None else 1.0 / np.sqrt(fan_in)
         w = rng.normal(0.0, std, size=(fan_in, fan_out))

@@ -2,8 +2,11 @@
 training, pair composition, sentence stitching, and evaluation.
 
 Stages persist their outputs under the work directory with a manifest that
-records the relevant config hash and seed, making reruns resumable and
-deterministic.
+records the config hash, the seed, the files written and the report so far.
+A stage hits, and is reused, when its manifest's hash matches the config,
+every file it lists exists, and every stage before it hit; a rerun whose
+stages all hit returns the stored report without loading anything. Every
+file is written whole or not at all, the manifest last.
 """
 from __future__ import annotations
 
@@ -11,7 +14,9 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -88,9 +93,15 @@ STAGE_FIELDS = [
     ("eval", []),
 ]
 
+STAGES = tuple(name for name, _ in STAGE_FIELDS)
+
 # the stages `run_pipeline` can stop after; synth, qc and trim run as one
 # prepare step before them
 RUN_STAGES = ("duration", "inpaint", "compose", "eval")
+
+# Part of every stage hash. Bump it whenever a change alters what a stage
+# writes, so that a work directory from older code is recomputed, not reused.
+SCHEMA_VERSION = 1
 
 
 def _jsonable(value):
@@ -147,8 +158,9 @@ def _field_names(obj) -> set[str]:
 
 
 def stage_hash(config: PipelineConfig, stage: str) -> str:
-    """Hash of every config field the stage (and its predecessors) depends on."""
-    payload = {}
+    """Hash of every config field the stage (and its predecessors) depends
+    on, and of SCHEMA_VERSION."""
+    payload = {"schema_version": SCHEMA_VERSION}
     for name, fields in STAGE_FIELDS:
         for f in fields:
             payload[f] = _jsonable(getattr(config, f))
@@ -191,37 +203,80 @@ def apply_overrides(config: PipelineConfig, overrides: list[str]) -> PipelineCon
     return config
 
 
+@contextmanager
+def atomic_path(path: Path):
+    """A temporary path beside `path` to write to; on a clean exit it
+    replaces `path` in one step, so `path` is never a partial file. On an
+    exception the temporary file is removed and `path` is left as it was."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_text(path: Path, text: str) -> None:
+    with atomic_path(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
+
+
 class StageStore:
-    """Per-stage manifest bookkeeping under the work directory."""
+    """Per-stage manifests under the work directory.
+
+    A store checks stages in order. A stage hits when its manifest's
+    config_hash matches, every output the manifest lists exists, and every
+    stage checked before it on this store hit. The first check of a stage
+    decides it for the store, so that `run_pipeline`'s up-front check and the
+    stage's own check agree. Checking creates no directory.
+    """
 
     def __init__(self, work_dir: str | Path):
         self.root = Path(work_dir)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._hits: dict[str, bool] = {}
 
-    def stage_dir(self, stage: str) -> Path:
+    def manifest_path(self, stage: str) -> Path:
+        return self.root / stage / "manifest.json"
+
+    def manifest(self, stage: str) -> dict | None:
+        """The stage's manifest, or None when it is missing or not a JSON object."""
+        try:
+            manifest = json.loads(self.manifest_path(stage).read_text())
+        except (OSError, ValueError):
+            return None
+        return manifest if isinstance(manifest, dict) else None
+
+    def is_done(self, stage: str, config_hash: str) -> bool:
+        if stage not in self._hits:
+            manifest = self.manifest(stage) or {}
+            outputs = manifest.get("outputs")
+            self._hits[stage] = (
+                all(self._hits.values())
+                and manifest.get("config_hash") == config_hash
+                and isinstance(outputs, list)
+                and all(isinstance(o, str) and (self.root / stage / o).is_file() for o in outputs)
+            )
+        return self._hits[stage]
+
+    def begin(self, stage: str) -> Path:
+        """Start recomputing `stage` and return its directory. The stage and
+        every later one miss from now on, and their manifests are deleted
+        before any output is written, so that an interrupted recompute never
+        leaves a manifest over a mix of old and new files."""
+        for name in STAGES[STAGES.index(stage):]:
+            self._hits[name] = False
+            self.manifest_path(name).unlink(missing_ok=True)
         d = self.root / stage
         d.mkdir(parents=True, exist_ok=True)
         return d
-
-    def manifest_path(self, stage: str) -> Path:
-        return self.stage_dir(stage) / "manifest.json"
-
-    def is_done(self, stage: str, config_hash: str) -> bool:
-        path = self.manifest_path(stage)
-        if not path.exists():
-            return False
-        try:
-            manifest = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            return False
-        return manifest.get("config_hash") == config_hash
 
     def write_manifest(self, stage: str, config_hash: str, seed: int, outputs: list[str],
                        extra: dict | None = None) -> None:
         manifest = {"stage": stage, "config_hash": config_hash, "seed": seed, "outputs": outputs}
         if extra:
             manifest.update(extra)
-        self.manifest_path(stage).write_text(json.dumps(manifest, sort_keys=True, indent=1))
+        _write_text(self.manifest_path(stage), json.dumps(manifest, sort_keys=True, indent=1))
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +315,18 @@ def _split_sentences(corpus: SynthCorpus, holdout: float, seed: int) -> tuple[li
 
 
 def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
-    """Stages synth + qc + trim; cheap enough to recompute deterministically."""
+    """Stages synth + qc + trim. The corpus is regenerated on every call, as
+    it is cheap and deterministic; a stage that hits skips its writes, and a
+    trim hit reads its spans back."""
     t0 = time.time()
     corpus = synth_generate(config.synth, rounds=config.pair_rounds)
-    synth_dir = store.stage_dir("synth")
     h_synth = stage_hash(config, "synth")
     if not store.is_done("synth", h_synth):
-        export_canonical(corpus.word_records(), synth_dir / "words.json", "W")
-        export_canonical(corpus.dialogue_records(), synth_dir / "dialogues.json", "U")
+        synth_dir = store.begin("synth")
+        for name, records, schema in (("words.json", corpus.word_records(), "W"),
+                                      ("dialogues.json", corpus.dialogue_records(), "U")):
+            with atomic_path(synth_dir / name) as tmp:
+                export_canonical(records, tmp, schema)
         store.write_manifest("synth", h_synth, config.seed,
                              ["words.json", "dialogues.json"],
                              {"sentences": len(corpus.sentences), "pairs": len(corpus.pair_specs)})
@@ -284,17 +343,20 @@ def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
                 kept += 1
         corpus.clips[gloss] = filtered
     if not store.is_done("qc", h_qc):
+        store.begin("qc")
         store.write_manifest("qc", h_qc, config.seed, [], {"kept_clips": kept})
 
     h_trim = stage_hash(config, "trim")
-    trim_dir = store.stage_dir("trim")
-    spans_path = trim_dir / "spans.json"
-    fallbacks = 0
-    spans: dict[str, list[int]] = {}
-    if store.is_done("trim", h_trim) and spans_path.exists():
-        spans = {k: v for k, v in json.loads(spans_path.read_text()).items()}
+    clip_ids = [clip.source["id"] for clips in corpus.clips.values() for clip in clips]
+    spans = _read_spans(store.root / "trim" / "spans.json", clip_ids) if store.is_done("trim", h_trim) else None
+    if spans is not None:
+        fallbacks = (store.manifest("trim") or {}).get("fallbacks", 0)
     else:
-        # a clip whose trim falls back keeps its annotated core span
+        # spans that do not decode are a miss too; a clip whose trim falls
+        # back keeps its annotated core span
+        trim_dir = store.begin("trim")
+        fallbacks = 0
+        spans = {}
         for clips in corpus.clips.values():
             for clip in clips:
                 result = trim(clip, None, config.trim)
@@ -302,7 +364,7 @@ def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
                 fallbacks += int(fell_back)
                 span = clip.core_span if fell_back else result.span
                 spans[clip.source["id"]] = [int(span[0]), int(span[1])]
-        spans_path.write_text(json.dumps(spans, sort_keys=True))
+        _write_text(trim_dir / "spans.json", json.dumps(spans, sort_keys=True))
         store.write_manifest("trim", h_trim, config.seed, ["spans.json"], {"fallbacks": fallbacks})
 
     cores = {}
@@ -313,6 +375,22 @@ def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
             cores[cid] = clip.motion.frames[s : e + 1]
     train_ids, eval_ids = _split_sentences(corpus, config.holdout_fraction, config.seed)
     return PreparedData(corpus, cores, train_ids, eval_ids, fallbacks)
+
+
+def _read_spans(path: Path, clip_ids: list[str]) -> dict[str, list[int]] | None:
+    """The trim spans stored at `path`, or None unless it holds an object
+    with a [start, end] pair of integers for every clip id."""
+    try:
+        spans = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(spans, dict):
+        return None
+    for cid in clip_ids:
+        span = spans.get(cid)
+        if not (isinstance(span, list) and len(span) == 2 and all(type(v) is int for v in span)):
+            return None
+    return spans
 
 
 def _pairs(data: PreparedData, held_out: bool):
@@ -366,23 +444,33 @@ def build_duration_examples(data: PreparedData, window: int) -> tuple[list[PairE
     return _pair_examples(data, window, held_out=False), sent_examples
 
 
+def _restored(model, path: Path):
+    """`model`, built without drawing its parameters, with the checkpoint
+    at `path` restored into them."""
+    restore_into(model.params, load_checkpoint(path))
+    return model
+
+
+def _save_checkpoint(path: Path, params) -> None:
+    with atomic_path(path) as tmp:
+        save_checkpoint(tmp, params)
+
+
 def train_duration_stage(config: PipelineConfig, store: StageStore, data: PreparedData):
     h = stage_hash(config, "duration")
-    stage_dir = store.stage_dir("duration")
+    if store.is_done("duration", h):
+        stage_dir = store.root / "duration"
+        return (_restored(GlossDurationPredictor(config.dur_model, seed=None), stage_dir / "gloss.ckpt"),
+                _restored(SentenceDurationPredictor(config.dur_model, seed=None), stage_dir / "sent.ckpt"))
+    stage_dir = store.begin("duration")
     gloss_model = GlossDurationPredictor(config.dur_model, seed=config.seed)
     sent_model = SentenceDurationPredictor(config.dur_model, seed=config.seed)
-    gloss_ckpt = stage_dir / "gloss.ckpt"
-    sent_ckpt = stage_dir / "sent.ckpt"
-    if store.is_done("duration", h) and gloss_ckpt.exists() and sent_ckpt.exists():
-        restore_into(gloss_model.params, load_checkpoint(gloss_ckpt))
-        restore_into(sent_model.params, load_checkpoint(sent_ckpt))
-        return gloss_model, sent_model
     train_pairs, sent_examples = build_duration_examples(data, config.dur_model.window)
     t0 = time.time()
     train_gloss_predictor(train_pairs, gloss_model, config.dur_gloss)
     train_sentence_predictor(sent_examples, sent_model, config.dur_sent)
-    save_checkpoint(gloss_ckpt, gloss_model.params)
-    save_checkpoint(sent_ckpt, sent_model.params)
+    _save_checkpoint(stage_dir / "gloss.ckpt", gloss_model.params)
+    _save_checkpoint(stage_dir / "sent.ckpt", sent_model.params)
     store.write_manifest("duration", h, config.seed, ["gloss.ckpt", "sent.ckpt"],
                          {"train_pairs": len(train_pairs), "sentences": len(sent_examples),
                           "seconds": round(time.time() - t0, 1)})
@@ -415,26 +503,28 @@ def build_inpaint_items(config: PipelineConfig, data: PreparedData,
 
 def train_inpaint_stage(config: PipelineConfig, store: StageStore, data: PreparedData,
                         gloss_model: GlossDurationPredictor) -> tuple[Denoiser | None, DiffusionSchedule]:
+    """The trained denoiser, or None with `inpaint_train.steps` <= 0. A stage
+    whose manifest matches but whose checkpoint was removed misses, and
+    composes with the linear fallback (None) rather than retraining."""
     schedule = DiffusionSchedule()
     h = stage_hash(config, "inpaint")
-    stage_dir = store.stage_dir("inpaint")
-    ckpt = stage_dir / "denoiser.ckpt"
-    if config.inpaint_train.steps <= 0:
-        return None, schedule
+    ckpt = store.root / "inpaint" / "denoiser.ckpt"
     if store.is_done("inpaint", h):
-        if not ckpt.exists():
-            # a completed stage whose checkpoint was removed: fall back to the
-            # linear-transition baseline rather than retraining silently
-            log.warning("inpaint manifest present but %s is missing; composing with the linear fallback", ckpt)
+        if config.inpaint_train.steps <= 0:
             return None, schedule
-        denoiser = Denoiser(config.denoiser, seed=config.seed)
-        restore_into(denoiser.params, load_checkpoint(ckpt))
-        return denoiser, schedule
+        return _restored(Denoiser(config.denoiser, seed=None), ckpt), schedule
+    if (store.manifest("inpaint") or {}).get("config_hash") == h:
+        log.warning("inpaint manifest present but %s is missing; composing with the linear fallback", ckpt)
+        return None, schedule
+    store.begin("inpaint")
+    if config.inpaint_train.steps <= 0:
+        store.write_manifest("inpaint", h, config.seed, [])
+        return None, schedule
     denoiser = Denoiser(config.denoiser, seed=config.seed)
     items = build_inpaint_items(config, data, gloss_model)
     t0 = time.time()
     history = train_inpainter(items, denoiser, schedule, config.inpaint_train)
-    save_checkpoint(ckpt, denoiser.params)
+    _save_checkpoint(ckpt, denoiser.params)
     store.write_manifest("inpaint", h, config.seed, ["denoiser.ckpt"],
                          {"train_items": len(items), "final_loss": history[-1] if history else None,
                           "seconds": round(time.time() - t0, 1)})
@@ -624,20 +714,53 @@ def evaluate_duration(data: PreparedData, gloss_model: GlossDurationPredictor, w
     }
 
 
-def _write_jsonl(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+def _jsonl(rows: list[dict]) -> str:
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+def _stored_report(config: PipelineConfig, store: StageStore, until: str, dump_paths: bool) -> dict | None:
+    """The report `until`'s manifest stored, when every stage through `until`
+    hits; with dump_paths, only if the eval manifest lists paths.jsonl."""
+    for stage in STAGES[: STAGES.index(until) + 1]:
+        if not store.is_done(stage, stage_hash(config, stage)):
+            return None
+    manifest = store.manifest(until) or {}
+    if dump_paths and "paths.jsonl" not in manifest.get("outputs", []):
+        return None
+    report = manifest.get("report")
+    return report if isinstance(report, dict) else None
+
+
+def _stage_report(config: PipelineConfig, stage: str, report: dict) -> dict:
+    """The report so far as `stage`'s manifest stores it: under the stage's
+    own hash, without timings."""
+    return {k: v for k, v in report.items() if k != "timings"} | {"config_hash": stage_hash(config, stage)}
+
+
+def _record_report(config: PipelineConfig, store: StageStore, stage: str, report: dict) -> None:
+    """Add the report so far to the manifest a training stage wrote, unless
+    it holds that report already."""
+    manifest = store.manifest(stage)
+    stored = _stage_report(config, stage, report)
+    if manifest is not None and manifest.get("report") != stored:
+        manifest["report"] = stored
+        _write_text(store.manifest_path(stage), json.dumps(manifest, sort_keys=True, indent=1))
 
 
 def run_pipeline(config: PipelineConfig, until: str = "eval", dump_paths: bool = False) -> dict:
     """Run the stages in order through `until` and return the report so far.
 
-    prepare, duration and inpaint reuse outputs whose manifest matches the
-    config; compose and eval are recomputed on every run. The report after
-    duration already holds the held-out duration evaluation. The eval stage
-    also writes metrics.jsonl and report.json under eval/, and paths.jsonl
-    with the DTW alignment paths when dump_paths is set.
+    When every stage through `until` hits (see StageStore; with dump_paths,
+    the eval stage must also have written paths.jsonl), the report that
+    stage stored is returned with this run's timings, and nothing is loaded.
+    Otherwise prepare, duration and inpaint are reused up to the first stage
+    that misses, and that stage and every later one are recomputed; compose
+    and eval are always recomputed together, because eval scores the
+    in-memory frames, which the float32 SVMX files do not hold exactly.
+    The report after duration already holds the held-out duration
+    evaluation. The eval stage also writes metrics.jsonl and report.json
+    under eval/, and paths.jsonl with the DTW alignment paths when dump_paths
+    is set.
     """
     if until not in RUN_STAGES:
         raise ValueError(f"unknown stage {until!r}; expected one of {', '.join(RUN_STAGES)}")
@@ -650,6 +773,11 @@ def run_pipeline(config: PipelineConfig, until: str = "eval", dump_paths: bool =
         timings[stage] = round(time.time() - t0, 2)
         t0 = time.time()
 
+    stored = _stored_report(config, store, until, dump_paths)
+    if stored is not None:
+        lap("cached")
+        return stored | {"timings": timings}
+
     report = {"config_hash": stage_hash(config, until), "seed": config.seed, "timings": timings}
     data = prepare_data(config, store)
     report.update(trim_fallbacks=data.trim_fallbacks, eval_sentences=len(data.eval_ids))
@@ -657,36 +785,47 @@ def run_pipeline(config: PipelineConfig, until: str = "eval", dump_paths: bool =
 
     gloss_model, sent_model = train_duration_stage(config, store, data)
     report["duration_eval"] = evaluate_duration(data, gloss_model, config.dur_model.window)
+    _record_report(config, store, "duration", report)
     lap("duration")
     if until == "duration":
         return report
 
     denoiser, schedule = train_inpaint_stage(config, store, data, gloss_model)
+    _record_report(config, store, "inpaint", report)
     lap("inpaint")
     if until == "inpaint":
         return report
 
+    compose_dir = store.begin("compose")
     composed = compose_and_stitch(config, data, gloss_model, sent_model, denoiser, schedule)
-    compose_dir = store.stage_dir("compose")
+    outputs = []
     for item in composed:
-        write_motion(compose_dir / f"{item.sentence_id}.ours.svmx", item.ours)
-        write_motion(compose_dir / f"{item.sentence_id}.baseline.svmx", item.baseline)
+        for method in ("ours", "baseline"):
+            name = f"{item.sentence_id}.{method}.svmx"
+            with atomic_path(compose_dir / name) as tmp:
+                write_motion(tmp, getattr(item, method))
+            outputs.append(name)
     report["denoiser_fallback"] = any(c.fallback for c in composed)
-    store.write_manifest("compose", stage_hash(config, "compose"), config.seed,
-                         [f"{c.sentence_id}.ours.svmx" for c in composed],
-                         {"fallback": report["denoiser_fallback"]})
+    store.write_manifest("compose", stage_hash(config, "compose"), config.seed, outputs,
+                         {"fallback": report["denoiser_fallback"],
+                          "report": _stage_report(config, "compose", report)})
     lap("compose")
     if until == "compose":
         return report
 
+    eval_dir = store.begin("eval")
     eval_result = evaluate_composed(composed, data, dump_paths=dump_paths)
     report["sentence"] = eval_result["summary"]
     lap("eval")
-    eval_dir = store.stage_dir("eval")
-    _write_jsonl(eval_dir / "metrics.jsonl", eval_result["rows"])
+    outputs = ["metrics.jsonl", "report.json"]
+    _write_text(eval_dir / "metrics.jsonl", _jsonl(eval_result["rows"]))
     if dump_paths:
-        _write_jsonl(eval_dir / "paths.jsonl", eval_result["paths"])
-    (eval_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1))
-    store.write_manifest("eval", stage_hash(config, "eval"), config.seed,
-                         ["metrics.jsonl", "report.json"])
+        _write_text(eval_dir / "paths.jsonl", _jsonl(eval_result["paths"]))
+        outputs.append("paths.jsonl")
+    else:
+        # the paths of an earlier run would not belong to these outputs
+        (eval_dir / "paths.jsonl").unlink(missing_ok=True)
+    _write_text(eval_dir / "report.json", json.dumps(report, sort_keys=True, indent=1))
+    store.write_manifest("eval", stage_hash(config, "eval"), config.seed, outputs,
+                         {"report": _stage_report(config, "eval", report)})
     return report

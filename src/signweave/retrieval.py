@@ -7,12 +7,13 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .glossnorm import trigram_tfidf_cosine
+from .glossnorm import char_trigrams, trigram_counts_cosine
 from .metrics import token_f1
 from .motion import MotionSequence, PartLayout
 from .records import read_json_lines
@@ -57,6 +58,11 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.documents)
 
+    @cached_property
+    def trigrams(self) -> list[Counter]:
+        """Character-trigram counts of each document's English text."""
+        return [char_trigrams(d.english) for d in self.documents]
+
 
 def bm25_score(query_tokens: Sequence[str], corpus: Corpus, doc_index: int,
                k1: float = 1.5, b: float = 0.75) -> float:
@@ -85,7 +91,10 @@ class TrigramSparseScorer:
     """Character-trigram TF-IDF stub standing in for a learned sparse encoder."""
 
     def score(self, query: str, corpus: Corpus) -> np.ndarray:
-        return np.array([trigram_tfidf_cosine(query, d.english) for d in corpus.documents])
+        """`trigram_tfidf_cosine` of the query with each document, from the
+        corpus's trigram counts."""
+        tq = char_trigrams(query)
+        return np.array([trigram_counts_cosine(tq, td) for td in corpus.trigrams])
 
 
 class OverlapReranker:

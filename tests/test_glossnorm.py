@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from trigram_oracle import pairwise_trigram_cosine
 from signweave.glossnorm import (
     FilterConfig,
     FilterReport,
@@ -154,6 +155,15 @@ class TestFilterPair:
         report = filter_pair(text, tokenize(text))
         assert report.decision == "keep"
         assert trigram_tfidf_cosine(text, text) == pytest.approx(1.0, abs=1e-12)
+
+    def test_trigram_cosine_matches_pairwise_oracle(self):
+        rng = np.random.default_rng(5)
+        alphabet = list("abcdeHOUSE -#'")
+        texts = ["", " ", "A", "ab", "MOTHER STILL WORK", "mother still work"]
+        texts += ["".join(rng.choice(alphabet, size=int(rng.integers(1, 30)))) for _ in range(40)]
+        for a in texts:
+            for b in texts[::3]:
+                assert trigram_tfidf_cosine(a, b) == pairwise_trigram_cosine(a, b)
 
     def test_dissimilar_strings_flagged(self):
         report = filter_pair("zzzz qqqq xxxx", tokenize("ABABA KKKKK"))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from signweave.metrics import token_f1
+from trigram_oracle import pairwise_trigram_cosine
 from signweave.retrieval import (
     Corpus,
     Document,
@@ -122,6 +123,15 @@ class TestRetrieve:
         result = retrieve("fox", corpus)
         for cand in result.candidates:
             assert cand.s_final == pytest.approx(0.85 * cand.s_rerank + 0.15 * cand.s_first, abs=1e-12)
+
+    def test_sparse_scores_match_pairwise_oracle(self):
+        rng = np.random.default_rng(2)
+        words = "the quick brown fox jumps over a lazy dog Dog's home #OK".split()
+        texts = [" ".join(rng.choice(words, size=int(rng.integers(1, 9)))) for _ in range(40)] + [""]
+        corpus = Corpus([Document(t, t.upper(), f"d{i}") for i, t in enumerate(texts)])
+        for query in ["the lazy fox", "", "HOME dog", texts[3]]:
+            expected = [pairwise_trigram_cosine(query, t) for t in texts]
+            assert TrigramSparseScorer().score(query, corpus).tolist() == expected
 
     def test_deterministic(self):
         corpus = three_doc_corpus()
