@@ -10,7 +10,7 @@ from . import glossnorm as gn
 from .duration import GlossPlan
 from .metrics import ranking_metrics
 from .motion import read_motion, write_motion
-from .pipeline import PipelineConfig, apply_overrides, config_from_dict, config_to_dict, run_pipeline
+from .pipeline import PipelineConfig, apply_overrides, config_from_dict, config_to_dict, run_pipeline, write_corpus
 from .qc import QcConfig, qc_filters
 from .records import export_canonical, ingest, read_json_lines, word_record_to_clip
 from .retrieval import load_corpus, retrieve
@@ -33,10 +33,8 @@ def cmd_synth(args) -> int:
     corpus = synth_generate(config.synth, rounds=config.pair_rounds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    export_canonical(corpus.word_records(), out / "words.json", "W")
-    export_canonical(corpus.dialogue_records(), out / "dialogues.json", "U")
-    print(f"wrote {len(corpus.word_records())} word records and "
-          f"{len(corpus.sentences)} sentences to {out}")
+    n_words = write_corpus(corpus, out)
+    print(f"wrote {n_words} word records and {len(corpus.sentences)} sentences to {out}")
     return 0
 
 

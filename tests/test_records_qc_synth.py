@@ -7,6 +7,7 @@ import pytest
 
 from signweave.motion import GlossClip, MotionSequence, PartLayout
 from dtw_oracles import loop_subsequence_distance
+from synth_oracles import loop_evaluate, loop_synth_generate
 from signweave.qc import (
     QcConfig,
     dominant_split,
@@ -22,7 +23,7 @@ from signweave.records import (
     parts_from_frames,
     word_record_to_clip,
 )
-from signweave.synth import SynthSpec, smoothstep, synth_generate
+from signweave.synth import GlossModel, SynthSpec, smoothstep, synth_generate
 
 
 def make_word_dict(t=12, gloss="HELLO", seed=0):
@@ -284,3 +285,73 @@ class TestSynth:
         v = np.linspace(-1, 2, 50)
         s = smoothstep(v)
         assert s.min() == 0.0 and s.max() == 1.0
+
+
+def _bytes_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    # the memory layout too: BLAS results downstream (np.cov in FGD) depend on it
+    return (a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
+            and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("spec, rounds", [
+    # the two benchmark sizes (train_fresh, compose_eval)
+    (SynthSpec(vocab_size=6, variants_per_gloss=3, n_sentences=20), 1),
+    (SynthSpec(vocab_size=6, variants_per_gloss=3, n_sentences=24), 1),
+    (SynthSpec(vocab_size=5, variants_per_gloss=3, n_sentences=12, transition_width=21, seed=4), 1),
+    (SynthSpec(vocab_size=5, variants_per_gloss=2, n_sentences=8, transition_width=0, seed=5), 1),
+    # windows wider than the shortest gloss overlap and overwrite each other
+    (SynthSpec(vocab_size=5, variants_per_gloss=2, n_sentences=10, transition_width=30,
+               canonical_duration=(8, 10), seed=6), 1),
+    (SynthSpec(vocab_size=4, variants_per_gloss=2, n_sentences=8, coarticulation_scale=0.0, seed=7), 1),
+    (SynthSpec(vocab_size=4, variants_per_gloss=2, n_sentences=6, sentence_length=(1, 1), seed=8), 1),
+    (SynthSpec(vocab_size=4, variants_per_gloss=3, n_sentences=8, seed=9), 2),
+], ids=["train_fresh", "compose_eval", "odd_width", "no_width", "wide_width", "no_coarticulation",
+        "one_gloss", "two_rounds"])
+def test_synth_matches_per_frame_oracle(spec, rounds):
+    corpus = synth_generate(spec, rounds=rounds)
+    oracle = loop_synth_generate(spec, rounds=rounds)
+    assert list(corpus.models) == list(oracle["models"])
+    for name, model in corpus.models.items():
+        ref = oracle["models"][name]
+        assert model.duration == ref["duration"]
+        assert all(_bytes_equal(getattr(model, k), ref[k]) for k in ("offset", "amp", "freq"))
+    assert list(corpus.clips) == list(oracle["clips"])
+    for name, clips in corpus.clips.items():
+        assert len(clips) == len(oracle["clips"][name])
+        for clip, (frames, span) in zip(clips, oracle["clips"][name]):
+            assert _bytes_equal(clip.motion.frames, frames) and clip.core_span == span
+    assert len(corpus.sentences) == len(oracle["sentences"])
+    for sample, (glosses, frames, spans, tempo) in zip(corpus.sentences, oracle["sentences"]):
+        assert sample.glosses == glosses and sample.tempo == tempo
+        assert _bytes_equal(sample.frames, frames) and sample.gloss_spans == spans
+    assert [(p.sentence_id, p.pair_index, p.gloss_a, p.gloss_b, p.variant_a, p.variant_b)
+            for p in corpus.pair_specs] == oracle["pairs"]
+
+
+def test_evaluate_matches_all_columns_oracle():
+    corpus = synth_generate(SynthSpec(vocab_size=3, variants_per_gloss=1, n_sentences=0, seed=21))
+    rng = np.random.default_rng(22)
+    u = np.concatenate([np.linspace(0.0, 1.0, 37), rng.uniform(-0.5, 1.5, size=11)])
+    for model in corpus.models.values():
+        ref = {"offset": model.offset, "amp": model.amp, "freq": model.freq}
+        amp_scale = 1.0 + rng.normal(0.0, 0.06, size=model.freq.shape)
+        offset_shift = rng.normal(0.0, 0.02, size=model.freq.shape)
+        assert _bytes_equal(model.evaluate(u), loop_evaluate(ref, u))
+        assert _bytes_equal(model.evaluate(u, amp_scale, offset_shift),
+                            loop_evaluate(ref, u, amp_scale, offset_shift))
+        assert _bytes_equal(model.evaluate(u[:1], amp_scale=amp_scale), loop_evaluate(ref, u[:1], amp_scale))
+
+
+def test_evaluate_with_one_frequency_per_column():
+    rng = np.random.default_rng(23)
+    freq = rng.uniform(0.1, 3.0, size=9)
+    model = GlossModel("X", 10, rng.normal(size=9), rng.normal(size=9), freq)
+    u = np.linspace(0.0, 1.0, 13)
+    ref = {"offset": model.offset, "amp": model.amp, "freq": freq}
+    assert _bytes_equal(model.evaluate(u), loop_evaluate(ref, u))
+
+
+def test_smallest_synth_spec_builds():
+    corpus = synth_generate(SynthSpec(vocab_size=1, variants_per_gloss=1, n_sentences=0,
+                                      sentence_length=(1, 1), transition_width=0))
+    assert len(corpus.clips["V00"]) == 1 and corpus.sentences == [] and corpus.pair_specs == []
