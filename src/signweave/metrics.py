@@ -16,59 +16,71 @@ from .motion import PartLayout
 # path steps as (di, dj): up advances a only, left advances b only
 _UP, _DIAG, _LEFT = (1, 0), (1, 1), (0, 1)
 
-# float64 elements of one (rows, T_b, J) block of per-point distances; bounds
-# the peak memory of a cost pass independently of the sequence lengths
-_BLOCK_ELEMENTS = 1 << 19
+# float64 elements of one (J, rows, T_b) tile of per-point distances: a few
+# hundred KB, so a tile and the planes summed from it stay in the L2 cache
+_BLOCK_ELEMENTS = 1 << 15
 
 
-def _dtw_wavefront(cost: np.ndarray, subsequence: bool = False) -> tuple[np.ndarray, float]:
-    """Least accumulated cost path through a (T_a, T_b) cost matrix.
+def _dtw_wavefront(costs: np.ndarray, subsequence: bool = False) -> list[tuple[np.ndarray, float]]:
+    """Least accumulated cost path through each (T_a, T_b) matrix of an
+    (S, T_a, T_b) stack.
 
     The dynamic program (Sakoe & Chiba 1978) advances one anti-diagonal
     i + j = k at a time: every cell of a diagonal depends only on the two
-    diagonals before it, so each step is a handful of array operations.
+    diagonals before it, so each step is three array operations, taken for
+    all S matrices at once.
 
     Plain mode aligns (0, 0) to (T_a - 1, T_b - 1) and breaks ties diagonal,
     then up, then left. Subsequence mode leaves start and end free on the b
     axis, breaks ties up, then diagonal, then left, and ends at the first
-    column of least cost. Returns the path as an (n, 2) array of (i, j) and
-    the cost accumulated along it.
+    column of least cost. Returns, per matrix, the path as an (n, 2) array of
+    (i, j) and the cost accumulated along it.
     """
-    t_a, t_b = cost.shape
+    n_sub, t_a, t_b = costs.shape
     n_diag = t_a + t_b - 1
     order = (_UP, _DIAG, _LEFT) if subsequence else (_DIAG, _UP, _LEFT)
-    # skewed layouts with one row per diagonal: cost (i, j) is skew[i + j, i]
-    # and its accumulated cost acc[i + j + 2, i + 1], so the cell one step
+    # a skewed layout with one row per diagonal and the matrices last: cell
+    # (i, j) of matrix s is acc[i + j + 2, i + 1, s], so the cell one step
     # (di, dj) back is di + dj rows up and di columns left. The first two rows
     # and the first column are the virtual cells just outside the grid,
-    # infinite unless a path may start there.
-    rows = np.arange(t_a)[:, None]
-    skew = np.full((n_diag, t_a), np.inf)
-    skew[rows + np.arange(t_b), rows] = cost
-    acc = np.full((n_diag + 2, t_a + 1), np.inf)
+    # infinite unless a path may start there. Each grid cell holds its cost
+    # until its diagonal's turn, then its accumulated cost.
+    acc = np.full((n_diag + 2, t_a + 1, n_sub), np.inf)
     if subsequence:
         acc[:, 0] = 0.0   # the row before i = 0, at every j
     else:
         acc[0, 0] = 0.0   # the cell before (0, 0)
-    move = np.zeros((n_diag, t_a), dtype=np.int8)
-    options = np.empty((3, t_a))
+    for i in range(t_a):
+        acc[i + 2 : i + t_b + 2, i + 1] = costs[:, i].T
+    best = np.empty((t_a, n_sub))
+    (i0, j0), (i1, j1), (i2, j2) = order
     for k in range(n_diag):
         lo, hi = max(0, k - t_b + 1), min(k, t_a - 1) + 1
-        opts = options[:, : hi - lo]
-        for slot, (di, dj) in enumerate(order):
-            col = lo + 1 - di
-            opts[slot] = acc[k + 2 - di - dj, col : col + hi - lo]
-        acc[k + 2, lo + 1:hi + 1] = opts.min(axis=0) + skew[k, lo:hi]
-        move[k, lo:hi] = opts.argmin(axis=0)  # the first minimum, so `order` is the tie order
-    i = t_a - 1
-    j = int(acc[t_a + 1 : t_a + t_b + 1, t_a].argmin()) if subsequence else t_b - 1
-    total = float(acc[i + j + 2, i + 1])
-    path = []
-    while i >= 0 and j >= 0:
-        path.append((i, j))
-        di, dj = order[move[i + j, i]]
-        i, j = i - di, j - dj
-    return np.array(path[::-1], dtype=np.intp), total
+        low = best[: hi - lo]
+        np.minimum(acc[k + 2 - i0 - j0, lo + 1 - i0 : hi + 1 - i0],
+                   acc[k + 2 - i1 - j1, lo + 1 - i1 : hi + 1 - i1], out=low)
+        np.minimum(low, acc[k + 2 - i2 - j2, lo + 1 - i2 : hi + 1 - i2], out=low)
+        cells = acc[k + 2, lo + 1 : hi + 1]
+        np.add(low, cells, out=cells)
+    ends = acc[t_a + 1 : n_diag + 2, t_a].argmin(axis=0) if subsequence else [t_b - 1] * n_sub
+    cell = memoryview(acc)  # reads one cell as a Python float, cheaper than numpy indexing
+    out = []
+    for s, end in enumerate(ends):
+        i, j = t_a - 1, int(end)
+        total = cell[i + j + 2, i + 1, s]
+        path = []
+        while i >= 0 and j >= 0:
+            path.append((i, j))
+            # the step the forward pass took: the first least predecessor in
+            # tie order, read back from the stored accumulated costs
+            k, c = i + j + 2, i + 1
+            v0 = cell[k - i0 - j0, c - i0, s]
+            v1 = cell[k - i1 - j1, c - i1, s]
+            v2 = cell[k - i2 - j2, c - i2, s]
+            di, dj = order[0] if v0 <= v1 and v0 <= v2 else order[1] if v1 <= v2 else order[2]
+            i, j = i - di, j - dj
+        out.append((np.array(path[::-1], dtype=np.intp), total))
+    return out
 
 
 def _point_sequences(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,23 +93,36 @@ def _point_sequences(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return a, b
 
 
-def _subset_costs(a: np.ndarray, b: np.ndarray, subsets) -> list[np.ndarray]:
-    """frame_cost_matrix restricted to each point subset, from one pass over
-    the per-point distances, taken a block of rows of a at a time."""
-    t_a, t_b = a.shape[0], b.shape[0]
-    costs = [np.empty((t_a, t_b)) for _ in subsets]
-    step = max(_BLOCK_ELEMENTS // max(t_b * a.shape[1], 1), 1)
+def _subset_costs(a: np.ndarray, b: np.ndarray, subsets) -> np.ndarray:
+    """frame_cost_matrix restricted to each point subset, as an (S, T_a, T_b)
+    stack from one pass over the per-point distances.
+
+    The pass takes a tile of a few rows of a at a time, with the point axis
+    outermost: a subset's cost is the sum of its per-point distance planes in
+    index order, over its size.
+    """
+    t_a, t_b, n_points = a.shape[0], b.shape[0], a.shape[1]
+    picks = [np.arange(n_points)[subset] for subset in subsets]
+    at = np.ascontiguousarray(a.transpose(2, 1, 0))   # (3, J, T_a)
+    bt = np.ascontiguousarray(b.transpose(2, 1, 0))   # (3, J, T_b)
+    costs = np.empty((len(picks), t_a, t_b))
+    step = max(_BLOCK_ELEMENTS // max(n_points * t_b, 1), 1)
+    dist_tile = np.empty((n_points, min(step, t_a), t_b))
+    diff_tile = np.empty_like(dist_tile)
     for lo in range(0, t_a, step):
-        # squares summed coordinate by coordinate, in the order np.linalg.norm
-        # sums them, without a (rows, T_b, J, 3) difference array
-        sq = np.zeros((min(step, t_a - lo), t_b, a.shape[1]))
-        for c in range(a.shape[2]):
-            diff = a[lo : lo + step, None, :, c] - b[None, :, :, c]
+        hi = min(lo + step, t_a)
+        dist, diff = dist_tile[:, : hi - lo], diff_tile[:, : hi - lo]
+        # squares summed coordinate by coordinate, in the order np.linalg.norm sums them
+        np.subtract(at[0, :, lo:hi, None], bt[0, :, None, :], out=dist)
+        dist *= dist
+        for c in range(1, at.shape[0]):
+            np.subtract(at[c, :, lo:hi, None], bt[c, :, None, :], out=diff)
             diff *= diff
-            sq += diff
-        dist = np.sqrt(sq)
-        for cost, subset in zip(costs, subsets):
-            cost[lo : lo + step] = dist[:, :, subset].mean(axis=-1)
+            dist += diff
+        np.sqrt(dist, out=dist)
+        for cost, idx in zip(costs, picks):
+            np.add.reduce(dist[idx], axis=0, out=cost[lo:hi])
+    costs /= np.array([idx.size for idx in picks], dtype=np.float64)[:, None, None]
     return costs
 
 
@@ -113,12 +138,12 @@ def frame_cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dtw_alignments(a: np.ndarray, b: np.ndarray, subsets) -> list[tuple[np.ndarray, float]]:
     """DTW alignment of a to b on each point subset of the J axis.
 
-    The per-point distances are computed once for all subsets. Each entry is
-    the path as an (n, 2) array of frame pairs and its accumulated cost, as
-    `dtw_align` finds them.
+    The per-point distances are computed once for all subsets, and the
+    alignments advance together. Each entry is the path as an (n, 2) array of
+    frame pairs and its accumulated cost, as `dtw_align` finds them.
     """
     a, b = _point_sequences(a, b)
-    return [_dtw_wavefront(cost) for cost in _subset_costs(a, b, subsets)]
+    return _dtw_wavefront(_subset_costs(a, b, subsets))
 
 
 def dtw_align(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[int, int]], float]:
@@ -213,9 +238,12 @@ def _sym_matrix_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def fgd(feats_a: np.ndarray, feats_b: np.ndarray, eps: float = 1e-6) -> float:
-    """Frechet distance between Gaussian fits of two feature sets (N x F)."""
-    feats_a = np.asarray(feats_a, dtype=np.float64)
-    feats_b = np.asarray(feats_b, dtype=np.float64)
+    """Frechet distance between Gaussian fits of two feature sets (N x F).
+
+    Both sets are taken in C order, so the same numbers give the same bits
+    whatever the memory layout they arrive in."""
+    feats_a = np.ascontiguousarray(feats_a, dtype=np.float64)
+    feats_b = np.ascontiguousarray(feats_b, dtype=np.float64)
     if feats_a.ndim != 2 or feats_b.ndim != 2 or feats_a.shape[1] != feats_b.shape[1]:
         raise ValueError("feature sets must be N x F with matching F")
     f = feats_a.shape[1]

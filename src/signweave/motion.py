@@ -278,14 +278,20 @@ def write_motion(path: str | Path, seq: MotionSequence, version: int = MOTION_VE
 
 
 def read_motion(path: str | Path) -> MotionSequence:
+    """Read a file `write_motion` wrote. A file that is not SVMX, has another
+    version or ends early raises a ValueError naming the path."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MOTION_MAGIC:
-            raise ValueError(f"bad magic {magic!r} in {path}")
-        version, t, d, fps = struct.unpack("<IIII", fh.read(16))
+        header = fh.read(20)
+        if header[:4] != MOTION_MAGIC[: len(header)]:
+            raise ValueError(f"bad magic {header[:4]!r} in {path}")
+        if len(header) != 20:
+            raise ValueError(f"truncated motion file {path}: the header ends after "
+                             f"{len(header)} of 20 bytes")
+        version, t, d, fps = struct.unpack("<IIII", header[4:])
         if version != MOTION_VERSION:
-            raise ValueError(f"unsupported motion file version {version}")
-        data = np.frombuffer(fh.read(4 * t * d), dtype="<f4")
-        if data.size != t * d:
-            raise ValueError(f"truncated motion file {path}")
+            raise ValueError(f"unsupported motion file version {version} in {path}")
+        raw = fh.read(4 * t * d)
+        if len(raw) != 4 * t * d:
+            raise ValueError(f"truncated motion file {path}: {len(raw)} of {4 * t * d} data bytes")
+        data = np.frombuffer(raw, dtype="<f4")
     return MotionSequence(data.reshape(t, d).astype(np.float64), fps=fps)

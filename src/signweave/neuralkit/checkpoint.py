@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -27,41 +28,52 @@ def save_checkpoint(path: str | Path, params: ParameterSet) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Returns {name: (data, ema)} as float32 arrays.
+    """Returns {name: (data, ema)} as float32 arrays, each read from the file
+    straight into its own writable array.
 
     A file that ends inside a record, has bytes after the last one, or holds
     a name that is not UTF-8 raises a ValueError naming the path."""
-    buf = memoryview(Path(path).read_bytes())
-    pos = 0
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(n: int) -> memoryview:
-        nonlocal pos
-        if n > len(buf) - pos:
-            raise ValueError(f"{path}: truncated checkpoint (needs {n} bytes at offset {pos}, "
-                             f"file has {len(buf)})")
-        pos += n
-        return buf[pos - n : pos]
+        def need(n: int) -> None:
+            if n > size - fh.tell():
+                raise ValueError(f"{path}: truncated checkpoint (needs {n} bytes at offset "
+                                 f"{fh.tell()}, file has {size})")
 
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    (count,) = struct.unpack("<I", take(4))
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4))
-        try:
-            name = str(take(name_len), "utf-8")
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: a checkpoint parameter name is not UTF-8") from None
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        size = math.prod(shape)
-        data = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape).copy()
-        ema = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape).copy()
-        out[name] = (data, ema)
-    if pos != len(buf):
-        raise ValueError(f"{path}: {len(buf) - pos} trailing bytes after the last checkpoint record")
+        def take(n: int) -> bytes:
+            need(n)
+            return fh.read(n)
+
+        def take_array(shape: tuple[int, ...]) -> np.ndarray:
+            need(4 * math.prod(shape))
+            arr = np.empty(shape, dtype="<f4")
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise ValueError(f"{path}: the checkpoint changed while it was read")
+            return arr
+
+        out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        (count,) = struct.unpack("<I", take(4))
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", take(4))
+            try:
+                name = str(take(name_len), "utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: a checkpoint parameter name is not UTF-8") from None
+            (ndim,) = struct.unpack("<I", take(4))
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            out[name] = (take_array(shape), take_array(shape))
+        if fh.tell() != size:
+            raise ValueError(f"{path}: {size - fh.tell()} trailing bytes after the last "
+                             "checkpoint record")
     return out
 
 
 def restore_into(params: ParameterSet, loaded: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
+    """Make the loaded arrays the values and EMA shadows of `params`. An array
+    already in the parameter dtype is taken over, not copied, so the caller
+    hands it to `params`; an EMA that may share memory with its value is
+    copied, since the EMA update writes its shadow in place."""
     for name in params.names():
         if name not in loaded:
             raise KeyError(f"checkpoint is missing parameter {name}")
@@ -69,5 +81,6 @@ def restore_into(params: ParameterSet, loaded: dict[str, tuple[np.ndarray, np.nd
         current = params[name]
         if tuple(data.shape) != tuple(current.data.shape):
             raise ValueError(f"shape mismatch for {name}: {data.shape} vs {current.data.shape}")
-        current.data = data.astype(current.data.dtype)
-        params._ema[name] = ema.astype(current.data.dtype)
+        value = data.astype(current.data.dtype, copy=False)
+        current.data = value
+        params._ema[name] = ema.astype(value.dtype, copy=np.may_share_memory(ema, value))

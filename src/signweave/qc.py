@@ -101,7 +101,7 @@ def _feature_costs(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 
 def _subsequence_cost(cost: np.ndarray) -> float:
-    path, total = _dtw_wavefront(cost, subsequence=True)
+    [(path, total)] = _dtw_wavefront(cost[None], subsequence=True)
     return total / len(path)
 
 

@@ -120,3 +120,27 @@ def loop_dtw_error(a: np.ndarray, b: np.ndarray, subset: np.ndarray,
         aligned = scale * (a[i] @ rot.T) + trans
         errs.append(float(np.linalg.norm(aligned - b[j], axis=-1).mean()))
     return float(np.mean(errs))
+
+
+def blocked_subset_costs(a: np.ndarray, b: np.ndarray, subsets, block_elements: int = 1 << 19
+                         ) -> list[np.ndarray]:
+    """The per-subset cost pass the tiled one replaced: (rows, T_b, J) blocks
+    of per-point distances, each subset's cost their mean over its points.
+
+    For index-array subsets numpy lays the gathered points out outermost, so
+    the mean sums them in index order; the tiled pass must match it bit for
+    bit wherever T_b >= 2.
+    """
+    t_a, t_b = a.shape[0], b.shape[0]
+    costs = [np.empty((t_a, t_b)) for _ in subsets]
+    step = max(block_elements // max(t_b * a.shape[1], 1), 1)
+    for lo in range(0, t_a, step):
+        sq = np.zeros((min(step, t_a - lo), t_b, a.shape[1]))
+        for c in range(a.shape[2]):
+            diff = a[lo : lo + step, None, :, c] - b[None, :, :, c]
+            diff *= diff
+            sq += diff
+        dist = np.sqrt(sq)
+        for cost, subset in zip(costs, subsets):
+            cost[lo : lo + step] = dist[:, :, subset].mean(axis=-1)
+    return costs

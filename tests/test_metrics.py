@@ -5,10 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from dtw_oracles import loop_dtw, loop_dtw_error, loop_procrustes, loop_subsequence
+from dtw_oracles import (
+    blocked_subset_costs,
+    loop_dtw,
+    loop_dtw_error,
+    loop_procrustes,
+    loop_subsequence,
+)
 from signweave.metrics import (
     SyntheticSkeletonAdapter,
     _dtw_wavefront,
+    _subset_costs,
     dtw_align,
     dtw_alignments,
     fgd,
@@ -189,26 +196,30 @@ class TestWavefrontKernel:
 
     @pytest.mark.parametrize("subsequence, oracle", [(False, loop_dtw), (True, loop_subsequence)],
                              ids=["plain", "subsequence"])
-    @pytest.mark.parametrize("quantized", [False, True], ids=["random", "ties"])
-    def test_matches_loop_oracle(self, subsequence, oracle, quantized):
+    @pytest.mark.parametrize("quantized, n_sub", [(False, 1), (True, 1), (False, 4), (True, 4)],
+                             ids=["random", "ties", "random-stack", "ties-stack"])
+    def test_matches_loop_oracle(self, subsequence, oracle, quantized, n_sub):
+        """Each matrix of a stack, advanced in lockstep with different others."""
         rng = np.random.default_rng(19 + quantized)
         for _ in range(200):
             t_a, t_b = (int(v) for v in rng.integers(1, 12, size=2))
             if quantized:  # {0, 1} costs: most cells tie with a neighbour
-                cost = rng.integers(0, 2, size=(t_a, t_b)).astype(np.float64)
+                costs = rng.integers(0, 2, size=(n_sub, t_a, t_b)).astype(np.float64)
             else:
-                cost = rng.random((t_a, t_b))
-            path, total = _dtw_wavefront(cost, subsequence=subsequence)
-            expected_path, expected_total = oracle(cost)
-            assert as_tuples(path) == expected_path
-            assert total == expected_total
+                costs = rng.random((n_sub, t_a, t_b))
+            found = _dtw_wavefront(costs, subsequence=subsequence)
+            assert len(found) == n_sub
+            for (path, total), cost in zip(found, costs):
+                expected_path, expected_total = oracle(cost)
+                assert as_tuples(path) == expected_path
+                assert total == expected_total
 
     @pytest.mark.parametrize("subsequence, oracle", [(False, loop_dtw), (True, loop_subsequence)],
                              ids=["plain", "subsequence"])
     def test_long_and_transposed(self, subsequence, oracle):
         cost = np.random.default_rng(21).random((37, 90))
         for c in (cost, cost.T):
-            path, total = _dtw_wavefront(c, subsequence=subsequence)
+            [(path, total)] = _dtw_wavefront(c[None], subsequence=subsequence)
             expected_path, expected_total = oracle(np.ascontiguousarray(c))
             assert as_tuples(path) == expected_path
             assert total == expected_total
@@ -216,15 +227,33 @@ class TestWavefrontKernel:
     def test_subset_alignments_match_separate_runs(self, monkeypatch):
         rng = np.random.default_rng(22)
         a = rng.normal(size=(23, 9, 3))
-        b = rng.normal(size=(17, 9, 3))
-        subsets = [np.arange(3), np.array([2, 5, 7, 8]), np.arange(9)]
-        # blocks of a few rows, so the blocked cost pass crosses block edges
+        subsets = [np.arange(3), np.array([2, 5, 7, 8]), np.arange(9), np.array([8, 2, 5]),
+                   slice(1, 9, 3), np.array([4])]
+        # small tiles, so the tiled cost pass crosses tile edges
         monkeypatch.setattr("signweave.metrics._BLOCK_ELEMENTS", 200)
-        for subset, (path, total) in zip(subsets, dtw_alignments(a, b, subsets)):
-            cost = np.linalg.norm(a[:, None, subset] - b[None, :, subset], axis=-1).mean(axis=-1)
-            expected_path, expected_total = loop_dtw(cost)
-            assert as_tuples(path) == expected_path
-            assert total == pytest.approx(expected_total, abs=1e-12)
+        for t_b in (17, 1):
+            b = rng.normal(size=(t_b, 9, 3))
+            for subset, (path, total) in zip(subsets, dtw_alignments(a, b, subsets)):
+                cost = np.linalg.norm(a[:, None, subset] - b[None, :, subset], axis=-1).mean(axis=-1)
+                expected_path, expected_total = loop_dtw(cost)
+                assert as_tuples(path) == expected_path
+                assert total == pytest.approx(expected_total, abs=1e-12)
+
+    @pytest.mark.parametrize("block_elements", [200, 1 << 15])
+    def test_cost_pass_matches_blocked_pass_bitwise(self, monkeypatch, block_elements):
+        """The tiled cost pass sums each subset's points in the order the
+        blocked mean did, so the costs keep their bits."""
+        monkeypatch.setattr("signweave.metrics._BLOCK_ELEMENTS", block_elements)
+        rng = np.random.default_rng(25)
+        n_points = 68
+        subsets = [np.arange(21), np.arange(21, 51), np.arange(51), np.arange(51, 68),
+                   np.array([3, 9, 40, 41, 42, 60, 0]), rng.permutation(n_points)[:30]]
+        for t_a, t_b in ((1, 2), (2, 7), (13, 40), (40, 13), (118, 107)):
+            a = rng.normal(size=(t_a, n_points, 3))
+            b = rng.normal(size=(t_b, n_points, 3))
+            got = _subset_costs(a, b, subsets)
+            for cost, expected in zip(got, blocked_subset_costs(a, b, subsets)):
+                assert cost.tobytes() == expected.tobytes()
 
     def test_dtw_error_matches_loop_oracle(self):
         rng = np.random.default_rng(23)
@@ -313,6 +342,13 @@ class TestFgd:
         b = rng.normal(size=(50, 5))
         perm = rng.permutation(60)
         assert fgd(a[perm], b) == pytest.approx(fgd(a, b), abs=1e-10)
+
+    def test_memory_layout_does_not_move_the_bits(self):
+        rng = np.random.default_rng(26)
+        a = rng.normal(size=(90, 7))
+        b = rng.normal(size=(60, 7)) + 0.2
+        expected = fgd(a, b)
+        assert fgd(np.asfortranarray(a), np.asfortranarray(b)) == expected
 
     def test_symmetry_and_nonnegativity(self):
         rng = np.random.default_rng(15)

@@ -236,8 +236,27 @@ class TestMotionFile:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad magic") as exc:
             read_motion(path)
+        assert str(path) in str(exc.value)
+
+    def test_every_truncation_is_rejected_with_the_path(self, tmp_path):
+        path = tmp_path / "clip.svmx"
+        write_motion(path, seq(np.arange(12.0).reshape(3, 4)))
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.svmx"
+        for length in range(len(raw)):
+            cut.write_bytes(raw[:length])
+            with pytest.raises(ValueError, match="truncated motion file") as exc:
+                read_motion(cut)
+            assert str(cut) in str(exc.value), length
+
+    def test_other_version_is_rejected_with_the_path(self, tmp_path):
+        path = tmp_path / "clip.svmx"
+        write_motion(path, seq(np.zeros((2, 4))), version=2)
+        with pytest.raises(ValueError, match="unsupported motion file version 2") as exc:
+            read_motion(path)
+        assert str(path) in str(exc.value)
 
 
 class TestGlossClip:

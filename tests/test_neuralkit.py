@@ -437,6 +437,27 @@ class TestCheckpoint:
                 load_checkpoint(path)
             assert str(path) in str(exc.value)
 
+    def test_loaded_arrays_are_taken_over_without_a_copy(self, tmp_path):
+        path, _ = self._small_checkpoint(tmp_path)
+        loaded = load_checkpoint(path)
+        fresh = ParameterSet(dtype=np.float32)
+        for name, (data, _) in loaded.items():
+            assert data.flags.writeable and data.flags.aligned
+            fresh.add(name, np.zeros(data.shape))
+        restore_into(fresh, loaded)
+        for name, (data, ema) in loaded.items():
+            assert fresh[name].data is data and fresh.ema_value(name) is ema
+
+    def test_shared_value_and_ema_are_split_before_an_ema_update(self):
+        x = np.arange(6.0, dtype=np.float32).reshape(2, 3)
+        params = ParameterSet(dtype=np.float32)
+        params.add("w", np.zeros((2, 3)))
+        restore_into(params, {"w": (x, x)})
+        assert params["w"].data is x and params.ema_value("w") is not x
+        params.ema_update(decay=0.5)
+        assert np.array_equal(params["w"].data, np.arange(6.0).reshape(2, 3))
+        assert np.array_equal(params.ema_value("w"), np.arange(6.0).reshape(2, 3))
+
     def test_name_that_is_not_utf8_is_rejected(self, tmp_path):
         path, raw = self._small_checkpoint(tmp_path)
         path.write_bytes(raw[:8] + b"\xff" + raw[9:])  # the first name's only byte
