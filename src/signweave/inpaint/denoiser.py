@@ -23,10 +23,6 @@ class DenoiserConfig:
     heads: int = 4
     ffn: int = 128
     hand_head_depth: int = 2
-    dropout: float = 0.0
-    # predict the clean motion as conditioning + correction; the zero-initialized
-    # heads then start from the copy solution and learn only the refinement
-    residual_conditioning: bool = True
     dtype: type = np.float32
 
 
@@ -87,8 +83,10 @@ class Denoiser:
             layers = []
             for d in range(depth - 1):
                 layers.append(nk.init_dense(p, f"head.{group}.{d}", h, h, rng))
-            layers.append(nk.init_dense(p, f"head.{group}.out", h, hi - lo, rng,
-                                        zero=cfg.residual_conditioning))
+            # the output is the conditioning plus the heads' correction, so the
+            # zero-initialized heads start from the copy solution and learn
+            # only the refinement
+            layers.append(nk.init_dense(p, f"head.{group}.out", h, hi - lo, rng, zero=True))
             self._heads[group] = layers
         self._cond_cache = None
 
@@ -145,8 +143,6 @@ class Denoiser:
         t: int,
         cond: np.ndarray,
         mask: np.ndarray,
-        rng: np.random.Generator | None = None,
-        training: bool = False,
         rows: np.ndarray | None = None,
     ) -> Tensor:
         """Clean-motion prediction, (T, D), or (len(rows), D) for the given rows.
@@ -178,13 +174,11 @@ class Denoiser:
             n = len(positions)
             q = nk.rope_apply(self._split_heads(qkv[:, : cfg.latent], n), positions)
             attn = self._merge_heads(nk.scaled_dot_attention(q, k, v), n)
-            attn = nk.dropout(attn, cfg.dropout, rng, training)
             x = x + nk.dense(attn, *blk["self_out"])
 
             normed = nk.layer_norm(x, *blk["ln_x"])
             q = nk.rope_apply(self._split_heads(nk.dense(normed, *blk["q"]), n), positions)
             cross = self._merge_heads(nk.scaled_dot_attention(q, cross_k, cross_v), n)
-            cross = nk.dropout(cross, cfg.dropout, rng, training)
             x = x + nk.dense(cross, *blk["cross_out"])
 
             normed = nk.layer_norm(x, *blk["ln2"])
@@ -198,10 +192,7 @@ class Denoiser:
             for w, b in layers[:-1]:
                 h = nk.gelu(nk.dense(h, w, b))
             outputs.append(nk.dense(h, *layers[-1]))
-        out = nk.concat(outputs, axis=-1)
-        if cfg.residual_conditioning:
-            out = out + (residual if rows is None else residual[rows])
-        return out
+        return nk.concat(outputs, axis=-1) + (residual if rows is None else residual[rows])
 
     def predict_x0(self, x_t: np.ndarray, t: int, cond: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Inference-mode clean-motion prediction as a plain float64 array.

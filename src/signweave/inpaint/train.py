@@ -51,8 +51,6 @@ def sample_step_loss(
     radius: int,
     noise: np.ndarray,
     part_weights: np.ndarray,
-    rng: np.random.Generator | None = None,
-    training: bool = False,
 ) -> Tensor:
     """Single-sample objective at a fixed timestep/radius/noise draw.
 
@@ -63,7 +61,7 @@ def sample_step_loss(
     mask = make_boundary_mask(item.boundary_index, item.x0.shape[0] - item.boundary_index, radius)
     rows = np.flatnonzero(mask.values > 0.5)
     x_t = q_sample(item.x0, t, noise, schedule)
-    x0_hat = denoiser.forward(x_t, t, item.x_tilde, mask.values, rng=rng, training=training, rows=rows)
+    x0_hat = denoiser.forward(x_t, t, item.x_tilde, mask.values, rows=rows)
     w_t = min_snr_weight(t, schedule, loss_cfg.min_snr_gamma)
     return combined_loss(x0_hat, item.x0[rows], mask.values[rows], part_weights, w_t, loss_cfg)
 
@@ -75,7 +73,6 @@ def batch_loss(
     loss_cfg: LossConfig,
     rng: np.random.Generator,
     radius_range: tuple[int, int] = (RADIUS_MIN, RADIUS_MAX),
-    training: bool = False,
 ) -> Tensor:
     """Mean objective over a batch with per-item t, radius, and noise draws."""
     part_weights = loss_cfg.part_weights(denoiser.layout)
@@ -84,8 +81,7 @@ def batch_loss(
         t = int(rng.integers(1, schedule.num_steps + 1))
         radius = sample_radius(rng, *radius_range)
         noise = rng.standard_normal(item.x0.shape)
-        terms.append(sample_step_loss(item, denoiser, schedule, loss_cfg, t, radius, noise,
-                                      part_weights, rng=rng, training=training))
+        terms.append(sample_step_loss(item, denoiser, schedule, loss_cfg, t, radius, noise, part_weights))
     total = terms[0]
     for term in terms[1:]:
         total = total + term
@@ -112,8 +108,7 @@ def train_inpainter(
     for step in range(cfg.steps):
         idx = rng.integers(0, n, size=min(cfg.batch_size, n))
         batch = [pairs[i] for i in idx]
-        loss = batch_loss(batch, denoiser, schedule, loss_cfg, rng,
-                          (cfg.radius_min, cfg.radius_max), training=True)
+        loss = batch_loss(batch, denoiser, schedule, loss_cfg, rng, (cfg.radius_min, cfg.radius_max))
         nk.check_finite_loss(loss, step, idx)
         denoiser.params.zero_grad()
         loss.backward()

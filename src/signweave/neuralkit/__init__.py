@@ -4,7 +4,6 @@ from .tensor import (Tensor, as_tensor, clamp, concat, is_grad_enabled, maximum_
 from .nn import (
     ParameterSet,
     dense,
-    dropout,
     gelu,
     init_dense,
     init_layer_norm,
@@ -26,7 +25,6 @@ __all__ = [
     "concat",
     "cosine_lr",
     "dense",
-    "dropout",
     "gelu",
     "init_dense",
     "init_layer_norm",

@@ -143,14 +143,6 @@ def scaled_dot_attention(
     return attn @ v
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or p == 0."""
-    if not training or p <= 0.0 or rng is None:
-        return x
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
-    return x * Tensor(keep)
-
-
 class ParameterSet:
     """Named parameter tensors with gradient slots and EMA shadow copies."""
 

@@ -2,11 +2,12 @@
 training, pair composition, sentence stitching, and evaluation.
 
 Stages persist their outputs under the work directory with a manifest that
-records the config hash, the seed, the files written and the report so far.
-A stage hits, and is reused, when its manifest's hash matches the config,
-every file it lists exists, and every stage before it hit; a rerun whose
-stages all hit returns the stored report without loading anything. Every
-file is written whole or not at all, the manifest last.
+records the config hash, the seed, the files written and the report fields
+the stage adds. A stage hits, and is reused, when its manifest's hash matches
+the config, every file it lists exists, and every stage before it hit; a
+rerun whose stages all hit builds its report from the manifests without
+loading anything. Every file is written whole or not at all, and a stage
+whose manifest lists a file that is not in place misses.
 """
 from __future__ import annotations
 
@@ -101,7 +102,7 @@ RUN_STAGES = ("duration", "inpaint", "compose", "eval")
 
 # Part of every stage hash. Bump it whenever a change alters what a stage
 # writes, so that a work directory from older code is recomputed, not reused.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _jsonable(value):
@@ -157,17 +158,25 @@ def _field_names(obj) -> set[str]:
     return {f.name for f in dataclasses.fields(obj)}
 
 
-def stage_hash(config: PipelineConfig, stage: str) -> str:
-    """Hash of every config field the stage (and its predecessors) depends
-    on, and of SCHEMA_VERSION."""
+def _stage_payloads(config: PipelineConfig):
+    """(stage, the fields it and its predecessors depend on) in stage order;
+    one dict grows in place, so a pass serializes each field once."""
     payload = {"schema_version": SCHEMA_VERSION}
     for name, fields in STAGE_FIELDS:
         for f in fields:
             payload[f] = _jsonable(getattr(config, f))
-        if name == stage:
-            break
+        yield name, payload
+
+
+def _digest(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def stage_hash(config: PipelineConfig, stage: str) -> str:
+    """Hash of every config field the stage (and its predecessors) depends
+    on, and of SCHEMA_VERSION."""
+    return next(_digest(payload) for name, payload in _stage_payloads(config) if name == stage)
 
 
 def apply_overrides(config: PipelineConfig, overrides: list[str]) -> PipelineConfig:
@@ -228,24 +237,28 @@ class StageStore:
     config_hash matches, every output the manifest lists exists, and every
     stage checked before it on this store hit. The first check of a stage
     decides it for the store, so that `run_pipeline`'s up-front check and the
-    stage's own check agree. Checking creates no directory.
+    stage's own check agree. Checking creates no directory. The store keeps
+    each manifest as it last read or wrote it.
     """
 
     def __init__(self, work_dir: str | Path):
         self.root = Path(work_dir)
         self.root.mkdir(parents=True, exist_ok=True)
         self._hits: dict[str, bool] = {}
+        self._manifests: dict[str, dict | None] = {}
 
     def manifest_path(self, stage: str) -> Path:
         return self.root / stage / "manifest.json"
 
     def manifest(self, stage: str) -> dict | None:
         """The stage's manifest, or None when it is missing or not a JSON object."""
-        try:
-            manifest = json.loads(self.manifest_path(stage).read_text())
-        except (OSError, ValueError):
-            return None
-        return manifest if isinstance(manifest, dict) else None
+        if stage not in self._manifests:
+            try:
+                manifest = json.loads(self.manifest_path(stage).read_text())
+            except (OSError, ValueError):
+                manifest = None
+            self._manifests[stage] = manifest if isinstance(manifest, dict) else None
+        return self._manifests[stage]
 
     def is_done(self, stage: str, config_hash: str) -> bool:
         if stage not in self._hits:
@@ -259,6 +272,19 @@ class StageStore:
             )
         return self._hits[stage]
 
+    def hit(self, stage: str, config: PipelineConfig) -> bool:
+        """Whether `stage` hits under `config` (see is_done)."""
+        return self.is_done(stage, stage_hash(config, stage))
+
+    def done_through(self, config: PipelineConfig, until: str) -> bool:
+        """Whether every stage through `until` hits under `config`, checked
+        in order with the hashes of one pass over the config."""
+        for stage, payload in _stage_payloads(config):
+            if not self.is_done(stage, _digest(payload)):
+                return False
+            if stage == until:
+                return True
+
     def begin(self, stage: str) -> Path:
         """Start recomputing `stage` and return its directory. The stage and
         every later one miss from now on, and their manifests are deleted
@@ -266,17 +292,31 @@ class StageStore:
         leaves a manifest over a mix of old and new files."""
         for name in STAGES[STAGES.index(stage):]:
             self._hits[name] = False
+            self._manifests[name] = None
             self.manifest_path(name).unlink(missing_ok=True)
         d = self.root / stage
         d.mkdir(parents=True, exist_ok=True)
         return d
 
-    def write_manifest(self, stage: str, config_hash: str, seed: int, outputs: list[str],
-                       extra: dict | None = None) -> None:
-        manifest = {"stage": stage, "config_hash": config_hash, "seed": seed, "outputs": outputs}
-        if extra:
-            manifest.update(extra)
+    def write_manifest(self, stage: str, config: PipelineConfig, outputs: list[str],
+                       report: dict | None = None, **facts) -> None:
+        """Write the stage's manifest under its hash and seed: the outputs it
+        lists, the fields the stage adds to the run report, and other facts."""
+        manifest = {"stage": stage, "config_hash": stage_hash(config, stage), "seed": config.seed,
+                    "outputs": outputs, **facts}
+        if report is not None:
+            manifest["report"] = report
         _write_text(self.manifest_path(stage), json.dumps(manifest, sort_keys=True, indent=1))
+        self._manifests[stage] = manifest
+
+    def report(self, config: PipelineConfig, until: str) -> dict:
+        """The run report through `until`: the hash `until`'s manifest holds,
+        the seed, and the report fields of every stage through `until`,
+        merged in stage order. Every one of those stages hit or was written."""
+        report = {"config_hash": self.manifest(until)["config_hash"], "seed": config.seed}
+        for stage in STAGES[: STAGES.index(until) + 1]:
+            report.update((self.manifest(stage) or {}).get("report", {}))
+        return report
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +329,6 @@ class PreparedData:
     cores: dict[str, np.ndarray]          # clip id -> trimmed core frames
     train_ids: list[str]
     eval_ids: list[str]
-    trim_fallbacks: int = 0
 
     @cached_property
     def round_variants(self) -> dict[str, dict[int, int]]:
@@ -333,15 +372,14 @@ def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
     spans back."""
     t0 = time.time()
     corpus = synth_generate(config.synth, rounds=config.pair_rounds)
-    h_synth = stage_hash(config, "synth")
-    if not store.is_done("synth", h_synth):
+    train_ids, eval_ids = _split_sentences(corpus, config.holdout_fraction, config.seed)
+    if not store.hit("synth", config):
         write_corpus(corpus, store.begin("synth"))
-        store.write_manifest("synth", h_synth, config.seed,
-                             ["words.json", "dialogues.json"],
-                             {"sentences": len(corpus.sentences), "pairs": len(corpus.pair_specs)})
+        store.write_manifest("synth", config, ["words.json", "dialogues.json"],
+                             {"eval_sentences": len(eval_ids)},
+                             sentences=len(corpus.sentences), pairs=len(corpus.pair_specs))
     log.info("synth ready in %.1fs", time.time() - t0)
 
-    h_qc = stage_hash(config, "qc")
     kept = 0
     for gloss, clips in corpus.clips.items():
         filtered = []
@@ -351,16 +389,13 @@ def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
                 filtered.append(result.clip)
                 kept += 1
         corpus.clips[gloss] = filtered
-    if not store.is_done("qc", h_qc):
+    if not store.hit("qc", config):
         store.begin("qc")
-        store.write_manifest("qc", h_qc, config.seed, [], {"kept_clips": kept})
+        store.write_manifest("qc", config, [], kept_clips=kept)
 
-    h_trim = stage_hash(config, "trim")
     clip_ids = [clip.source["id"] for clips in corpus.clips.values() for clip in clips]
-    spans = _read_spans(store.root / "trim" / "spans.json", clip_ids) if store.is_done("trim", h_trim) else None
-    if spans is not None:
-        fallbacks = (store.manifest("trim") or {}).get("fallbacks", 0)
-    else:
+    spans = _read_spans(store.root / "trim" / "spans.json", clip_ids) if store.hit("trim", config) else None
+    if spans is None:
         # spans that do not decode are a miss too; a clip whose trim falls
         # back keeps its annotated core span
         trim_dir = store.begin("trim")
@@ -374,7 +409,7 @@ def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
                 span = clip.core_span if fell_back else result.span
                 spans[clip.source["id"]] = [int(span[0]), int(span[1])]
         _write_text(trim_dir / "spans.json", json.dumps(spans, sort_keys=True))
-        store.write_manifest("trim", h_trim, config.seed, ["spans.json"], {"fallbacks": fallbacks})
+        store.write_manifest("trim", config, ["spans.json"], {"trim_fallbacks": fallbacks})
 
     cores = {}
     for gloss, clips in corpus.clips.items():
@@ -382,8 +417,7 @@ def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
             cid = clip.source["id"]
             s, e = spans[cid]
             cores[cid] = clip.motion.frames[s : e + 1]
-    train_ids, eval_ids = _split_sentences(corpus, config.holdout_fraction, config.seed)
-    return PreparedData(corpus, cores, train_ids, eval_ids, fallbacks)
+    return PreparedData(corpus, cores, train_ids, eval_ids)
 
 
 def _read_spans(path: Path, clip_ids: list[str]) -> dict[str, list[int]] | None:
@@ -466,8 +500,10 @@ def _save_checkpoint(path: Path, params) -> None:
 
 
 def train_duration_stage(config: PipelineConfig, store: StageStore, data: PreparedData):
-    h = stage_hash(config, "duration")
-    if store.is_done("duration", h):
+    """The trained gloss and sentence predictors. Training also scores the
+    gloss predictor on the held-out pairs, and the manifest stores that
+    evaluation, so that a hit only loads the checkpoints."""
+    if store.hit("duration", config):
         stage_dir = store.root / "duration"
         return (_restored(GlossDurationPredictor(config.dur_model, seed=None), stage_dir / "gloss.ckpt"),
                 _restored(SentenceDurationPredictor(config.dur_model, seed=None), stage_dir / "sent.ckpt"))
@@ -480,9 +516,10 @@ def train_duration_stage(config: PipelineConfig, store: StageStore, data: Prepar
     train_sentence_predictor(sent_examples, sent_model, config.dur_sent)
     _save_checkpoint(stage_dir / "gloss.ckpt", gloss_model.params)
     _save_checkpoint(stage_dir / "sent.ckpt", sent_model.params)
-    store.write_manifest("duration", h, config.seed, ["gloss.ckpt", "sent.ckpt"],
-                         {"train_pairs": len(train_pairs), "sentences": len(sent_examples),
-                          "seconds": round(time.time() - t0, 1)})
+    store.write_manifest("duration", config, ["gloss.ckpt", "sent.ckpt"],
+                         {"duration_eval": evaluate_duration(data, gloss_model, config.dur_model.window)},
+                         train_pairs=len(train_pairs), sentences=len(sent_examples),
+                         seconds=round(time.time() - t0, 1))
     return gloss_model, sent_model
 
 
@@ -516,27 +553,25 @@ def train_inpaint_stage(config: PipelineConfig, store: StageStore, data: Prepare
     whose manifest matches but whose checkpoint was removed misses, and
     composes with the linear fallback (None) rather than retraining."""
     schedule = DiffusionSchedule()
-    h = stage_hash(config, "inpaint")
     ckpt = store.root / "inpaint" / "denoiser.ckpt"
-    if store.is_done("inpaint", h):
+    if store.hit("inpaint", config):
         if config.inpaint_train.steps <= 0:
             return None, schedule
         return _restored(Denoiser(config.denoiser, seed=None), ckpt), schedule
-    if (store.manifest("inpaint") or {}).get("config_hash") == h:
+    if (store.manifest("inpaint") or {}).get("config_hash") == stage_hash(config, "inpaint"):
         log.warning("inpaint manifest present but %s is missing; composing with the linear fallback", ckpt)
         return None, schedule
     store.begin("inpaint")
     if config.inpaint_train.steps <= 0:
-        store.write_manifest("inpaint", h, config.seed, [])
+        store.write_manifest("inpaint", config, [])
         return None, schedule
     denoiser = Denoiser(config.denoiser, seed=config.seed)
     items = build_inpaint_items(config, data, gloss_model)
     t0 = time.time()
     history = train_inpainter(items, denoiser, schedule, config.inpaint_train)
     _save_checkpoint(ckpt, denoiser.params)
-    store.write_manifest("inpaint", h, config.seed, ["denoiser.ckpt"],
-                         {"train_items": len(items), "final_loss": history[-1] if history else None,
-                          "seconds": round(time.time() - t0, 1)})
+    store.write_manifest("inpaint", config, ["denoiser.ckpt"], train_items=len(items),
+                         final_loss=history[-1] if history else None, seconds=round(time.time() - t0, 1))
     return denoiser, schedule
 
 
@@ -555,23 +590,21 @@ def compose_and_stitch(
     sent_model: SentenceDurationPredictor,
     denoiser: Denoiser | None,
     schedule: DiffusionSchedule,
-    sentence_ids: list[str] | None = None,
 ) -> list[ComposedSentence]:
-    """Refine each adjacent pair and assemble sentence-level motion.
+    """Refine each adjacent pair of every held-out sentence and assemble
+    sentence-level motion.
 
     When no denoiser is available, the refined path falls back to the linear
     transition baseline (recorded per sentence). The baseline path always uses
     plain concatenation with four transition frames and no duration plan.
     """
     by_id = {s.sentence_id: s for s in data.corpus.sentences}
-    ids = sentence_ids if sentence_ids is not None else data.eval_ids
-
     ema_swap = None
     if denoiser is not None:
         ema_swap = denoiser.params.swap_in_ema()
     out = []
     try:
-        for sid in ids:
+        for sid in data.eval_ids:
             sample = by_id[sid]
             variants = data.round_variants.get(f"{sid}.r0", {})
             segments = [data.cores[f"{g}.v{variants.get(i, 0)}"] for i, g in enumerate(sample.glosses)]
@@ -639,7 +672,6 @@ def _natural_plan(pairs: list[tuple[np.ndarray, int]], k: int) -> GlossPlan:
 def evaluate_composed(
     composed: list[ComposedSentence],
     data: PreparedData,
-    adapter: SyntheticSkeletonAdapter | None = None,
     dump_paths: bool = False,
 ) -> dict:
     """Sentence-level metrics table for the refined and baseline outputs.
@@ -647,7 +679,7 @@ def evaluate_composed(
     With dump_paths, the DTW alignment path of each output against its
     reference is included for debugging.
     """
-    adapter = adapter if adapter is not None else SyntheticSkeletonAdapter()
+    adapter = SyntheticSkeletonAdapter()
     by_id = {s.sentence_id: s for s in data.corpus.sentences}
     joints = np.concatenate([adapter.body_joints, adapter.hand_joints])
     # metric -> point subset; the plain and Procrustes-aligned overall errors
@@ -727,49 +759,18 @@ def _jsonl(rows: list[dict]) -> str:
     return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
-def _stored_report(config: PipelineConfig, store: StageStore, until: str, dump_paths: bool) -> dict | None:
-    """The report `until`'s manifest stored, when every stage through `until`
-    hits; with dump_paths, only if the eval manifest lists paths.jsonl."""
-    for stage in STAGES[: STAGES.index(until) + 1]:
-        if not store.is_done(stage, stage_hash(config, stage)):
-            return None
-    manifest = store.manifest(until) or {}
-    if dump_paths and "paths.jsonl" not in manifest.get("outputs", []):
-        return None
-    report = manifest.get("report")
-    return report if isinstance(report, dict) else None
-
-
-def _stage_report(config: PipelineConfig, stage: str, report: dict) -> dict:
-    """The report so far as `stage`'s manifest stores it: under the stage's
-    own hash, without timings."""
-    return {k: v for k, v in report.items() if k != "timings"} | {"config_hash": stage_hash(config, stage)}
-
-
-def _record_report(config: PipelineConfig, store: StageStore, stage: str, report: dict) -> None:
-    """Add the report so far to the manifest a training stage wrote, unless
-    it holds that report already."""
-    manifest = store.manifest(stage)
-    stored = _stage_report(config, stage, report)
-    if manifest is not None and manifest.get("report") != stored:
-        manifest["report"] = stored
-        _write_text(store.manifest_path(stage), json.dumps(manifest, sort_keys=True, indent=1))
-
-
 def run_pipeline(config: PipelineConfig, until: str = "eval", dump_paths: bool = False) -> dict:
-    """Run the stages in order through `until` and return the report so far.
+    """Run the stages in order through `until` and return `StageStore.report`
+    with this run's timings.
 
     When every stage through `until` hits (see StageStore; with dump_paths,
-    the eval stage must also have written paths.jsonl), the report that
-    stage stored is returned with this run's timings, and nothing is loaded.
+    the eval stage must also have written paths.jsonl), nothing is loaded.
     Otherwise prepare, duration and inpaint are reused up to the first stage
     that misses, and that stage and every later one are recomputed; compose
     and eval are always recomputed together, because eval scores the
-    in-memory frames, which the float32 SVMX files do not hold exactly.
-    The report after duration already holds the held-out duration
-    evaluation. The eval stage also writes metrics.jsonl and report.json
-    under eval/, and paths.jsonl with the DTW alignment paths when dump_paths
-    is set.
+    in-memory frames, which the float32 SVMX files do not hold exactly. The
+    eval stage also writes metrics.jsonl and report.json under eval/, and
+    paths.jsonl with the DTW alignment paths when dump_paths is set.
     """
     if until not in RUN_STAGES:
         raise ValueError(f"unknown stage {until!r}; expected one of {', '.join(RUN_STAGES)}")
@@ -782,28 +783,26 @@ def run_pipeline(config: PipelineConfig, until: str = "eval", dump_paths: bool =
         timings[stage] = round(time.time() - t0, 2)
         t0 = time.time()
 
-    stored = _stored_report(config, store, until, dump_paths)
-    if stored is not None:
-        lap("cached")
-        return stored | {"timings": timings}
+    def report() -> dict:
+        return store.report(config, until) | {"timings": timings}
 
-    report = {"config_hash": stage_hash(config, until), "seed": config.seed, "timings": timings}
+    if store.done_through(config, until) and not (
+            dump_paths and until == "eval" and "paths.jsonl" not in store.manifest("eval")["outputs"]):
+        lap("cached")
+        return report()
+
     data = prepare_data(config, store)
-    report.update(trim_fallbacks=data.trim_fallbacks, eval_sentences=len(data.eval_ids))
     lap("prepare")
 
     gloss_model, sent_model = train_duration_stage(config, store, data)
-    report["duration_eval"] = evaluate_duration(data, gloss_model, config.dur_model.window)
-    _record_report(config, store, "duration", report)
     lap("duration")
     if until == "duration":
-        return report
+        return report()
 
     denoiser, schedule = train_inpaint_stage(config, store, data, gloss_model)
-    _record_report(config, store, "inpaint", report)
     lap("inpaint")
     if until == "inpaint":
-        return report
+        return report()
 
     compose_dir = store.begin("compose")
     composed = compose_and_stitch(config, data, gloss_model, sent_model, denoiser, schedule)
@@ -814,17 +813,16 @@ def run_pipeline(config: PipelineConfig, until: str = "eval", dump_paths: bool =
             with atomic_path(compose_dir / name) as tmp:
                 write_motion(tmp, getattr(item, method))
             outputs.append(name)
-    report["denoiser_fallback"] = any(c.fallback for c in composed)
-    store.write_manifest("compose", stage_hash(config, "compose"), config.seed, outputs,
-                         {"fallback": report["denoiser_fallback"],
-                          "report": _stage_report(config, "compose", report)})
+    store.write_manifest("compose", config, outputs, {"denoiser_fallback": any(c.fallback for c in composed)})
     lap("compose")
     if until == "compose":
-        return report
+        return report()
 
     eval_dir = store.begin("eval")
+    # the manifest lists report.json, which is written after it: until then
+    # the stage misses, and no report.json of an earlier run is left to count
+    (eval_dir / "report.json").unlink(missing_ok=True)
     eval_result = evaluate_composed(composed, data, dump_paths=dump_paths)
-    report["sentence"] = eval_result["summary"]
     lap("eval")
     outputs = ["metrics.jsonl", "report.json"]
     _write_text(eval_dir / "metrics.jsonl", _jsonl(eval_result["rows"]))
@@ -834,7 +832,7 @@ def run_pipeline(config: PipelineConfig, until: str = "eval", dump_paths: bool =
     else:
         # the paths of an earlier run would not belong to these outputs
         (eval_dir / "paths.jsonl").unlink(missing_ok=True)
-    _write_text(eval_dir / "report.json", json.dumps(report, sort_keys=True, indent=1))
-    store.write_manifest("eval", stage_hash(config, "eval"), config.seed, outputs,
-                         {"report": _stage_report(config, "eval", report)})
-    return report
+    store.write_manifest("eval", config, outputs, {"sentence": eval_result["summary"]})
+    result = report()
+    _write_text(eval_dir / "report.json", json.dumps(result, sort_keys=True, indent=1))
+    return result

@@ -19,9 +19,11 @@ PART_FRAME_DIMS = {"body": 63, "facial_expression": 53, "rhands": 45, "lhands": 
 
 
 class IngestError(ValueError):
-    def __init__(self, record_id: str, message: str):
-        super().__init__(f"record {record_id}: {message}")
-        self.record_id = record_id
+    """A record that does not match its schema; the message starts with
+    where the record is: the file and the record id."""
+
+    def __init__(self, where: str, message: str):
+        super().__init__(f"{where}: {message}")
 
 
 @dataclass
@@ -61,90 +63,114 @@ class DialogueRecord:
     conversation: list[DialogueTurn]
 
 
-def _check_flat_arrays(arrays: dict[str, list[float]], record_id: str) -> int:
+_NUMBERS = {int, float}
+
+
+def _check_flat_arrays(arrays: dict, where: str) -> int:
     t = None
     for key, per_frame in PART_FRAME_DIMS.items():
-        values = arrays.get(key)
-        if values is None:
-            raise IngestError(record_id, f"missing key {key}")
+        values = arrays[key]
+        if not isinstance(values, list) or not set(map(type, values)) <= _NUMBERS:
+            raise IngestError(where, f"{key} must be an array of numbers")
         if len(values) % per_frame != 0:
-            raise IngestError(record_id, f"{key} length {len(values)} is not divisible by {per_frame}")
+            raise IngestError(where, f"{key} length {len(values)} is not divisible by {per_frame}")
         frames = len(values) // per_frame
         if t is None:
             t = frames
         elif frames != t:
-            raise IngestError(record_id, f"{key} implies {frames} frames, expected {t}")
+            raise IngestError(where, f"{key} implies {frames} frames, expected {t}")
     if t == 0:
-        raise IngestError(record_id, "empty motion arrays")
+        raise IngestError(where, "empty motion arrays")
     return t
 
 
-def _parse_word_record(raw: dict, record_id: str, strict: bool) -> WordRecord:
-    if strict:
-        unknown = set(raw) - WORD_KEYS
-        if unknown:
-            raise IngestError(record_id, f"unknown keys {sorted(unknown)}")
-    missing = {"gloss", "core_span", "body", "facial_expression", "rhands", "lhands"} - set(raw)
+def _span(value, t: int, name: str, where: str) -> tuple[int, int]:
+    """`value` as a (start, end) pair of integers with 0 <= start <= end < t."""
+    if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
+        raise IngestError(where, f"{name} must be a [start, end] pair of integers, not {value!r}")
+    if not 0 <= value[0] <= value[1] < t:
+        raise IngestError(where, f"{name} {tuple(value)} outside [0, {t})")
+    return tuple(value)
+
+
+def _check_keys(raw, required: set[str], allowed: set[str], strict: bool, where: str) -> None:
+    if not isinstance(raw, dict):
+        raise IngestError(where, f"expected a JSON object, not {type(raw).__name__}")
+    unknown = set(raw) - allowed
+    if strict and unknown:
+        raise IngestError(where, f"unknown keys {sorted(unknown)}")
+    missing = required - set(raw)
     if missing:
-        raise IngestError(record_id, f"missing keys {sorted(missing)}")
-    t = _check_flat_arrays(raw, record_id)
-    span = tuple(int(v) for v in raw["core_span"])
-    if not (0 <= span[0] <= span[1] < t):
-        raise IngestError(record_id, f"core_span {span} outside [0, {t})")
+        raise IngestError(where, f"missing keys {sorted(missing)}")
+
+
+def _typed(raw: dict, key: str, kind: type, where: str):
+    """raw[key], an empty `kind` when absent; a value of another type raises."""
+    value = raw.get(key, kind())
+    if not isinstance(value, kind):
+        raise IngestError(where, f"{key} must be {'an object' if kind is dict else 'an array'}")
+    return value
+
+
+def _parse_word_record(raw: dict, where: str, strict: bool) -> WordRecord:
+    _check_keys(raw, {"gloss", "core_span", *PART_FRAME_DIMS}, WORD_KEYS, strict, where)
+    t = _check_flat_arrays(raw, where)
     return WordRecord(
         gloss=str(raw["gloss"]),
-        source_info=raw.get("source_info", {}),
-        segment=raw.get("segment", {}),
-        enrichment=raw.get("enrichment", {}),
+        source_info=_typed(raw, "source_info", dict, where),
+        segment=_typed(raw, "segment", dict, where),
+        enrichment=_typed(raw, "enrichment", dict, where),
         is_dominant=bool(raw.get("is_dominant", True)),
-        core_span=span,
-        facial_expression=list(raw["facial_expression"]),
-        body=list(raw["body"]),
-        rhands=list(raw["rhands"]),
-        lhands=list(raw["lhands"]),
+        core_span=_span(raw["core_span"], t, "core_span", where),
+        facial_expression=raw["facial_expression"],
+        body=raw["body"],
+        rhands=raw["rhands"],
+        lhands=raw["lhands"],
     )
 
 
-def _parse_sentence(raw: dict, record_id: str, strict: bool) -> Sentence:
-    if strict:
-        unknown = set(raw) - SENTENCE_KEYS
-        if unknown:
-            raise IngestError(record_id, f"unknown sentence keys {sorted(unknown)}")
-    t = _check_flat_arrays(raw, record_id)
+def _parse_sentence(raw: dict, where: str, strict: bool) -> Sentence:
+    _check_keys(raw, {"text", "glosses", *PART_FRAME_DIMS}, SENTENCE_KEYS, strict, where)
+    t = _check_flat_arrays(raw, where)
+    glosses = _typed(raw, "glosses", list, where)
     spans = None
     if raw.get("gloss_spans") is not None:
-        spans = [tuple(int(v) for v in s) for s in raw["gloss_spans"]]
-        if len(spans) != len(raw["glosses"]):
-            raise IngestError(record_id, "gloss_spans must pair with glosses")
-        for s, e in spans:
-            if not (0 <= s <= e < t):
-                raise IngestError(record_id, f"gloss span ({s}, {e}) outside [0, {t})")
+        spans = [_span(s, t, "gloss span", where) for s in _typed(raw, "gloss_spans", list, where)]
+        if len(spans) != len(glosses):
+            raise IngestError(where, "gloss_spans must pair with glosses")
     return Sentence(
         text=str(raw["text"]),
-        glosses=[str(g) for g in raw["glosses"]],
-        frames={k: list(raw[k]) for k in PART_FRAME_DIMS},
+        glosses=[str(g) for g in glosses],
+        frames={k: raw[k] for k in PART_FRAME_DIMS},
         gloss_spans=spans,
     )
 
 
-def _parse_dialogue(raw: dict, record_id: str, strict: bool) -> DialogueRecord:
-    if "conversation" not in raw:
-        raise IngestError(record_id, "missing key conversation")
+def _parse_dialogue(raw: dict, where: str, strict: bool) -> DialogueRecord:
+    _check_keys(raw, {"conversation"}, {"conversation"}, False, where)
     turns = []
-    for i, turn in enumerate(raw["conversation"]):
+    for i, turn in enumerate(_typed(raw, "conversation", list, where)):
+        if not isinstance(turn, dict):
+            raise IngestError(where, f"turn {i} must be an object")
         role = turn.get("role")
         if role not in ("user", "assistant"):
-            raise IngestError(record_id, f"turn {i} has invalid role {role!r}")
+            raise IngestError(where, f"turn {i} has invalid role {role!r}")
         sentences = [
-            _parse_sentence(s, f"{record_id}.turn{i}.sent{j}", strict)
-            for j, s in enumerate(turn.get("sentences", []))
+            _parse_sentence(s, f"{where}.turn{i}.sent{j}", strict)
+            for j, s in enumerate(_typed(turn, "sentences", list, f"{where}.turn{i}"))
         ]
         turns.append(DialogueTurn(role, sentences))
     return DialogueRecord(turns)
 
 
 def ingest(path: str | Path, schema: str, strict: bool = True):
-    """Load and validate a word-level ('W') or dialogue-level ('U') JSON file."""
+    """Load and validate a word-level ('W') or dialogue-level ('U') JSON file.
+
+    A record that does not match the schema raises an IngestError (a
+    ValueError) naming the path and the record."""
+    parse = {"W": _parse_word_record, "U": _parse_dialogue}.get(schema)
+    if parse is None:
+        raise ValueError(f"unknown schema {schema!r}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -154,13 +180,9 @@ def ingest(path: str | Path, schema: str, strict: bool = True):
         raise ValueError(f"{path}: expected a JSON array of records")
     records = []
     for i, raw in enumerate(data):
-        record_id = str(raw.get("source_info", {}).get("id", i)) if isinstance(raw, dict) else str(i)
-        if schema == "W":
-            records.append(_parse_word_record(raw, record_id, strict))
-        elif schema == "U":
-            records.append(_parse_dialogue(raw, record_id, strict))
-        else:
-            raise ValueError(f"unknown schema {schema!r}")
+        source = raw.get("source_info") if isinstance(raw, dict) else None
+        record_id = source.get("id", i) if isinstance(source, dict) else i
+        records.append(parse(raw, f"{path}, record {record_id}", strict))
     return records
 
 

@@ -40,7 +40,7 @@ class OracleDenoiser:
     def predict_x0(self, x_t, t, cond, mask_values):
         return self.target.copy()
 
-    def forward(self, x_t, t, cond, mask_values, rng=None, training=False):
+    def forward(self, x_t, t, cond, mask_values):
         return Tensor(self.target)
 
 

@@ -13,6 +13,7 @@ from signweave.duration import (DurationModelConfig, DurationTrainConfig, GlossD
                                 SentenceDurationPredictor)
 from signweave.inpaint import Denoiser, DenoiserConfig, InpaintTrainConfig
 from signweave.pipeline import (
+    RUN_STAGES,
     STAGES,
     PipelineConfig,
     StageStore,
@@ -216,6 +217,55 @@ class TestResume:
         assert _without_timings(report) == expected | {"config_hash": stage_hash(config, until)}
         assert ("denoiser_fallback" in report) == (until in ("compose", "eval"))
         assert ("sentence" in report) == (until == "eval")
+
+    def test_fresh_run_writes_each_manifest_once(self, tmp_path, monkeypatch):
+        written = []
+        write_text = pipeline._write_text
+
+        def counted(path, text):
+            written.append(path)
+            write_text(path, text)
+
+        monkeypatch.setattr(pipeline, "_write_text", counted)
+        run_pipeline(tiny_config(tmp_path / "work"))
+        assert sorted(p.parent.name for p in written if p.name == "manifest.json") == sorted(STAGES)
+
+    def test_full_hit_parses_each_manifest_once(self, rerun, monkeypatch):
+        config, _ = rerun
+        reads = []
+        read_text = Path.read_text
+
+        def counted(self, *args, **kwargs):
+            if self.name == "manifest.json":
+                reads.append(self.parent.name)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counted)
+        run_pipeline(config)
+        assert sorted(reads) == sorted(STAGES)
+
+    def test_rerun_without_compose_and_eval_reuses_duration_eval(self, rerun, monkeypatch):
+        config, first = rerun
+        for stage in ("compose", "eval"):
+            shutil.rmtree(Path(config.work_dir) / stage)
+        _forbid(monkeypatch, "evaluate_duration", *TRAINING)
+        assert _without_timings(run_pipeline(config)) == _without_timings(first)
+
+    def test_standalone_stages_then_run_pipeline(self, tmp_path, finished_run):
+        """The stages called one by one, as a caller that only wants the
+        trained models does, leave a directory whose reports match a plain run."""
+        _, first = finished_run
+        config = tiny_config(tmp_path / "work")
+        store = StageStore(config.work_dir)
+        data = prepare_data(config, store)
+        gloss_model, _ = train_duration_stage(config, store, data)
+        train_inpaint_stage(config, store, data, gloss_model)
+        later = {"duration": {"denoiser_fallback", "sentence"}, "inpaint": {"denoiser_fallback", "sentence"},
+                 "compose": {"sentence"}, "eval": set()}
+        for until in RUN_STAGES:
+            expected = {k: v for k, v in _without_timings(first).items() if k not in later[until]}
+            report = run_pipeline(config, until=until)
+            assert _without_timings(report) == expected | {"config_hash": stage_hash(config, until)}
 
     def test_rerun_without_denoiser_hits(self, tmp_path, monkeypatch):
         config = tiny_config(tmp_path / "work", steps=0)
@@ -464,7 +514,9 @@ class TestConfigKeys:
         assert config_to_dict(config) == before
 
     @pytest.mark.parametrize("raw", [{"ddim_step": 5}, {"synth": {"vocab": 3}}, {"synth": 3},
-                                     {"use_annotated_spans": True}, {"trim": {"theta_low": 0.4}}])
+                                     {"use_annotated_spans": True}, {"trim": {"theta_low": 0.4}},
+                                     {"denoiser": {"dropout": 0.1}},
+                                     {"denoiser": {"residual_conditioning": False}}])
     def test_config_from_dict_rejects_bad_keys(self, raw):
         with pytest.raises(ValueError, match="config key"):
             config_from_dict(raw)

@@ -130,6 +130,54 @@ class TestDialogueRecords:
             ingest(path, "U")
 
 
+def _sentence_dict(t=6, **changes):
+    sent = {"text": "hi there", "glosses": ["HI", "THERE"], "gloss_spans": [[0, 2], [3, t - 1]],
+            **parts_from_frames(np.zeros((t, 206)))}
+    return {k: v for k, v in (sent | changes).items() if v is not None}
+
+
+def _malformed_word(key, value):
+    raw, _ = make_word_dict()
+    raw[key] = value
+    return raw
+
+
+@pytest.mark.parametrize("schema, record, strict, record_id", [
+    ("W", [1], True, 0),
+    ("W", _malformed_word("core_span", 5), True, "HELLO.v0"),
+    ("W", _malformed_word("core_span", [1]), True, "HELLO.v0"),
+    ("W", _malformed_word("body", 5), True, "HELLO.v0"),
+    ("W", _malformed_word("source_info", "x"), True, 0),
+    ("W", _malformed_word("body", ["0.5"] * 126), True, "HELLO.v0"),
+    ("U", {"conversation": 5}, True, 0),
+    ("U", {"conversation": ["hello"]}, True, 0),
+    ("U", {"conversation": [{"role": "user", "sentences": [_sentence_dict(text=None)]}]}, False, 0),
+    ("U", {"conversation": [{"role": "user", "sentences": [_sentence_dict(glosses=None)]}]}, True, 0),
+], ids=["word-not-object", "core-span-int", "core-span-short", "body-int", "source-info-string",
+        "body-strings", "conversation-int", "turn-string", "lenient-no-text", "spans-no-glosses"])
+def test_malformed_record_is_a_clear_error(tmp_path, capsys, schema, record, strict, record_id):
+    """A malformed record raises a ValueError that names the file and the
+    record, and the commands that ingest it exit 2 without a traceback."""
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([record]))
+    with pytest.raises(ValueError) as err:
+        ingest(path, schema, strict=strict)
+    assert f"{path}, record {record_id}" in str(err.value)
+
+    from signweave.cli import main
+
+    lenient = [] if strict else ["--lenient"]
+    commands = [["ingest", "--schema", schema]]
+    if schema == "W":
+        commands += [["qc", "--out", str(tmp_path / "qc.jsonl")], ["trim", "--out", str(tmp_path / "spans.json")]]
+    for command in commands:
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--path", str(path)] + lenient)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{path}, record {record_id}" in captured.err
+
+
 class TestQc:
     def test_eleven_second_clip_discarded(self):
         clip = GlossClip("LONG", MotionSequence(np.zeros((275, 206)), fps=25), (0, 274))
