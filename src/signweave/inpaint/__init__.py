@@ -1,6 +1,7 @@
 """Boundary-refinement diffusion: masks, noising, losses, denoiser, DDIM composition."""
 from .schedule import DiffusionSchedule, min_snr_weight, q_sample
-from .masks import INFERENCE_RADIUS, RADIUS_MAX, RADIUS_MIN, InpaintMask, make_boundary_mask, sample_radius
+from .masks import (INFERENCE_RADIUS, RADIUS_MAX, RADIUS_MIN, InpaintMask, PackedMask, make_boundary_mask,
+                    pack_masks, sample_radius)
 from .losses import LossConfig, combined_loss, masked_recon_loss, smooth_l1, velocity_loss
 from .denoiser import Denoiser, DenoiserConfig
 from .sampler import ddim_refine, linear_transition_baseline
@@ -14,6 +15,7 @@ __all__ = [
     "InpaintMask",
     "InpaintTrainConfig",
     "LossConfig",
+    "PackedMask",
     "PairItem",
     "RADIUS_MAX",
     "RADIUS_MIN",
@@ -24,6 +26,7 @@ __all__ = [
     "make_boundary_mask",
     "masked_recon_loss",
     "min_snr_weight",
+    "pack_masks",
     "q_sample",
     "sample_radius",
     "sample_step_loss",

@@ -98,15 +98,17 @@ class Denoiser:
     def _merge_heads(self, x: Tensor, t: int) -> Tensor:
         return x.transpose(1, 0, 2).reshape(t, self.cfg.latent)
 
-    def _conditioning(self, cond: np.ndarray, mask: np.ndarray) -> tuple[list, Tensor, Tensor]:
-        """What a pair contributes whatever the noise level: each block's
-        cross-attention keys (RoPE applied) and values over the conditioning
-        frames, the mask embedding, and the residual.
+    def _conditioning(self, cond: np.ndarray, mask: np.ndarray,
+                      lengths: tuple[int, ...]) -> tuple[list, Tensor, Tensor]:
+        """What the pairs contribute whatever the noise level: each block's
+        cross-attention keys (RoPE applied, positions restarting in each pair)
+        and values over the conditioning frames, the mask embedding, and the
+        residual.
 
         Outside inference mode it is built afresh for autograd. Under
-        `nk.no_grad` it is kept for the last (cond, mask) and reused while
-        every parameter array is the same object: optimizer steps, EMA swaps
-        and restores, and `restore_into` all assign new arrays.
+        `nk.no_grad` it is kept for the last (cond, mask, lengths) and reused
+        while every parameter array is the same object: optimizer steps, EMA
+        swaps and restores, and `restore_into` all assign new arrays.
         """
         cond = np.asarray(cond)
         mask_idx = (np.asarray(mask) > 0.5).astype(int)
@@ -114,14 +116,15 @@ class Denoiser:
         if inference:
             state = tuple(t.data for t in self.params.tensors())
             if self._cond_cache is not None:
-                c, m, s, built = self._cond_cache
-                if (np.array_equal(c, cond) and np.array_equal(m, mask_idx)
+                c, m, n, s, built = self._cond_cache
+                if (n == lengths and np.array_equal(c, cond) and np.array_equal(m, mask_idx)
                         and all(a is b for a, b in zip(s, state))):
                     return built
 
         cfg = self.cfg
         dtype = self.params.dtype
         c_len = cond.shape[0]
+        positions = nk.segment_positions(nk.segment_offsets(lengths))
         memory = nk.dense(nk.tensor(np.asarray(cond, dtype=dtype)), *self._cond_proj)
         cross_kv = []
         for blk in self._blocks:
@@ -130,55 +133,74 @@ class Denoiser:
             v = self._split_heads(kv[:, cfg.latent :], c_len)
             # the conditioning stream is duration-aligned with the target, so
             # rotary positions let cross-attention localize boundary frames
-            cross_kv.append((nk.rope_apply(k, np.arange(c_len)), v))
+            cross_kv.append((nk.rope_apply(k, positions), v))
         built = (cross_kv, self._mask_embed[mask_idx], Tensor(np.asarray(cond, dtype=dtype)))
         if inference:
             # holding the parameter arrays keeps their ids from being reused
-            self._cond_cache = (cond.copy(), mask_idx, state, built)
+            self._cond_cache = (cond.copy(), mask_idx, lengths, state, built)
         return built
 
     def forward(
         self,
         x_t: np.ndarray,
-        t: int,
+        t: int | list[int],
         cond: np.ndarray,
         mask: np.ndarray,
         rows: np.ndarray | None = None,
+        lengths: list[int] | tuple[int, ...] | None = None,
     ) -> Tensor:
-        """Clean-motion prediction, (T, D), or (len(rows), D) for the given rows.
+        """Clean-motion prediction, (N, D), or (len(rows), D) for the given rows.
 
-        With `rows`, the last block's queries, its FFN, the final norm and the
-        heads run on those rows only; keys and values still cover every frame.
-        Training and `predict_x0` both pass the rows inside the mask, the only
-        ones the loss and DDIM composition read.
+        x_t, cond and mask may hold several pairs laid end to end, of
+        `lengths` frames each (one pair when None). Dense layers, norms, GELU
+        and the heads run once over all rows; attention stays inside each
+        pair, whose RoPE positions restart at 0. `t` is one timestep for every
+        pair or a sequence of one per pair.
+
+        With `rows` (ascending indices into the N frames), the last block's
+        queries, its FFN, the final norm and the heads run on those rows only;
+        keys and values still cover every frame. Training and `predict_x0`
+        both pass the rows inside the mask, the only ones the loss and DDIM
+        composition read.
         """
         cfg = self.cfg
         dtype = self.params.dtype
-        t_len = x_t.shape[0]
-        positions = np.arange(t_len)
-        cross_kv, mask_emb, residual = self._conditioning(cond, mask)
+        lengths = (x_t.shape[0],) if lengths is None else tuple(int(n) for n in lengths)
+        offsets = nk.segment_offsets(lengths)
+        if offsets[-1] != x_t.shape[0]:
+            raise ValueError(f"pair lengths {lengths} do not add up to {x_t.shape[0]} frames")
+        positions = nk.segment_positions(offsets)
+        cross_kv, mask_emb, residual = self._conditioning(cond, mask, lengths)
 
         tok = nk.dense(nk.tensor(np.asarray(x_t, dtype=dtype)), *self._in_proj)
-        t_emb = nk.tensor(nk.sinusoidal_embedding(np.array([float(t)]), cfg.latent).astype(dtype))
+        steps = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        if len(steps) not in (1, len(lengths)):
+            raise ValueError(f"{len(steps)} timesteps for {len(lengths)} pairs")
+        t_emb = nk.tensor(nk.sinusoidal_embedding(steps, cfg.latent).astype(dtype))
         t_emb = nk.dense(nk.gelu(nk.dense(t_emb, *self._t1)), *self._t2)
+        if len(steps) > 1:
+            t_emb = t_emb[np.repeat(np.arange(len(steps)), lengths)]
         x = tok + t_emb + mask_emb
 
+        q_offsets = offsets
         last = len(self._blocks) - 1
         for i, (blk, (cross_k, cross_v)) in enumerate(zip(self._blocks, cross_kv)):
+            n = len(positions)
             normed = nk.layer_norm(x, *blk["ln1"])
             qkv = nk.dense(normed, *blk["qkv"])
-            k = nk.rope_apply(self._split_heads(qkv[:, cfg.latent : 2 * cfg.latent], t_len), positions)
-            v = self._split_heads(qkv[:, 2 * cfg.latent :], t_len)
+            k = nk.rope_apply(self._split_heads(qkv[:, cfg.latent : 2 * cfg.latent], n), positions)
+            v = self._split_heads(qkv[:, 2 * cfg.latent :], n)
             if i == last and rows is not None:
                 x, qkv, positions = x[rows], qkv[rows], positions[rows]
-            n = len(positions)
+                q_offsets = np.searchsorted(rows, offsets)
+                n = len(rows)
             q = nk.rope_apply(self._split_heads(qkv[:, : cfg.latent], n), positions)
-            attn = self._merge_heads(nk.scaled_dot_attention(q, k, v), n)
+            attn = self._merge_heads(nk.segment_attention(q, k, v, q_offsets, offsets), n)
             x = x + nk.dense(attn, *blk["self_out"])
 
             normed = nk.layer_norm(x, *blk["ln_x"])
             q = nk.rope_apply(self._split_heads(nk.dense(normed, *blk["q"]), n), positions)
-            cross = self._merge_heads(nk.scaled_dot_attention(q, cross_k, cross_v), n)
+            cross = self._merge_heads(nk.segment_attention(q, cross_k, cross_v, q_offsets, offsets), n)
             x = x + nk.dense(cross, *blk["cross_out"])
 
             normed = nk.layer_norm(x, *blk["ln2"])
@@ -194,14 +216,19 @@ class Denoiser:
             outputs.append(nk.dense(h, *layers[-1]))
         return nk.concat(outputs, axis=-1) + (residual if rows is None else residual[rows])
 
-    def predict_x0(self, x_t: np.ndarray, t: int, cond: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    def predict_x0(self, x_t: np.ndarray, t: int, cond: np.ndarray, mask) -> np.ndarray:
         """Inference-mode clean-motion prediction as a plain float64 array.
 
-        Only the rows inside the mask (mask > 0.5), the ones DDIM composition
-        keeps, are predicted; every other row is returned as `cond`.
+        `mask` is the mask values, or a mask object (`InpaintMask`,
+        `PackedMask`) whose `values` and `lengths` say where each pair of a
+        packed x_t starts. Only the rows inside the mask (values > 0.5), the
+        ones DDIM composition keeps, are predicted; every other row is
+        returned as `cond`.
         """
-        rows = np.flatnonzero(np.asarray(mask) > 0.5)
+        values = np.asarray(getattr(mask, "values", mask))
+        rows = np.flatnonzero(values > 0.5)
         out = np.array(cond, dtype=np.float64)
         with nk.no_grad():
-            out[rows] = self.forward(x_t, t, cond, mask, rows=rows).data
+            out[rows] = self.forward(x_t, t, cond, values, rows=rows,
+                                     lengths=getattr(mask, "lengths", None)).data
         return out

@@ -90,3 +90,34 @@ def combined_loss(
     recon = masked_recon_loss(x0_hat, x0, mask, part_weights, cfg.huber_beta)
     vel = velocity_loss(x0_hat, x0, mask, part_weights, cfg.huber_beta)
     return (recon + vel * cfg.lambda_vel) * weight_t
+
+
+def packed_loss(
+    x0_hat: Tensor,
+    x0: np.ndarray,
+    lengths: list[int],
+    part_weights: np.ndarray,
+    weights_t: list[float],
+    cfg: LossConfig = LossConfig(),
+) -> Tensor:
+    """Mean over items of `combined_loss`, for items laid end to end whose
+    frames are all supervised (mask 1), item i holding lengths[i] rows.
+
+    Both terms are weighted sums over all rows at once: each row carries its
+    item's w(t) over its item's denominator and the item count. A velocity
+    pair that would span two items gets weight 0.
+    """
+    dtype = x0_hat.dtype
+    lengths = np.asarray(lengths)
+    part_weights = np.asarray(part_weights, dtype=np.float64)
+    scale = np.asarray(weights_t, dtype=np.float64) / len(lengths)
+    recon = scale / np.maximum(lengths * part_weights.sum(), DENOM_EPS)
+    vel = scale * cfg.lambda_vel / np.maximum((lengths - 1) * part_weights.sum(), DENOM_EPS)
+    row_w = np.repeat(recon, lengths)[:, None] * part_weights[None, :]
+    pair_w = np.repeat(vel, lengths)[:-1]
+    pair_w[np.cumsum(lengths)[:-1] - 1] = 0.0
+    pair_w = pair_w[:, None] * part_weights[None, :]
+    x0 = np.asarray(x0, dtype=dtype)
+    err = smooth_l1(x0_hat - Tensor(x0), cfg.huber_beta)
+    err_vel = smooth_l1(x0_hat[1:, :] - x0_hat[:-1, :] - Tensor(np.diff(x0, axis=0)), cfg.huber_beta)
+    return (err * Tensor(row_w.astype(dtype))).sum() + (err_vel * Tensor(pair_w.astype(dtype))).sum()

@@ -22,6 +22,25 @@ class InpaintMask:
         if not np.array_equal(self.values > 0.5, expected):
             raise ValueError("mask values do not match the boundary/radius definition")
 
+    @property
+    def lengths(self) -> tuple[int, ...]:
+        """One segment: the whole pair."""
+        return (len(self.values),)
+
+
+@dataclass(frozen=True)
+class PackedMask:
+    """The boundary masks of several pairs laid end to end: `values` over all
+    their frames, and each pair's frame count in `lengths`."""
+
+    values: np.ndarray
+    lengths: tuple[int, ...]
+
+
+def pack_masks(masks: list[InpaintMask]) -> PackedMask:
+    """The masks of pairs that are laid end to end in this order."""
+    return PackedMask(np.concatenate([m.values for m in masks]), tuple(len(m.values) for m in masks))
+
 
 def make_boundary_mask(t_a: int, t_b: int, radius: int) -> InpaintMask:
     """Mask is set where |i - t_a| <= radius."""

@@ -3,24 +3,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .masks import InpaintMask
+from .masks import InpaintMask, PackedMask
 from .schedule import DiffusionSchedule
 
 
 def ddim_refine(
     x_tilde: np.ndarray,
-    mask: InpaintMask,
+    mask: InpaintMask | PackedMask,
     denoiser,
     schedule: DiffusionSchedule,
     steps: int = 50,
     rng: np.random.Generator | None = None,
     noise: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Refine the boundary region of a duration-adjusted pair.
+    """Refine the boundary region of a duration-adjusted pair, or of several
+    pairs laid end to end under a `PackedMask`.
 
     The reverse process starts from noise only inside the mask; unmasked frames
-    stay pinned to x_tilde throughout and in the returned composition. The
-    denoiser must expose predict_x0(x_t, t, cond, mask_values).
+    stay pinned to x_tilde throughout and in the returned composition. Every
+    update is row-wise, so packed pairs refine as they would one by one, up to
+    the denoiser's rounding. The denoiser must expose
+    predict_x0(x_t, t, cond, mask), which receives the mask object: its
+    `values` and the pair `lengths`.
     """
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
     m = mask.values[:, None]
@@ -35,7 +39,7 @@ def ddim_refine(
     x = m * noise + (1.0 - m) * x_tilde
     x0_comp = x_tilde.copy()
     for i, t in enumerate(plan):
-        x0_hat = np.asarray(denoiser.predict_x0(x, t, x_tilde, mask.values), dtype=np.float64)
+        x0_hat = np.asarray(denoiser.predict_x0(x, t, x_tilde, mask), dtype=np.float64)
         # pin temporal-context frames to the duration-adjusted input
         x0_comp = np.where(m > 0.5, x0_hat, x_tilde)
         ab_t = schedule.alpha_bar[t]

@@ -8,7 +8,7 @@ import numpy as np
 from .. import neuralkit as nk
 from ..neuralkit import Tensor
 from .denoiser import Denoiser
-from .losses import LossConfig, combined_loss
+from .losses import LossConfig, packed_loss
 from .masks import RADIUS_MAX, RADIUS_MIN, make_boundary_mask, sample_radius
 from .schedule import DiffusionSchedule, min_snr_weight, q_sample
 
@@ -42,6 +42,42 @@ class InpaintTrainConfig:
     seed: int = 0
 
 
+def packed_step_loss(
+    items: list[PairItem],
+    denoiser: Denoiser,
+    schedule: DiffusionSchedule,
+    loss_cfg: LossConfig,
+    draws: list[tuple[int, int, np.ndarray]],
+    part_weights: np.ndarray,
+) -> Tensor:
+    """Mean objective over items, each at its own (t, radius, noise) draw.
+
+    The loss reads only the frames inside each item's boundary mask, one
+    contiguous run, so the items are packed: one denoiser forward over all of
+    them laid end to end predicts those rows only, and one loss scores them
+    (the same frames and velocity pairs as on the full pairs). A step builds
+    one graph, whatever the batch size.
+    """
+    x_t, masks, rows, runs, weights_t = [], [], [], [], []
+    offset = 0
+    for item, (t, radius, noise) in zip(items, draws):
+        length = item.x0.shape[0]
+        mask = make_boundary_mask(item.boundary_index, length - item.boundary_index, radius).values
+        item_rows = np.flatnonzero(mask > 0.5)
+        x_t.append(q_sample(item.x0, t, noise, schedule))
+        masks.append(mask)
+        rows.append(item_rows + offset)
+        runs.append(len(item_rows))
+        weights_t.append(min_snr_weight(t, schedule, loss_cfg.min_snr_gamma))
+        offset += length
+    rows = np.concatenate(rows)
+    x0_hat = denoiser.forward(np.concatenate(x_t), [t for t, _, _ in draws],
+                              np.concatenate([item.x_tilde for item in items]), np.concatenate(masks),
+                              rows=rows, lengths=[item.x0.shape[0] for item in items])
+    x0 = np.concatenate([item.x0 for item in items])[rows]
+    return packed_loss(x0_hat, x0, runs, part_weights, weights_t, loss_cfg)
+
+
 def sample_step_loss(
     item: PairItem,
     denoiser: Denoiser,
@@ -52,18 +88,9 @@ def sample_step_loss(
     noise: np.ndarray,
     part_weights: np.ndarray,
 ) -> Tensor:
-    """Single-sample objective at a fixed timestep/radius/noise draw.
-
-    The loss reads only the frames inside the boundary mask, one contiguous
-    run, so the denoiser predicts those rows only and the loss is scored on
-    them: the same frames and velocity pairs as on the full pair.
-    """
-    mask = make_boundary_mask(item.boundary_index, item.x0.shape[0] - item.boundary_index, radius)
-    rows = np.flatnonzero(mask.values > 0.5)
-    x_t = q_sample(item.x0, t, noise, schedule)
-    x0_hat = denoiser.forward(x_t, t, item.x_tilde, mask.values, rows=rows)
-    w_t = min_snr_weight(t, schedule, loss_cfg.min_snr_gamma)
-    return combined_loss(x0_hat, item.x0[rows], mask.values[rows], part_weights, w_t, loss_cfg)
+    """Single-sample objective at a fixed timestep/radius/noise draw: the
+    one-item case of `packed_step_loss`."""
+    return packed_step_loss([item], denoiser, schedule, loss_cfg, [(t, radius, noise)], part_weights)
 
 
 def batch_loss(
@@ -74,18 +101,14 @@ def batch_loss(
     rng: np.random.Generator,
     radius_range: tuple[int, int] = (RADIUS_MIN, RADIUS_MAX),
 ) -> Tensor:
-    """Mean objective over a batch with per-item t, radius, and noise draws."""
-    part_weights = loss_cfg.part_weights(denoiser.layout)
-    terms = []
+    """Mean objective over a batch with per-item t, radius, and noise draws,
+    drawn item by item in that order, then scored packed."""
+    draws = []
     for item in batch:
         t = int(rng.integers(1, schedule.num_steps + 1))
         radius = sample_radius(rng, *radius_range)
-        noise = rng.standard_normal(item.x0.shape)
-        terms.append(sample_step_loss(item, denoiser, schedule, loss_cfg, t, radius, noise, part_weights))
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total * (1.0 / len(terms))
+        draws.append((t, radius, rng.standard_normal(item.x0.shape)))
+    return packed_step_loss(batch, denoiser, schedule, loss_cfg, draws, loss_cfg.part_weights(denoiser.layout))
 
 
 def train_inpainter(

@@ -143,6 +143,68 @@ def scaled_dot_attention(
     return attn @ v
 
 
+def segment_offsets(lengths) -> np.ndarray:
+    """Row offsets of segments laid end to end in a flat (N, F) array:
+    segment s holds rows offsets[s]:offsets[s + 1], and offsets[-1] = N."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def segment_positions(offsets: np.ndarray) -> np.ndarray:
+    """Each row's position inside its segment, restarting at 0 per segment."""
+    return np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
+
+
+def segment_attention(q: Tensor, k: Tensor, v: Tensor, q_offsets: np.ndarray,
+                      k_offsets: np.ndarray) -> Tensor:
+    """Attention inside the segments of packed rows, as one autograd node.
+
+    Shapes are (..., N_q, d) x (..., N_k, d) -> (..., N_q, d_v). Query rows
+    q_offsets[s]:q_offsets[s + 1] attend to key rows k_offsets[s]:k_offsets[s + 1]
+    only, so nothing is padded and no segment sees another (Dao 2023; Krell et
+    al. 2021). Each segment's forward repeats `scaled_dot_attention`'s ops;
+    the backward is the closed form, in the inputs' dtype:
+    dS = P * (dP - rowsum(dP * P)) * scale, with dP = g V^T.
+    """
+    if len(q_offsets) != len(k_offsets):
+        raise ValueError("query and key offsets must name the same segments")
+    if (q_offsets[0] != 0 or k_offsets[0] != 0 or q_offsets[-1] != q.shape[-2]
+            or k_offsets[-1] != k.shape[-2] or np.any(np.diff(q_offsets) < 0)
+            or np.any(np.diff(k_offsets) < 0)):
+        raise ValueError("segment offsets must rise from 0 to the row counts")
+    scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+    out_data = np.empty(q.shape[:-1] + v.shape[-1:], dtype=q.dtype)
+    spans, probs = [], []
+    for q0, q1, k0, k1 in zip(q_offsets[:-1], q_offsets[1:], k_offsets[:-1], k_offsets[1:]):
+        if q1 == q0:
+            continue
+        scores = (q.data[..., q0:q1, :] @ np.swapaxes(k.data[..., k0:k1, :], -1, -2)) * scale
+        exps = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p = exps / exps.sum(axis=-1, keepdims=True)
+        out_data[..., q0:q1, :] = p @ v.data[..., k0:k1, :]
+        spans.append((q0, q1, k0, k1))
+        probs.append(p)
+
+    def backward(g):
+        dq = np.zeros_like(q.data)
+        dk = np.zeros_like(k.data)
+        dv = np.zeros_like(v.data)
+        for (q0, q1, k0, k1), p in zip(spans, probs):
+            gs = g[..., q0:q1, :]
+            dv[..., k0:k1, :] = np.swapaxes(p, -1, -2) @ gs
+            dp = gs @ np.swapaxes(v.data[..., k0:k1, :], -1, -2)
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+            ds *= scale
+            dq[..., q0:q1, :] = ds @ k.data[..., k0:k1, :]
+            dk[..., k0:k1, :] = np.swapaxes(ds, -1, -2) @ q.data[..., q0:q1, :]
+        for t, grad in ((q, dq), (k, dk), (v, dv)):
+            if t.requires_grad:
+                t._accumulate(grad)
+
+    return Tensor._make(out_data, (q, k, v), backward)
+
+
 class ParameterSet:
     """Named parameter tensors with gradient slots and EMA shadow copies."""
 

@@ -49,6 +49,7 @@ from .inpaint import (
     ddim_refine,
     linear_transition_baseline,
     make_boundary_mask,
+    pack_masks,
     train_inpainter,
 )
 from .metrics import SyntheticSkeletonAdapter, dtw_alignments, fgd, length_ratio, procrustes_path_error
@@ -107,7 +108,8 @@ SCHEMA_VERSION = 2
 
 def _jsonable(value):
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(value).items()}
+        # field by field: `dataclasses.asdict` would deep-copy every section
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -612,23 +614,29 @@ def compose_and_stitch(
             digest = int(hashlib.sha256(sid.encode("utf-8")).hexdigest()[:8], 16)
             rng = np.random.default_rng(config.seed + digest)
 
-            refined_pairs = []
             baseline_pairs = []
+            adjusted, masks, noise = [], [], []
             fallback = denoiser is None
             for i in range(k - 1):
                 a, b = segments[i], segments[i + 1]
-                base_frames, base_boundary = linear_transition_baseline(
-                    a, b, config.baseline_transition_frames)
-                baseline_pairs.append((base_frames, base_boundary))
+                baseline_pairs.append(linear_transition_baseline(a, b, config.baseline_transition_frames))
                 if denoiser is None:
-                    refined_pairs.append((base_frames, base_boundary))
                     continue
-                adjusted, plan = duration_adjust_pair(a, b, gloss_model,
-                                                      config.dur_model.window, config.min_gloss_len)
-                mask = make_boundary_mask(plan.lengths[0], plan.lengths[1], config.inference_radius)
-                refined = ddim_refine(adjusted, mask, denoiser, schedule,
-                                      steps=config.ddim_steps, rng=rng)
-                refined_pairs.append((refined, plan.lengths[0]))
+                frames, plan = duration_adjust_pair(a, b, gloss_model,
+                                                    config.dur_model.window, config.min_gloss_len)
+                adjusted.append(frames)
+                masks.append(make_boundary_mask(plan.lengths[0], plan.lengths[1], config.inference_radius))
+                noise.append(rng.standard_normal(frames.shape))
+            refined_pairs = baseline_pairs
+            if adjusted:
+                # one DDIM run over the sentence's pairs laid end to end; the
+                # noise is each pair's draw in pair order, as one run per pair
+                # would draw it
+                packed = pack_masks(masks)
+                refined = ddim_refine(np.concatenate(adjusted), packed, denoiser, schedule,
+                                      steps=config.ddim_steps, noise=np.concatenate(noise))
+                parts = np.split(refined, np.cumsum(packed.lengths)[:-1])
+                refined_pairs = [(part, m.boundary_index) for part, m in zip(parts, masks)]
 
             if k == 1:
                 # single-gloss sentences bypass pairing entirely

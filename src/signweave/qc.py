@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from .metrics import _dtw_wavefront
+from .metrics import _BLOCK_ELEMENTS, _dtw_wavefront
 from .motion import GlossClip, MotionSequence, PartLayout, yaw_angle
 
 
@@ -96,8 +96,22 @@ def _feature_costs(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
     if query.shape[1] != reference.shape[1]:
         raise ValueError(f"feature dimensions differ: query {query.shape[1]}, "
                          f"reference {reference.shape[1]}")
-    d = query.shape[1]
-    return np.linalg.norm(query[:, None, :] - reference[None, :, :], axis=-1) / np.sqrt(d)
+    t_q, t_r, d = query.shape[0], reference.shape[0], query.shape[1]
+    costs = np.empty((t_q, t_r))
+    # a few query rows at a time; each row's squares are summed with one
+    # contiguous last-axis reduce, as np.linalg.norm sums them, so the costs
+    # keep their bits without a full (T_q, T_r, D) difference array
+    step = max(_BLOCK_ELEMENTS // (t_r * d), 1)
+    tile = np.empty((min(step, t_q), t_r, d))
+    for lo in range(0, t_q, step):
+        hi = min(lo + step, t_q)
+        diff = tile[: hi - lo]
+        np.subtract(query[lo:hi, None, :], reference[None, :, :], out=diff)
+        diff *= diff
+        np.add.reduce(diff, axis=-1, out=costs[lo:hi])
+    np.sqrt(costs, out=costs)
+    costs /= np.sqrt(d)
+    return costs
 
 
 def _subsequence_cost(cost: np.ndarray) -> float:

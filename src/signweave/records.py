@@ -112,15 +112,24 @@ def _typed(raw: dict, key: str, kind: type, where: str):
     return value
 
 
+def _scalar(raw: dict, key: str, kind: type, where: str, default=None):
+    """raw[key] (or the default when absent), which must be exactly a `kind`:
+    no null, and no number or string standing in for a bool."""
+    value = raw.get(key, default)
+    if type(value) is not kind:
+        raise IngestError(where, f"{key} must be a {'string' if kind is str else 'boolean'}, not {value!r}")
+    return value
+
+
 def _parse_word_record(raw: dict, where: str, strict: bool) -> WordRecord:
     _check_keys(raw, {"gloss", "core_span", *PART_FRAME_DIMS}, WORD_KEYS, strict, where)
     t = _check_flat_arrays(raw, where)
     return WordRecord(
-        gloss=str(raw["gloss"]),
+        gloss=_scalar(raw, "gloss", str, where),
         source_info=_typed(raw, "source_info", dict, where),
         segment=_typed(raw, "segment", dict, where),
         enrichment=_typed(raw, "enrichment", dict, where),
-        is_dominant=bool(raw.get("is_dominant", True)),
+        is_dominant=_scalar(raw, "is_dominant", bool, where, default=True),
         core_span=_span(raw["core_span"], t, "core_span", where),
         facial_expression=raw["facial_expression"],
         body=raw["body"],
@@ -133,14 +142,16 @@ def _parse_sentence(raw: dict, where: str, strict: bool) -> Sentence:
     _check_keys(raw, {"text", "glosses", *PART_FRAME_DIMS}, SENTENCE_KEYS, strict, where)
     t = _check_flat_arrays(raw, where)
     glosses = _typed(raw, "glosses", list, where)
+    if not all(type(g) is str for g in glosses):
+        raise IngestError(where, f"glosses must be strings, not {glosses!r}")
     spans = None
     if raw.get("gloss_spans") is not None:
         spans = [_span(s, t, "gloss span", where) for s in _typed(raw, "gloss_spans", list, where)]
         if len(spans) != len(glosses):
             raise IngestError(where, "gloss_spans must pair with glosses")
     return Sentence(
-        text=str(raw["text"]),
-        glosses=[str(g) for g in glosses],
+        text=_scalar(raw, "text", str, where),
+        glosses=glosses,
         frames={k: raw[k] for k in PART_FRAME_DIMS},
         gloss_spans=spans,
     )

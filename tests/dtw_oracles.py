@@ -74,9 +74,14 @@ def loop_subsequence(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
     return path, float(acc[-1, end])
 
 
-def loop_subsequence_distance(query: np.ndarray, reference: np.ndarray) -> float:
+def full_feature_costs(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """QC's frame costs from one full (T_q, T_r, D) difference array."""
     d = query.shape[1]
-    cost = np.linalg.norm(query[:, None, :] - reference[None, :, :], axis=-1) / np.sqrt(d)
+    return np.linalg.norm(query[:, None, :] - reference[None, :, :], axis=-1) / np.sqrt(d)
+
+
+def loop_subsequence_distance(query: np.ndarray, reference: np.ndarray) -> float:
+    cost = full_feature_costs(query, reference)
     path, total = loop_subsequence(cost)
     return total / len(path)
 

@@ -321,6 +321,34 @@ class TestPaddedBatch:
             np.testing.assert_allclose(alloc.data[i, :k], a_one.data[0], rtol=1e-5, atol=1e-6)
             assert np.all(alloc.data[i, k:] == 0.0)
 
+    def test_packed_attention_matches_padded_attention(self):
+        """The packed primitive on the predictor's (B, H, K, dh) attention:
+        the sentences' valid rows laid end to end as segments give the padded,
+        key-masked attention on every valid row, forward and gradients,
+        within float32 rounding."""
+        rng = np.random.default_rng(38)
+        lengths = [3, 8, 1, 5]
+        shape = (len(lengths), 2, max(lengths), 4)
+        valid = np.arange(shape[2])[None, :] < np.array(lengths)[:, None]
+        arrays = [rng.normal(size=shape).astype(np.float32) for _ in range(3)]
+        weight = (rng.normal(size=shape) * valid[:, None, :, None]).astype(np.float32)
+        padded = [nk.tensor(a, requires_grad=True) for a in arrays]
+        out = nk.scaled_dot_attention(*padded, key_padding_mask=valid[:, None, None, :])
+        (out * nk.Tensor(weight)).sum().backward()
+
+        def pack(a):
+            """(B, H, K, dh) -> (H, N, dh): each sentence's valid rows in turn."""
+            return np.concatenate([a[i, :, :n] for i, n in enumerate(lengths)], axis=1)
+
+        packed = [nk.tensor(pack(a), requires_grad=True) for a in arrays]
+        offsets = nk.segment_offsets(lengths)
+        got = nk.segment_attention(*packed, offsets, offsets)
+        (got * nk.Tensor(pack(weight))).sum().backward()
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got.data, pack(out.data), rtol=1e-5, atol=1e-6)
+        for leaf, padded_leaf in zip(packed, padded):
+            np.testing.assert_allclose(leaf.grad, pack(padded_leaf.grad), rtol=1e-5, atol=1e-6)
+
 
 class TestNonFiniteLoss:
     cfg = DurationTrainConfig(epochs=2, batch_size=8, seed=3)

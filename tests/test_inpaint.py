@@ -13,6 +13,7 @@ from signweave.inpaint import (
     DiffusionSchedule,
     InpaintTrainConfig,
     LossConfig,
+    PackedMask,
     PairItem,
     batch_loss,
     combined_loss,
@@ -21,7 +22,9 @@ from signweave.inpaint import (
     make_boundary_mask,
     masked_recon_loss,
     min_snr_weight,
+    pack_masks,
     q_sample,
+    sample_radius,
     sample_step_loss,
     train_inpainter,
     velocity_loss,
@@ -291,6 +294,28 @@ class TestDdim:
         b = ddim_refine(x_tilde, mask, denoiser, self.schedule, steps=5, rng=np.random.default_rng(42))
         assert np.array_equal(a, b)
 
+    def test_packed_pairs_match_per_pair_runs(self):
+        """One DDIM run over pairs laid end to end gives each pair's own run,
+        up to float32 rounding: every update is row-wise, and the denoiser
+        keeps attention inside each pair."""
+        denoiser = perturbed_denoiser(6)
+        rng = np.random.default_rng(13)
+        masks = [make_boundary_mask(a, b, 4) for a, b in ((9, 12), (15, 7), (6, 6))]
+        pairs = [rng.normal(size=(len(m.values), 206)) * 0.5 for m in masks]
+        noise = [rng.standard_normal(p.shape) for p in pairs]
+        want = np.concatenate([ddim_refine(p, m, denoiser, self.schedule, steps=6, noise=n)
+                               for p, m, n in zip(pairs, masks, noise)])
+        packed = pack_masks(masks)
+        x_tilde, noise = np.concatenate(pairs), np.concatenate(noise)
+        got = ddim_refine(x_tilde, packed, denoiser, self.schedule, steps=6, noise=noise)
+        keep = packed.values < 0.5
+        assert np.array_equal(got[keep], x_tilde[keep])
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6 * np.abs(want).max())
+        # the same frames taken as one long pair attend across the boundaries
+        one = ddim_refine(x_tilde, PackedMask(packed.values, (len(x_tilde),)), denoiser, self.schedule,
+                          steps=6, noise=noise)
+        assert np.abs(one - want).max() > 1e-3
+
     def test_too_many_steps_rejected(self):
         mask = make_boundary_mask(10, 10, 3)
         with pytest.raises(ValueError):
@@ -388,6 +413,15 @@ class TestPredictX0:
         got = denoiser.predict_x0(self.x_t, 70, cond, narrow)
         assert np.array_equal(got, fresh_copy(denoiser).predict_x0(self.x_t, 70, cond, narrow))
 
+    def test_other_pair_lengths_never_served_from_cache(self):
+        denoiser = perturbed_denoiser(4)
+        whole = denoiser.predict_x0(self.x_t, 70, self.cond, PackedMask(self.mask, (18,)))
+        assert np.array_equal(whole, denoiser.predict_x0(self.x_t, 70, self.cond, self.mask))
+        split = PackedMask(self.mask, (9, 9))
+        got = denoiser.predict_x0(self.x_t, 70, self.cond, split)
+        assert np.array_equal(got, fresh_copy(denoiser).predict_x0(self.x_t, 70, self.cond, split))
+        assert not np.array_equal(got, whole)
+
     def test_inference_forward_equals_training_forward(self):
         denoiser = perturbed_denoiser(5)
         graph = denoiser.forward(self.x_t, 10, self.cond, self.mask)
@@ -452,6 +486,64 @@ class TestRowsOnlyTraining:
         for objective in (full_row_step_loss, sample_step_loss):
             denoiser.params.zero_grad()
             loss = objective(item, denoiser, schedule, LossConfig(), 300, radius, noise, weights)
+            loss.backward()
+            results.append((loss.data, {n: denoiser.params[n].grad for n in denoiser.params.names()}))
+        (want, want_grads), (got, got_grads) = results
+        assert got.dtype == np.float32
+        assert got == pytest.approx(want, rel=1e-6)
+        for name, grad in got_grads.items():
+            assert grad.dtype == np.float32, name
+            np.testing.assert_allclose(grad, want_grads[name], rtol=1e-5, atol=1e-6 * np.abs(want_grads[name]).max(),
+                                       err_msg=name)
+
+    def test_packed_forward_matches_per_item_forwards(self):
+        """Items laid end to end, each with its own t and rows, give each
+        item's own forward within float32 rounding."""
+        rng = np.random.default_rng(20)
+        denoiser = perturbed_denoiser(8)
+        lengths, ts = [40, 30, 57], [5, 300, 900]
+        x_t = [rng.normal(size=(n, 206)) for n in lengths]
+        cond = [rng.normal(size=(n, 206)) for n in lengths]
+        masks = [make_boundary_mask(n // 2, n - n // 2, 6).values for n in lengths]
+        rows = [np.flatnonzero(m > 0.5) for m in masks]
+        want = np.concatenate([denoiser.forward(*args).data for args in zip(x_t, ts, cond, masks, rows)])
+        starts = np.cumsum([0] + lengths[:-1])
+        got = denoiser.forward(np.concatenate(x_t), ts, np.concatenate(cond), np.concatenate(masks),
+                               rows=np.concatenate([r + s for r, s in zip(rows, starts)]), lengths=lengths)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got.data, want, rtol=1e-5, atol=1e-6 * np.abs(want).max())
+
+    def test_packed_batch_matches_per_item_objectives(self):
+        """batch_loss packs its items into one forward and one loss. With the
+        same draws it is the mean of the items' sample_step_loss: the loss and
+        every parameter gradient agree within float32 rounding."""
+        rng = np.random.default_rng(21)
+        denoiser = perturbed_denoiser(7)
+        items = []
+        # interior, clipped at the start, clipped at the end, long, fully masked
+        for length, boundary in ((40, 19), (30, 4), (30, 24), (57, 30), (12, 6)):
+            x_tilde = rng.normal(size=(length, 206)) * 0.5
+            items.append(PairItem(x_tilde, x_tilde + rng.normal(size=x_tilde.shape) * 0.1, boundary))
+        schedule, cfg = DiffusionSchedule(), LossConfig()
+        weights = cfg.part_weights(denoiser.layout)
+
+        def per_item(draws):
+            """batch_loss's draws in its order, one sample_step_loss per item."""
+            terms = []
+            for item in items:
+                t = int(draws.integers(1, schedule.num_steps + 1))
+                radius = sample_radius(draws, 3, 9)
+                noise = draws.standard_normal(item.x0.shape)
+                terms.append(sample_step_loss(item, denoiser, schedule, cfg, t, radius, noise, weights))
+            return sum(terms[1:], terms[0]) * (1.0 / len(terms))
+
+        def packed(draws):
+            return batch_loss(items, denoiser, schedule, cfg, draws, (3, 9))
+
+        results = []
+        for objective in (per_item, packed):
+            denoiser.params.zero_grad()
+            loss = objective(np.random.default_rng(5))
             loss.backward()
             results.append((loss.data, {n: denoiser.params[n].grad for n in denoiser.params.names()}))
         (want, want_grads), (got, got_grads) = results

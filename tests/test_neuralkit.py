@@ -23,6 +23,9 @@ from signweave.neuralkit import (
     rope_apply,
     save_checkpoint,
     scaled_dot_attention,
+    segment_attention,
+    segment_offsets,
+    segment_positions,
     sinusoidal_embedding,
     softmax,
     stack,
@@ -88,6 +91,15 @@ class TestKernelGradients:
         valid = np.array([[True, True, True, False], [True, False, False, False]])[:, None, None, :]
         check_gradients(lambda: (scaled_dot_attention(q, k, v, key_padding_mask=valid) ** 2).sum(),
                         [q, k, v])
+
+    def test_segment_attention(self):
+        rng = np.random.default_rng(15)
+        q = leaf(rng, (2, 6, 4), "q")
+        k = leaf(rng, (2, 7, 4), "k")
+        v = leaf(rng, (2, 7, 3), "v")
+        # the second segment has keys but no queries
+        q_offsets, k_offsets = segment_offsets([2, 0, 4]), segment_offsets([3, 1, 3])
+        check_gradients(lambda: (segment_attention(q, k, v, q_offsets, k_offsets) ** 2).sum(), [q, k, v])
 
     def test_rope(self):
         rng = np.random.default_rng(6)
@@ -169,6 +181,60 @@ class TestAttentionMask:
         assert out.dtype == np.float32
         # the first query sees only the first key
         np.testing.assert_allclose(out.data[0], v.data[0], rtol=1e-6)
+
+
+class TestSegmentAttention:
+    """segment_attention is one autograd node over packed rows. Each segment
+    gives `scaled_dot_attention`'s forward on its own rows bit for bit, and
+    the composed per-segment graph's gradients within the rounding of the
+    dtype; float32 inputs get float32 gradients."""
+
+    # query and key rows per segment; the second segment has no queries
+    Q_LENGTHS, K_LENGTHS = [3, 0, 5, 1], [4, 2, 6, 1]
+    RTOL = {np.float32: 1e-5, np.float64: 1e-10}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_segment_attention(self, monkeypatch, dtype):
+        rng = np.random.default_rng(16)
+        q = rng.normal(size=(2, sum(self.Q_LENGTHS), 4)).astype(dtype)
+        k, v = (rng.normal(size=(2, sum(self.K_LENGTHS), 4)).astype(dtype) for _ in range(2))
+        weight = Tensor(rng.normal(size=q.shape).astype(dtype))
+        q_offsets, k_offsets = segment_offsets(self.Q_LENGTHS), segment_offsets(self.K_LENGTHS)
+
+        want_leaves = [tensor(a, requires_grad=True) for a in (q, k, v)]
+        wq, wk, wv = want_leaves
+        spans = zip(q_offsets[:-1], q_offsets[1:], k_offsets[:-1], k_offsets[1:])
+        want = concat([scaled_dot_attention(wq[:, q0:q1], wk[:, k0:k1], wv[:, k0:k1])
+                       for q0, q1, k0, k1 in spans if q1 > q0], axis=1)
+        (want * weight).sum().backward()
+
+        computed = []
+        accumulate = Tensor._accumulate
+        monkeypatch.setattr(Tensor, "_accumulate",
+                            lambda t, g: computed.append(np.asarray(g).dtype) or accumulate(t, g))
+        got_leaves = [tensor(a, requires_grad=True) for a in (q, k, v)]
+        got = segment_attention(*got_leaves, q_offsets, k_offsets)
+        (got * weight).sum().backward()
+        assert computed and set(computed) == {np.dtype(dtype)}
+        assert got.dtype == dtype and np.array_equal(got.data, want.data)
+        for got_leaf, want_leaf in zip(got_leaves, want_leaves):
+            assert got_leaf.grad.dtype == dtype
+            np.testing.assert_allclose(got_leaf.grad, want_leaf.grad, rtol=self.RTOL[dtype],
+                                       atol=self.RTOL[dtype] * np.abs(want_leaf.grad).max())
+        # key rows that no query sees get no gradient
+        assert not np.any(got_leaves[1].grad[:, 4:6]) and not np.any(got_leaves[2].grad[:, 4:6])
+
+    def test_offsets_and_positions(self):
+        offsets = segment_offsets([3, 1, 2])
+        assert offsets.tolist() == [0, 3, 4, 6]
+        assert segment_positions(offsets).tolist() == [0, 1, 2, 0, 0, 1]
+
+    @pytest.mark.parametrize("q_lengths, k_lengths", [([2, 1], [6]), ([2, 2], [3, 3]), ([4, -1], [2, 4])],
+                             ids=["segment-count", "row-count", "falling"])
+    def test_bad_offsets_rejected(self, q_lengths, k_lengths):
+        q, k = Tensor(np.zeros((3, 2))), Tensor(np.zeros((6, 2)))
+        with pytest.raises(ValueError, match="offsets"):
+            segment_attention(q, k, k, segment_offsets(q_lengths), segment_offsets(k_lengths))
 
 
 class TestNoGrad:

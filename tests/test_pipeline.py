@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -60,6 +61,19 @@ class TestConfig:
         b.ddim_steps = 9
         assert stage_hash(a, "synth") == stage_hash(b, "synth")
         assert stage_hash(a, "compose") != stage_hash(b, "compose")
+
+    def test_default_stage_hashes_are_pinned(self):
+        """A change to how the config is serialized must not invalidate
+        existing work directories: the default config's hashes stay these."""
+        assert {stage: stage_hash(PipelineConfig(), stage) for stage in STAGES} == {
+            "synth": "657031c5f8b5f7c8",
+            "qc": "11efc1e3822dd85f",
+            "trim": "fa725f6e1940a580",
+            "duration": "13b70d0ad9926cf0",
+            "inpaint": "fcbd72642383d785",
+            "compose": "07637fe26a65467d",
+            "eval": "07637fe26a65467d",
+        }
 
     def test_apply_overrides(self, tmp_path):
         config = tiny_config(tmp_path)
@@ -142,6 +156,21 @@ class TestDeterminism:
         r2 = run_pipeline(tiny_config(tmp_path / "b"))
         assert r1["sentence"] == r2["sentence"]
         assert r1["duration_eval"] == r2["duration_eval"]
+
+    def test_sentence_composed_alone_is_byte_identical(self, tmp_path):
+        """DDIM packs the pairs of one sentence, never of several: a sentence's
+        frames do not depend on which other sentences are held out."""
+        config = tiny_config(tmp_path / "work", steps=4)
+        store = StageStore(config.work_dir)
+        data = prepare_data(config, store)
+        gloss_model, sent_model = train_duration_stage(config, store, data)
+        denoiser, schedule = train_inpaint_stage(config, store, data, gloss_model)
+        together = compose_and_stitch(config, data, gloss_model, sent_model, denoiser, schedule)
+        assert len(together) >= 2 and not any(c.fallback for c in together)
+        for composed in reversed(together):
+            alone = dataclasses.replace(data, eval_ids=[composed.sentence_id])
+            [again] = compose_and_stitch(config, alone, gloss_model, sent_model, denoiser, schedule)
+            assert again.ours.frames.tobytes() == composed.ours.frames.tobytes()
 
 
 class TestWorkersAndFallback:

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import signweave.qc as qc
 from signweave.motion import GlossClip, MotionSequence, PartLayout
-from dtw_oracles import loop_subsequence_distance
+from dtw_oracles import full_feature_costs, loop_subsequence_distance
 from synth_oracles import loop_evaluate, loop_synth_generate
 from signweave.qc import (
     QcConfig,
@@ -153,8 +154,15 @@ def _malformed_word(key, value):
     ("U", {"conversation": ["hello"]}, True, 0),
     ("U", {"conversation": [{"role": "user", "sentences": [_sentence_dict(text=None)]}]}, False, 0),
     ("U", {"conversation": [{"role": "user", "sentences": [_sentence_dict(glosses=None)]}]}, True, 0),
+    ("W", _malformed_word("gloss", None), True, "HELLO.v0"),
+    ("W", _malformed_word("gloss", 7), True, "HELLO.v0"),
+    ("W", _malformed_word("is_dominant", "no"), True, "HELLO.v0"),
+    ("W", _malformed_word("is_dominant", 1), True, "HELLO.v0"),
+    ("U", {"conversation": [{"role": "user", "sentences": [_sentence_dict(text=5)]}]}, True, 0),
+    ("U", {"conversation": [{"role": "user", "sentences": [_sentence_dict(glosses=["HI", None])]}]}, True, 0),
 ], ids=["word-not-object", "core-span-int", "core-span-short", "body-int", "source-info-string",
-        "body-strings", "conversation-int", "turn-string", "lenient-no-text", "spans-no-glosses"])
+        "body-strings", "conversation-int", "turn-string", "lenient-no-text", "spans-no-glosses",
+        "gloss-null", "gloss-int", "dominant-string", "dominant-int", "text-int", "gloss-list-null"])
 def test_malformed_record_is_a_clear_error(tmp_path, capsys, schema, record, strict, record_id):
     """A malformed record raises a ValueError that names the file and the
     record, and the commands that ingest it exit 2 without a traceback."""
@@ -261,6 +269,15 @@ class TestDominantSplit:
             query = rng.normal(size=(int(rng.integers(1, 14)), 5))
             reference = rng.normal(size=(int(rng.integers(1, 14)), 5))
             assert subsequence_dtw_distance(query, reference) == loop_subsequence_distance(query, reference)
+
+    @pytest.mark.parametrize("block", [200, 1 << 15])
+    @pytest.mark.parametrize("t_q, t_r, d", [(64, 55, 206), (7, 3, 5), (1, 9, 206), (30, 1, 4)])
+    def test_tiled_costs_match_full_difference_array_bitwise(self, monkeypatch, block, t_q, t_r, d):
+        rng = np.random.default_rng(t_q * t_r + d)
+        query, reference = rng.normal(size=(t_q, d)), rng.normal(size=(t_r, d))
+        monkeypatch.setattr(qc, "_BLOCK_ELEMENTS", block)
+        got = qc._feature_costs(query, reference)
+        assert got.tobytes() == full_feature_costs(query, reference).tobytes()
 
     def test_similarity_matches_both_directed_loops(self):
         rng = np.random.default_rng(8)
