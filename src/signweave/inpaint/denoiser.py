@@ -159,7 +159,7 @@ class Denoiser:
 
         With `rows` (ascending indices into the N frames), the last block's
         queries, its FFN, the final norm and the heads run on those rows only;
-        keys and values still cover every frame. Training and `predict_x0`
+        keys and values still cover every frame. Training and `predict_rows`
         both pass the rows inside the mask, the only ones the loss and DDIM
         composition read.
         """
@@ -216,19 +216,25 @@ class Denoiser:
             outputs.append(nk.dense(h, *layers[-1]))
         return nk.concat(outputs, axis=-1) + (residual if rows is None else residual[rows])
 
-    def predict_x0(self, x_t: np.ndarray, t: int, cond: np.ndarray, mask) -> np.ndarray:
-        """Inference-mode clean-motion prediction as a plain float64 array.
+    def predict_rows(self, x_t: np.ndarray, t: int, cond: np.ndarray, mask) -> tuple[np.ndarray, np.ndarray]:
+        """Inference-mode clean-motion prediction of the rows inside the mask
+        (values > 0.5), the ones DDIM composition keeps: their indices and
+        their predictions as a float64 array.
 
         `mask` is the mask values, or a mask object (`InpaintMask`,
         `PackedMask`) whose `values` and `lengths` say where each pair of a
-        packed x_t starts. Only the rows inside the mask (values > 0.5), the
-        ones DDIM composition keeps, are predicted; every other row is
-        returned as `cond`.
+        packed x_t starts.
         """
         values = np.asarray(getattr(mask, "values", mask))
         rows = np.flatnonzero(values > 0.5)
-        out = np.array(cond, dtype=np.float64)
         with nk.no_grad():
-            out[rows] = self.forward(x_t, t, cond, values, rows=rows,
-                                     lengths=getattr(mask, "lengths", None)).data
+            pred = self.forward(x_t, t, cond, values, rows=rows, lengths=getattr(mask, "lengths", None)).data
+        return rows, pred.astype(np.float64, copy=False)
+
+    def predict_x0(self, x_t: np.ndarray, t: int, cond: np.ndarray, mask) -> np.ndarray:
+        """`predict_rows` as a plain float64 array of every row: the rows
+        outside the mask are returned as `cond`."""
+        rows, pred = self.predict_rows(x_t, t, cond, mask)
+        out = np.array(cond, dtype=np.float64)
+        out[rows] = pred
         return out

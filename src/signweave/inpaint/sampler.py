@@ -24,7 +24,11 @@ def ddim_refine(
     update is row-wise, so packed pairs refine as they would one by one, up to
     the denoiser's rounding. The denoiser must expose
     predict_x0(x_t, t, cond, mask), which receives the mask object: its
-    `values` and the pair `lengths`.
+    `values` and the pair `lengths`. A denoiser that also exposes
+    predict_rows(x_t, t, cond, mask), returning the masked rows' indices and
+    predictions (as `Denoiser` does), is asked for those rows only and they
+    are written into the composition in place, so no step copies the
+    unmasked frames.
     """
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
     m = mask.values[:, None]
@@ -38,10 +42,15 @@ def ddim_refine(
 
     x = m * noise + (1.0 - m) * x_tilde
     x0_comp = x_tilde.copy()
+    predict_rows = getattr(denoiser, "predict_rows", None)
     for i, t in enumerate(plan):
-        x0_hat = np.asarray(denoiser.predict_x0(x, t, x_tilde, mask), dtype=np.float64)
         # pin temporal-context frames to the duration-adjusted input
-        x0_comp = np.where(m > 0.5, x0_hat, x_tilde)
+        if predict_rows is not None:
+            rows, x0_rows = predict_rows(x, t, x_tilde, mask)
+            x0_comp[rows] = x0_rows
+        else:
+            x0_hat = np.asarray(denoiser.predict_x0(x, t, x_tilde, mask), dtype=np.float64)
+            x0_comp = np.where(m > 0.5, x0_hat, x_tilde)
         ab_t = schedule.alpha_bar[t]
         eps = (x - np.sqrt(ab_t) * x0_comp) / np.sqrt(1.0 - ab_t)
         t_prev = plan[i + 1] if i + 1 < len(plan) else 0

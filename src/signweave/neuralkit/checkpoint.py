@@ -1,4 +1,6 @@
-"""Binary checkpoint format: u32 count, then (name, shape, f32 data, f32 ema) records."""
+"""Binary checkpoint format, version 2: the magic `SWCK`, u32 version, u32
+count, then (name, dtype, shape, data, ema) records, each array stored in its
+parameter dtype."""
 from __future__ import annotations
 
 import math
@@ -10,29 +12,39 @@ import numpy as np
 
 from .nn import ParameterSet
 
+MAGIC = b"SWCK"
+VERSION = 2
+# dtype code in the file (its item size) -> stored little-endian dtype
+DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
+
 
 def save_checkpoint(path: str | Path, params: ParameterSet) -> None:
     names = params.names()
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(names)))
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(names)))
         for name in names:
             raw = name.encode("utf-8")
-            data = np.ascontiguousarray(params[name].data, dtype="<f4")
-            ema = np.ascontiguousarray(params.ema_value(name), dtype="<f4")
+            dtype = params[name].data.dtype
+            if dtype.itemsize not in DTYPES or dtype.kind != "f":
+                raise ValueError(f"{name}: cannot checkpoint a {dtype} parameter")
+            stored = DTYPES[dtype.itemsize]
+            data = np.ascontiguousarray(params[name].data, dtype=stored)
+            ema = np.ascontiguousarray(params.ema_value(name), dtype=stored)
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-            fh.write(struct.pack("<I", data.ndim))
+            fh.write(struct.pack("<II", dtype.itemsize, data.ndim))
             fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
             fh.write(data.tobytes())
             fh.write(ema.tobytes())
 
 
 def load_checkpoint(path: str | Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Returns {name: (data, ema)} as float32 arrays, each read from the file
-    straight into its own writable array.
+    """Returns {name: (data, ema)} in the dtype each was saved in, each read
+    from the file straight into its own writable array.
 
-    A file that ends inside a record, has bytes after the last one, or holds
-    a name that is not UTF-8 raises a ValueError naming the path."""
+    A file that does not start with the magic number and version 2, ends
+    inside a record, has bytes after the last one, holds a name that is not
+    UTF-8 or an unknown dtype code raises a ValueError naming the path."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -45,13 +57,19 @@ def load_checkpoint(path: str | Path) -> dict[str, tuple[np.ndarray, np.ndarray]
             need(n)
             return fh.read(n)
 
-        def take_array(shape: tuple[int, ...]) -> np.ndarray:
-            need(4 * math.prod(shape))
-            arr = np.empty(shape, dtype="<f4")
+        def take_array(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+            need(dtype.itemsize * math.prod(shape))
+            arr = np.empty(shape, dtype=dtype)
             if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
                 raise ValueError(f"{path}: the checkpoint changed while it was read")
             return arr
 
+        header = take(len(MAGIC) + 4)
+        if header[: len(MAGIC)] != MAGIC:
+            raise ValueError(f"{path}: not a signweave checkpoint (no {MAGIC.decode()} magic number)")
+        (version,) = struct.unpack("<I", header[len(MAGIC):])
+        if version != VERSION:
+            raise ValueError(f"{path}: checkpoint version {version}, expected {VERSION}")
         out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         (count,) = struct.unpack("<I", take(4))
         for _ in range(count):
@@ -60,9 +78,11 @@ def load_checkpoint(path: str | Path) -> dict[str, tuple[np.ndarray, np.ndarray]
                 name = str(take(name_len), "utf-8")
             except UnicodeDecodeError:
                 raise ValueError(f"{path}: a checkpoint parameter name is not UTF-8") from None
-            (ndim,) = struct.unpack("<I", take(4))
+            code, ndim = struct.unpack("<II", take(8))
+            if code not in DTYPES:
+                raise ValueError(f"{path}: parameter {name} has unknown dtype code {code}")
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-            out[name] = (take_array(shape), take_array(shape))
+            out[name] = (take_array(shape, DTYPES[code]), take_array(shape, DTYPES[code]))
         if fh.tell() != size:
             raise ValueError(f"{path}: {size - fh.tell()} trailing bytes after the last "
                              "checkpoint record")

@@ -81,29 +81,32 @@ class PipelineConfig:
     inpaint_train: InpaintTrainConfig = field(default_factory=lambda: InpaintTrainConfig(ema_decay=0.995))
     ddim_steps: int = 50
     inference_radius: int = 10
-    baseline_transition_frames: int = 4
 
+
+# interpolated frames the linear baseline inserts at each gloss boundary
+BASELINE_TRANSITION_FRAMES = 4
 
 # stage order with the config fields each stage depends on (cumulative hashing)
 STAGE_FIELDS = [
     ("synth", ["seed", "synth", "pair_rounds", "holdout_fraction"]),
     ("qc", ["qc"]),
     ("trim", ["trim"]),
+    ("baseline", []),
     ("duration", ["dur_model", "dur_gloss", "dur_sent", "min_gloss_len"]),
     ("inpaint", ["denoiser", "inpaint_train"]),
-    ("compose", ["ddim_steps", "inference_radius", "baseline_transition_frames"]),
+    ("compose", ["ddim_steps", "inference_radius"]),
     ("eval", []),
 ]
 
 STAGES = tuple(name for name, _ in STAGE_FIELDS)
 
-# the stages `run_pipeline` can stop after; synth, qc and trim run as one
-# prepare step before them
+# the stages `run_pipeline` can stop after; synth, qc, trim and baseline run
+# as one prepare step before them
 RUN_STAGES = ("duration", "inpaint", "compose", "eval")
 
 # Part of every stage hash. Bump it whenever a change alters what a stage
 # writes, so that a work directory from older code is recomputed, not reused.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _jsonable(value):
@@ -331,6 +334,8 @@ class PreparedData:
     cores: dict[str, np.ndarray]          # clip id -> trimmed core frames
     train_ids: list[str]
     eval_ids: list[str]
+    # the linear baseline's scores on the held-out sentences (`baseline_stage`)
+    baseline: dict = field(default_factory=dict)
 
     @cached_property
     def round_variants(self) -> dict[str, dict[int, int]]:
@@ -367,11 +372,11 @@ def write_corpus(corpus: SynthCorpus, directory: Path) -> int:
 
 
 def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
-    """Stages synth + qc + trim. The corpus is regenerated on every call, as
-    it is deterministic and cheap: about 20 ms at 6 glosses x 3 variants x 24
-    sentences and 0.5 s for the default corpus, on one core of a 2-core
-    machine. A stage that hits skips its writes, and a trim hit reads its
-    spans back."""
+    """Stages synth + qc + trim + baseline. The corpus is regenerated on every
+    call, as it is deterministic and cheap: about 20 ms at 6 glosses x 3
+    variants x 24 sentences and 0.5 s for the default corpus, on one core of a
+    2-core machine. A stage that hits skips its writes, and a trim or
+    baseline hit reads its stored output back."""
     t0 = time.time()
     corpus = synth_generate(config.synth, rounds=config.pair_rounds)
     train_ids, eval_ids = _split_sentences(corpus, config.holdout_fraction, config.seed)
@@ -419,7 +424,9 @@ def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
             cid = clip.source["id"]
             s, e = spans[cid]
             cores[cid] = clip.motion.frames[s : e + 1]
-    return PreparedData(corpus, cores, train_ids, eval_ids)
+    data = PreparedData(corpus, cores, train_ids, eval_ids)
+    data.baseline = baseline_stage(config, store, data)
+    return data
 
 
 def _read_spans(path: Path, clip_ids: list[str]) -> dict[str, list[int]] | None:
@@ -436,6 +443,44 @@ def _read_spans(path: Path, clip_ids: list[str]) -> dict[str, list[int]] | None:
         if not (isinstance(span, list) and len(span) == 2 and all(type(v) is int for v in span)):
             return None
     return spans
+
+
+def baseline_stage(config: PipelineConfig, store: StageStore, data: PreparedData) -> dict:
+    """The linear baseline's scores on the held-out sentences: the rows, DTW
+    paths and summary that `score_sentences` gives. The baseline depends on
+    the trimmed cores alone, so it is scored once per prepared corpus, not on
+    every eval; a stored file that does not decode is a miss."""
+    path = store.root / "baseline" / "scores.json"
+    scores = _read_scores(path, data.eval_ids) if store.hit("baseline", config) else None
+    if scores is None:
+        stage_dir = store.begin("baseline")
+        by_id = {s.sentence_id: s for s in data.corpus.sentences}
+        scores = score_sentences("baseline", {
+            sid: linear_baseline(_sentence_segments(data, by_id[sid])) for sid in data.eval_ids}, data)
+        _write_text(stage_dir / "scores.json", json.dumps(scores))
+        store.write_manifest("baseline", config, ["scores.json"])
+    return scores
+
+
+def _read_scores(path: Path, sentence_ids: list[str]) -> dict | None:
+    """The scores stored at `path`, or None unless they hold a row and a path
+    for each of the sentence ids, in order, and a summary of every metric."""
+    try:
+        scores = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    if not (isinstance(scores, dict) and isinstance(scores.get("summary"), dict)
+            and set(scores["summary"]) == set(SUMMARY_KEYS)):
+        return None
+    for key, needed in (("rows", ROW_KEYS), ("paths", ("total_cost", "path"))):
+        entries = scores.get(key)
+        if not (isinstance(entries, list) and len(entries) == len(sentence_ids)):
+            return None
+        for entry, sid in zip(entries, sentence_ids):
+            if not (isinstance(entry, dict) and entry.get("sentence_id") == sid
+                    and all(k in entry for k in needed)):
+                return None
+    return scores
 
 
 def _pairs(data: PreparedData, held_out: bool):
@@ -594,11 +639,10 @@ def compose_and_stitch(
     schedule: DiffusionSchedule,
 ) -> list[ComposedSentence]:
     """Refine each adjacent pair of every held-out sentence and assemble
-    sentence-level motion.
+    sentence-level motion, with the sentence's linear baseline beside it.
 
     When no denoiser is available, the refined path falls back to the linear
-    transition baseline (recorded per sentence). The baseline path always uses
-    plain concatenation with four transition frames and no duration plan.
+    transition baseline's pairs (recorded per sentence).
     """
     by_id = {s.sentence_id: s for s in data.corpus.sentences}
     ema_swap = None
@@ -607,28 +651,26 @@ def compose_and_stitch(
     out = []
     try:
         for sid in data.eval_ids:
-            sample = by_id[sid]
-            variants = data.round_variants.get(f"{sid}.r0", {})
-            segments = [data.cores[f"{g}.v{variants.get(i, 0)}"] for i, g in enumerate(sample.glosses)]
+            segments = _sentence_segments(data, by_id[sid])
             k = len(segments)
             digest = int(hashlib.sha256(sid.encode("utf-8")).hexdigest()[:8], 16)
             rng = np.random.default_rng(config.seed + digest)
 
-            baseline_pairs = []
             adjusted, masks, noise = [], [], []
-            fallback = denoiser is None
-            for i in range(k - 1):
-                a, b = segments[i], segments[i + 1]
-                baseline_pairs.append(linear_transition_baseline(a, b, config.baseline_transition_frames))
-                if denoiser is None:
-                    continue
-                frames, plan = duration_adjust_pair(a, b, gloss_model,
-                                                    config.dur_model.window, config.min_gloss_len)
-                adjusted.append(frames)
-                masks.append(make_boundary_mask(plan.lengths[0], plan.lengths[1], config.inference_radius))
-                noise.append(rng.standard_normal(frames.shape))
-            refined_pairs = baseline_pairs
-            if adjusted:
+            if denoiser is not None:
+                for a, b in zip(segments, segments[1:]):
+                    frames, plan = duration_adjust_pair(a, b, gloss_model,
+                                                        config.dur_model.window, config.min_gloss_len)
+                    adjusted.append(frames)
+                    masks.append(make_boundary_mask(plan.lengths[0], plan.lengths[1], config.inference_radius))
+                    noise.append(rng.standard_normal(frames.shape))
+
+            pred = sent_model.predict(segments)
+            plan = integer_plan(sum(seg.shape[0] for seg in segments), pred, config.min_gloss_len)
+            if k == 1:
+                # single-gloss sentences bypass pairing entirely
+                ours = assemble_sentence([(segments[0], 0)], GlossPlan([plan.total], plan.total))
+            elif adjusted:
                 # one DDIM run over the sentence's pairs laid end to end; the
                 # noise is each pair's draw in pair order, as one run per pair
                 # would draw it
@@ -636,25 +678,36 @@ def compose_and_stitch(
                 refined = ddim_refine(np.concatenate(adjusted), packed, denoiser, schedule,
                                       steps=config.ddim_steps, noise=np.concatenate(noise))
                 parts = np.split(refined, np.cumsum(packed.lengths)[:-1])
-                refined_pairs = [(part, m.boundary_index) for part, m in zip(parts, masks)]
-
-            if k == 1:
-                # single-gloss sentences bypass pairing entirely
-                pred = sent_model.predict(segments)
-                plan = integer_plan(segments[0].shape[0], pred, config.min_gloss_len)
-                ours = assemble_sentence([(segments[0], 0)], GlossPlan([plan.total], plan.total))
-                baseline = MotionSequence(segments[0].copy())
+                ours = assemble_sentence([(part, m.boundary_index) for part, m in zip(parts, masks)], plan)
             else:
-                pred = sent_model.predict(segments)
-                t_src = sum(seg.shape[0] for seg in segments)
-                plan = integer_plan(t_src, pred, config.min_gloss_len)
-                ours = assemble_sentence(refined_pairs, plan)
-                baseline = assemble_sentence(baseline_pairs, _natural_plan(baseline_pairs, k))
-            out.append(ComposedSentence(sid, ours, baseline, fallback))
+                ours = assemble_sentence(_baseline_pairs(segments), plan)
+            out.append(ComposedSentence(sid, ours, linear_baseline(segments), denoiser is None))
     finally:
         if denoiser is not None and ema_swap is not None:
             denoiser.params.restore(ema_swap)
     return out
+
+
+def _sentence_segments(data: PreparedData, sample) -> list[np.ndarray]:
+    """The trimmed cores of a held-out sentence's glosses, in the clip
+    variants of its first round (variant 0 where it has no pair spec)."""
+    variants = data.round_variants.get(f"{sample.sentence_id}.r0", {})
+    return [data.cores[f"{g}.v{variants.get(i, 0)}"] for i, g in enumerate(sample.glosses)]
+
+
+def _baseline_pairs(segments: list[np.ndarray]) -> list[tuple[np.ndarray, int]]:
+    return [linear_transition_baseline(a, b, BASELINE_TRANSITION_FRAMES)
+            for a, b in zip(segments, segments[1:])]
+
+
+def linear_baseline(segments: list[np.ndarray]) -> MotionSequence:
+    """A sentence's linear baseline: the cores concatenated with linearly
+    interpolated transition frames at each boundary, at their natural
+    lengths, with no duration plan."""
+    if len(segments) == 1:
+        return MotionSequence(segments[0].copy())
+    pairs = _baseline_pairs(segments)
+    return assemble_sentence(pairs, _natural_plan(pairs, len(segments)))
 
 
 def _natural_plan(pairs: list[tuple[np.ndarray, int]], k: int) -> GlossPlan:
@@ -676,17 +729,17 @@ def _natural_plan(pairs: list[tuple[np.ndarray, int]], k: int) -> GlossPlan:
 # ---------------------------------------------------------------------------
 # evaluation
 
+# a row's per-sentence errors, and a method's summary: their means, the length
+# ratio and FGD
+ERROR_KEYS = ("dtw_mpjpe_body", "dtw_mpjpe_hands", "dtw_mpjpe_overall", "dtw_mpvpe_face", "dtw_pa_mpjpe")
+ROW_KEYS = ERROR_KEYS + ("pred_frames", "ref_frames")
+SUMMARY_KEYS = ERROR_KEYS + ("length_ratio", "fgd")
 
-def evaluate_composed(
-    composed: list[ComposedSentence],
-    data: PreparedData,
-    dump_paths: bool = False,
-) -> dict:
-    """Sentence-level metrics table for the refined and baseline outputs.
 
-    With dump_paths, the DTW alignment path of each output against its
-    reference is included for debugging.
-    """
+def score_sentences(method: str, outputs: dict[str, MotionSequence], data: PreparedData) -> dict:
+    """One method's outputs, by sentence id, scored against their reference
+    sentences: a row and a DTW alignment path per sentence, in order, and the
+    method's summary."""
     adapter = SyntheticSkeletonAdapter()
     by_id = {s.sentence_id: s for s in data.corpus.sentences}
     joints = np.concatenate([adapter.body_joints, adapter.hand_joints])
@@ -698,45 +751,50 @@ def evaluate_composed(
         "dtw_mpjpe_overall": joints,
         "dtw_mpvpe_face": adapter.face_vertices,
     }
-    rows = []
-    paths = []
-    pooled: dict[str, list[np.ndarray]] = {"ours": [], "baseline": [], "reference": []}
-    lengths: dict[str, list[float]] = {"ours": [], "baseline": [], "reference": []}
-    for item in composed:
-        sample = by_id[item.sentence_id]
-        ref_pts = adapter.to_points(sample.frames)
-        pooled["reference"].append(sample.frames)
-        lengths["reference"].append(sample.frames.shape[0])
-        for method, seq in (("ours", item.ours), ("baseline", item.baseline)):
-            pts = adapter.to_points(seq.frames)
-            aligned = dict(zip(subsets, dtw_alignments(pts, ref_pts, list(subsets.values()))))
-            row = {"sentence_id": item.sentence_id, "method": method}
-            row.update({key: total / len(path) for key, (path, total) in aligned.items()})
-            path, total = aligned["dtw_mpjpe_overall"]
-            row["dtw_pa_mpjpe"] = procrustes_path_error(pts[:, joints], ref_pts[:, joints], path)
-            row.update({"pred_frames": seq.num_frames, "ref_frames": sample.frames.shape[0],
-                        "fallback": item.fallback})
-            rows.append(row)
-            pooled[method].append(seq.frames)
-            lengths[method].append(seq.num_frames)
-            if dump_paths:
-                paths.append({
-                    "sentence_id": item.sentence_id,
-                    "method": method,
-                    "total_cost": total,
-                    "path": path.tolist(),
-                })
-    summary = {}
-    for method in ("ours", "baseline"):
-        method_rows = [r for r in rows if r["method"] == method]
-        summary[method] = {
-            key: float(np.mean([r[key] for r in method_rows]))
-            for key in ("dtw_mpjpe_body", "dtw_mpjpe_hands", "dtw_mpjpe_overall",
-                        "dtw_mpvpe_face", "dtw_pa_mpjpe")
-        }
-        summary[method]["length_ratio"] = length_ratio(lengths[method], lengths["reference"])
-        summary[method]["fgd"] = fgd(np.concatenate(pooled[method]), np.concatenate(pooled["reference"]))
-    out = {"rows": rows, "summary": summary}
+    rows, paths = [], []
+    for sid, seq in outputs.items():
+        ref = by_id[sid].frames
+        pts, ref_pts = adapter.to_points(seq.frames), adapter.to_points(ref)
+        aligned = dict(zip(subsets, dtw_alignments(pts, ref_pts, list(subsets.values()))))
+        row = {"sentence_id": sid, "method": method}
+        row.update({key: total / len(path) for key, (path, total) in aligned.items()})
+        path, total = aligned["dtw_mpjpe_overall"]
+        row["dtw_pa_mpjpe"] = procrustes_path_error(pts[:, joints], ref_pts[:, joints], path)
+        row.update({"pred_frames": seq.num_frames, "ref_frames": ref.shape[0]})
+        rows.append(row)
+        paths.append({"sentence_id": sid, "method": method, "total_cost": total, "path": path.tolist()})
+    summary = {key: float(np.mean([r[key] for r in rows])) for key in ERROR_KEYS}
+    refs = [by_id[sid].frames for sid in outputs]
+    summary["length_ratio"] = length_ratio([seq.num_frames for seq in outputs.values()],
+                                           [ref.shape[0] for ref in refs])
+    summary["fgd"] = fgd(np.concatenate([seq.frames for seq in outputs.values()]), np.concatenate(refs))
+    return {"rows": rows, "paths": paths, "summary": summary}
+
+
+def evaluate_composed(
+    composed: list[ComposedSentence],
+    data: PreparedData,
+    dump_paths: bool = False,
+) -> dict:
+    """Sentence-level metrics table for the refined outputs and the linear
+    baseline. Only the refined outputs are scored here: the baseline's rows,
+    paths and summary are the ones the baseline stage stored
+    (`data.baseline`), and its rows take each sentence's `fallback` from
+    compose. `composed` must hold the held-out sentences in order.
+
+    With dump_paths, the DTW alignment path of each output against its
+    reference is included for debugging.
+    """
+    baseline = data.baseline
+    if [c.sentence_id for c in composed] != [r["sentence_id"] for r in baseline["rows"]]:
+        raise ValueError("the composed sentences are not the held-out sentences the baseline scored")
+    ours = score_sentences("ours", {c.sentence_id: c.ours for c in composed}, data)
+    rows, paths = [], []
+    for i, item in enumerate(composed):
+        for scores in (ours, baseline):
+            rows.append(scores["rows"][i] | {"fallback": item.fallback})
+            paths.append(scores["paths"][i])
+    out = {"rows": rows, "summary": {"ours": ours["summary"], "baseline": baseline["summary"]}}
     if dump_paths:
         out["paths"] = paths
     return out

@@ -413,6 +413,30 @@ class TestPredictX0:
         got = denoiser.predict_x0(self.x_t, 70, cond, narrow)
         assert np.array_equal(got, fresh_copy(denoiser).predict_x0(self.x_t, 70, cond, narrow))
 
+    def test_rows_are_predict_x0_inside_the_mask(self):
+        denoiser = perturbed_denoiser(5)
+        split = PackedMask(self.mask, (9, 9))
+        rows, pred = denoiser.predict_rows(self.x_t, 70, self.cond, split)
+        assert np.array_equal(rows, np.flatnonzero(self.mask > 0.5)) and pred.dtype == np.float64
+        assert np.array_equal(pred, denoiser.predict_x0(self.x_t, 70, self.cond, split)[rows])
+
+    def test_ddim_on_rows_matches_ddim_on_full_predictions(self):
+        """`ddim_refine` asks a `Denoiser` for the masked rows only; a wrapper
+        that offers only `predict_x0` takes the full-array path, and both
+        return the same bits."""
+        denoiser = perturbed_denoiser(6)
+        masks = pack_masks([make_boundary_mask(9, 12, 4), make_boundary_mask(6, 6, 3)])
+        x_tilde = np.random.default_rng(14).normal(size=(len(masks.values), 206)) * 0.5
+
+        class FullArrayOnly:
+            def predict_x0(self, x_t, t, cond, mask):
+                return denoiser.predict_x0(x_t, t, cond, mask)
+
+        schedule = DiffusionSchedule()
+        rows = ddim_refine(x_tilde, masks, denoiser, schedule, steps=6, rng=np.random.default_rng(2))
+        full = ddim_refine(x_tilde, masks, FullArrayOnly(), schedule, steps=6, rng=np.random.default_rng(2))
+        assert rows.tobytes() == full.tobytes()
+
     def test_other_pair_lengths_never_served_from_cache(self):
         denoiser = perturbed_denoiser(4)
         whole = denoiser.predict_x0(self.x_t, 70, self.cond, PackedMask(self.mask, (18,)))

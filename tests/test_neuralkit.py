@@ -476,8 +476,8 @@ class TestCheckpoint:
         assert np.array_equal(fresh["layer.weight"].data, params["layer.weight"].data)
         assert np.array_equal(fresh.ema_value("layer.bias"), params.ema_value("layer.bias"))
 
-    def _small_checkpoint(self, tmp_path):
-        params = ParameterSet(dtype=np.float32)
+    def _small_checkpoint(self, tmp_path, dtype=np.float32):
+        params = ParameterSet(dtype=dtype)
         params.add("w", np.arange(6.0).reshape(2, 3))
         params.add("scalar", np.array(1.5))
         params.add("b", np.ones(2))
@@ -486,14 +486,48 @@ class TestCheckpoint:
         return path, path.read_bytes()
 
     def test_every_truncation_is_rejected_with_the_path(self, tmp_path):
+        for dtype in (np.float32, np.float64):
+            path, raw = self._small_checkpoint(tmp_path, dtype)
+            assert raw[:8] == b"SWCK\x02\x00\x00\x00"
+            assert set(load_checkpoint(path)) == {"w", "scalar", "b"}
+            cut = tmp_path / "cut.ckpt"
+            for length in range(len(raw)):
+                cut.write_bytes(raw[:length])
+                with pytest.raises(ValueError, match="truncated checkpoint") as exc:
+                    load_checkpoint(cut)
+                assert str(cut) in str(exc.value), (dtype, length)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_arrays_keep_their_parameter_dtype(self, tmp_path, dtype):
+        rng = np.random.default_rng(5)
+        params = ParameterSet(dtype=dtype)
+        params.add("w", rng.normal(size=(3, 4)))
+        params.ema_update(decay=0.3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        [(data, ema)] = load_checkpoint(path).values()
+        assert data.dtype == ema.dtype == dtype
+        assert data.tobytes() == params["w"].data.tobytes()
+        assert ema.tobytes() == params.ema_value("w").tobytes()
+
+    @pytest.mark.parametrize("header,message", [
+        (b"\x03\x00\x00\x00\x01\x00\x00\x00", "no SWCK magic number"),  # a version 1 file
+        (b"SWCK\x01\x00\x00\x00", "checkpoint version 1, expected 2"),
+        (b"SWCK\x03\x00\x00\x00", "checkpoint version 3, expected 2"),
+    ])
+    def test_other_format_is_rejected_with_the_path(self, tmp_path, header, message):
         path, raw = self._small_checkpoint(tmp_path)
-        assert set(load_checkpoint(path)) == {"w", "scalar", "b"}
-        cut = tmp_path / "cut.ckpt"
-        for length in range(len(raw)):
-            cut.write_bytes(raw[:length])
-            with pytest.raises(ValueError, match="truncated checkpoint") as exc:
-                load_checkpoint(cut)
-            assert str(cut) in str(exc.value), length
+        path.write_bytes(header + raw[8:])
+        with pytest.raises(ValueError, match=message) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+
+    def test_unknown_dtype_code_is_rejected(self, tmp_path):
+        path, raw = self._small_checkpoint(tmp_path)
+        path.write_bytes(raw[:17] + b"\x02" + raw[18:])  # the first record's dtype code
+        with pytest.raises(ValueError, match="unknown dtype code 2") as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
 
     def test_trailing_bytes_are_rejected(self, tmp_path):
         path, raw = self._small_checkpoint(tmp_path)
@@ -526,7 +560,7 @@ class TestCheckpoint:
 
     def test_name_that_is_not_utf8_is_rejected(self, tmp_path):
         path, raw = self._small_checkpoint(tmp_path)
-        path.write_bytes(raw[:8] + b"\xff" + raw[9:])  # the first name's only byte
+        path.write_bytes(raw[:16] + b"\xff" + raw[17:])  # the first name's only byte
         with pytest.raises(ValueError, match="not UTF-8") as exc:
             load_checkpoint(path)
         assert str(path) in str(exc.value)

@@ -11,7 +11,7 @@ import pytest
 import signweave.pipeline as pipeline
 from dtw_oracles import loop_dtw, loop_dtw_error
 from signweave.duration import (DurationModelConfig, DurationTrainConfig, GlossDurationPredictor,
-                                SentenceDurationPredictor)
+                                SentenceDurationPredictor, integer_plan)
 from signweave.inpaint import Denoiser, DenoiserConfig, InpaintTrainConfig
 from signweave.pipeline import (
     RUN_STAGES,
@@ -64,15 +64,18 @@ class TestConfig:
 
     def test_default_stage_hashes_are_pinned(self):
         """A change to how the config is serialized must not invalidate
-        existing work directories: the default config's hashes stay these."""
+        existing work directories: the default config's hashes stay these
+        (SCHEMA_VERSION 3). The baseline stage adds no field, so its hash is
+        trim's."""
         assert {stage: stage_hash(PipelineConfig(), stage) for stage in STAGES} == {
-            "synth": "657031c5f8b5f7c8",
-            "qc": "11efc1e3822dd85f",
-            "trim": "fa725f6e1940a580",
-            "duration": "13b70d0ad9926cf0",
-            "inpaint": "fcbd72642383d785",
-            "compose": "07637fe26a65467d",
-            "eval": "07637fe26a65467d",
+            "synth": "2fbcafc31d6225f6",
+            "qc": "7ced79b66f9937d3",
+            "trim": "d433067bee25d8f5",
+            "baseline": "d433067bee25d8f5",
+            "duration": "ef08b2d9a0eb48c1",
+            "inpaint": "21206c1327b81232",
+            "compose": "f541971eceb5acc4",
+            "eval": "f541971eceb5acc4",
         }
 
     def test_apply_overrides(self, tmp_path):
@@ -133,6 +136,33 @@ class TestEndToEnd:
 
         # rerun with the same config: every stage hits and the report is the stored one
         assert _without_timings(run_pipeline(config)) == _without_timings(report)
+
+    def test_one_gloss_sentences_are_composed_and_scored(self, tmp_path):
+        """Held-out sentences of one gloss take compose's no-pair path; both
+        methods are scored, and ours has its sentence plan's length."""
+        config = tiny_config(tmp_path / "work", steps=4)
+        config.synth = dataclasses.replace(config.synth, sentence_length=(1, 2))
+        config.holdout_fraction = 0.34
+        report = run_pipeline(config)
+        assert report["denoiser_fallback"] is False
+        store = StageStore(config.work_dir)
+        data = prepare_data(config, store)
+        _, sent_model = train_duration_stage(config, store, data)
+        by_id = {s.sentence_id: s for s in data.corpus.sentences}
+        assert sorted({len(by_id[sid].glosses) for sid in data.eval_ids}) == [1, 2]
+        rows = [json.loads(line) for line in
+                (tmp_path / "work" / "eval" / "metrics.jsonl").read_text().splitlines()]
+        assert [(r["sentence_id"], r["method"]) for r in rows] == [
+            (sid, method) for sid in data.eval_ids for method in ("ours", "baseline")]
+        for row in rows:
+            assert all(np.isfinite(row[key]) for key in pipeline.ERROR_KEYS)
+            segments = pipeline._sentence_segments(data, by_id[row["sentence_id"]])
+            if row["method"] == "ours":
+                plan = integer_plan(sum(len(seg) for seg in segments), sent_model.predict(segments),
+                                    config.min_gloss_len)
+                assert row["pred_frames"] == plan.total
+            elif len(segments) == 1:
+                assert row["pred_frames"] == len(segments[0])
 
     def test_missing_denoiser_falls_back_to_linear(self, tmp_path):
         config = tiny_config(tmp_path / "work", steps=0)
@@ -209,6 +239,19 @@ def _spy(monkeypatch, name) -> list:
     return calls
 
 
+def _scored_methods(monkeypatch) -> list:
+    """Record the method of each `score_sentences` call."""
+    methods = []
+    score_sentences = pipeline.score_sentences
+
+    def spy(method, *args, **kwargs):
+        methods.append(method)
+        return score_sentences(method, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "score_sentences", spy)
+    return methods
+
+
 TRAINING = ("train_gloss_predictor", "train_sentence_predictor", "train_inpainter")
 
 
@@ -279,6 +322,46 @@ class TestResume:
             shutil.rmtree(Path(config.work_dir) / stage)
         _forbid(monkeypatch, "evaluate_duration", *TRAINING)
         assert _without_timings(run_pipeline(config)) == _without_timings(first)
+
+    def test_rerun_without_compose_and_eval_scores_only_ours(self, rerun, monkeypatch):
+        config, first = rerun
+        work = Path(config.work_dir)
+        before = {name: (work / "eval" / name).read_bytes() for name in ("metrics.jsonl", "report.json")}
+        for stage in ("compose", "eval"):
+            shutil.rmtree(work / stage)
+        scored = _scored_methods(monkeypatch)
+        assert _without_timings(run_pipeline(config)) == _without_timings(first)
+        assert scored == ["ours"]
+        assert (work / "eval" / "metrics.jsonl").read_bytes() == before["metrics.jsonl"]
+        report = json.loads((work / "eval" / "report.json").read_text())
+        assert _without_timings(report) == _without_timings(json.loads(before["report.json"]))
+
+    @pytest.mark.parametrize("damage", ["remove the stage", "truncate the scores", "drop a row"])
+    def test_missing_or_undecodable_baseline_is_scored_again(self, rerun, monkeypatch, damage):
+        config, first = rerun
+        work = Path(config.work_dir)
+        scores = work / "baseline" / "scores.json"
+        good = scores.read_bytes()
+        metrics = (work / "eval" / "metrics.jsonl").read_bytes()
+        if damage == "remove the stage":
+            shutil.rmtree(work / "baseline")
+        elif damage == "truncate the scores":
+            scores.write_bytes(good[: len(good) // 2])
+        else:
+            stored = json.loads(good)
+            stored["rows"].pop()
+            scores.write_text(json.dumps(stored))
+        if damage != "remove the stage":
+            # a full hit decodes no stored output; a run that prepares does
+            shutil.rmtree(work / "eval")
+        scored = _scored_methods(monkeypatch)
+        # as with trim, the recomputed stage breaks the chain: every later stage misses
+        trained = [_spy(monkeypatch, name) for name in TRAINING]
+        assert _without_timings(run_pipeline(config)) == _without_timings(first)
+        assert sorted(scored) == ["baseline", "ours"]
+        assert all(trained)
+        assert scores.read_bytes() == good
+        assert (work / "eval" / "metrics.jsonl").read_bytes() == metrics
 
     def test_standalone_stages_then_run_pipeline(self, tmp_path, finished_run):
         """The stages called one by one, as a caller that only wants the
@@ -415,6 +498,20 @@ class TestResume:
         for path in sorted((clean_work / "compose").glob("*.svmx")):
             assert (work / "compose" / path.name).read_bytes() == path.read_bytes()
 
+    def test_fp64_denoiser_resumes_bit_for_bit(self, tmp_path, monkeypatch):
+        """The checkpoint keeps the fp64 parameters, so a rerun that loads
+        them composes the sentences the training run composed."""
+        config = tiny_config(tmp_path / "work", steps=8)
+        config.denoiser = dataclasses.replace(config.denoiser, dtype=np.float64)
+        run_pipeline(config)
+        work = Path(config.work_dir)
+        first = (work / "eval" / "metrics.jsonl").read_bytes()
+        for stage in ("compose", "eval"):
+            shutil.rmtree(work / stage)
+        _forbid(monkeypatch, *TRAINING)
+        run_pipeline(config)
+        assert (work / "eval" / "metrics.jsonl").read_bytes() == first
+
     def test_resumed_stages_draw_nothing(self, rerun, monkeypatch):
         config, _ = rerun
         store = StageStore(config.work_dir)
@@ -545,7 +642,8 @@ class TestConfigKeys:
     @pytest.mark.parametrize("raw", [{"ddim_step": 5}, {"synth": {"vocab": 3}}, {"synth": 3},
                                      {"use_annotated_spans": True}, {"trim": {"theta_low": 0.4}},
                                      {"denoiser": {"dropout": 0.1}},
-                                     {"denoiser": {"residual_conditioning": False}}])
+                                     {"denoiser": {"residual_conditioning": False}},
+                                     {"baseline_transition_frames": 4}])
     def test_config_from_dict_rejects_bad_keys(self, raw):
         with pytest.raises(ValueError, match="config key"):
             config_from_dict(raw)
