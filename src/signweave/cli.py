@@ -88,7 +88,7 @@ def cmd_trim(args) -> int:
     spans = {}
     for record in records:
         clip = word_record_to_clip(record)
-        result = trim(clip, None, cfg)
+        result = trim(clip, cfg)
         spans[record.source_info.get("id", record.gloss)] = {
             "span": list(result.span),
             "flags": result.flags,

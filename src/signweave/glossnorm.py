@@ -5,7 +5,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
 
 KIND_LEXICAL = "lexical"
 KIND_POINTER = "pointer"
@@ -117,7 +116,6 @@ class FilterConfig:
     max_english_words: int = 20
     min_gloss_tokens: int = 3
     similarity_threshold: float = 0.05
-    semantic_hook: Callable[[str, list[str]], bool] | None = None
 
 
 @dataclass
@@ -173,9 +171,6 @@ def filter_pair(english: str, gloss: list[GlossToken], cfg: FilterConfig = Filte
         gloss_text = detokenize(gloss)
         if trigram_tfidf_cosine(english, gloss_text) < cfg.similarity_threshold:
             reasons.append("similarity")
-        if cfg.semantic_hook is not None:
-            if not cfg.semantic_hook(english, [t.surface for t in gloss]):
-                reasons.append("external")
     if reasons:
         return FilterReport("discard", reasons)
     return FilterReport("keep")

@@ -1,8 +1,7 @@
 """Alignment and quality metrics: DTW errors, Procrustes variants, length
-ratio, Frechet gesture distance, token F1, and ranking metrics."""
+ratio, Frechet gesture distance, and ranking metrics."""
 from __future__ import annotations
 
-from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -255,24 +254,6 @@ def fgd(feats_a: np.ndarray, feats_b: np.ndarray, eps: float = 1e-6) -> float:
     cross = _sym_matrix_sqrt(root_a @ cov_b @ root_a)
     dist = float(((mu_a - mu_b) ** 2).sum() + np.trace(cov_a + cov_b - 2.0 * cross))
     return max(dist, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# token overlap
-
-
-def token_f1(hyp: Sequence[str], ref: Sequence[str]) -> float:
-    """Bag-of-tokens F1 overlap."""
-    if not hyp or not ref:
-        return 0.0
-    hyp_counts = Counter(hyp)
-    ref_counts = Counter(ref)
-    overlap = sum(min(c, ref_counts[t]) for t, c in hyp_counts.items())
-    if overlap == 0:
-        return 0.0
-    precision = overlap / len(hyp)
-    recall = overlap / len(ref)
-    return 2.0 * precision * recall / (precision + recall)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ and timing is fixed at 25 fps.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,7 +16,6 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 BASE_DIM = 206
-AUGMENTED_DIM = 212
 DEFAULT_FPS = 25
 
 MOTION_MAGIC = b"SVMX"
@@ -34,8 +34,6 @@ class PartLayout:
     jaw: tuple[int, int]
     rhand: tuple[int, int]
     lhand: tuple[int, int]
-    global_orient: tuple[int, int] | None = None
-    neck: tuple[int, int] | None = None
 
     def __post_init__(self):
         widths = {
@@ -44,14 +42,10 @@ class PartLayout:
             "jaw": 3,
             "rhand": 45,
             "lhand": 45,
-            "global_orient": 3,
-            "neck": 3,
         }
         ranges = []
         for name, width in widths.items():
             rng = getattr(self, name)
-            if rng is None:
-                continue
             if rng[1] - rng[0] != width:
                 raise ValueError(f"range for {name} must span {width} dims, got {rng}")
             ranges.append(rng)
@@ -66,7 +60,7 @@ class PartLayout:
 
     @property
     def dim(self) -> int:
-        return AUGMENTED_DIM if self.global_orient is not None else BASE_DIM
+        return BASE_DIM
 
     @classmethod
     def base(cls) -> "PartLayout":
@@ -79,37 +73,22 @@ class PartLayout:
             lhand=(161, 206),
         )
 
-    @classmethod
-    def augmented(cls) -> "PartLayout":
-        """212-dim layout with global body orientation and neck rotation."""
-        return cls(
-            global_orient=(0, 3),
-            body=(3, 66),
-            neck=(66, 69),
-            jaw=(69, 72),
-            expression=(72, 122),
-            rhand=(122, 167),
-            lhand=(167, 212),
-        )
-
     def indices(self, name: str) -> np.ndarray:
         rng = getattr(self, name)
-        if rng is None:
-            raise KeyError(f"layout has no {name} range")
         return np.arange(rng[0], rng[1])
 
     def group_indices(self, group: str) -> np.ndarray:
         """Indices of a coarse loss group: 'body', 'face' or 'hand'.
 
-        Face covers expression + jaw (+ neck), hand covers both hands,
-        body covers local body rotations (+ global orientation).
+        Face covers expression + jaw, hand covers both hands, body covers
+        the local body rotations.
         """
         parts = {
-            "body": ["body", "global_orient"],
-            "face": ["expression", "jaw", "neck"],
+            "body": ["body"],
+            "face": ["expression", "jaw"],
             "hand": ["rhand", "lhand"],
         }[group]
-        idx = [self.indices(p) for p in parts if getattr(self, p) is not None]
+        idx = [self.indices(p) for p in parts]
         return np.sort(np.concatenate(idx))
 
     def part_weights(self, body: float, face: float, hand: float) -> np.ndarray:
@@ -245,29 +224,6 @@ def temporal_diff(frames: np.ndarray, order: int = 1) -> np.ndarray:
     return np.concatenate([d, pad], axis=0)
 
 
-def axis_angle_to_matrix(rot: np.ndarray) -> np.ndarray:
-    """Rodrigues formula for a single axis-angle triple."""
-    rot = np.asarray(rot, dtype=np.float64)
-    angle = np.linalg.norm(rot)
-    if angle < 1e-12:
-        return np.eye(3)
-    axis = rot / angle
-    kx, ky, kz = axis
-    k = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-
-
-def yaw_angle(rot: np.ndarray) -> float:
-    """Yaw about the vertical axis from an intrinsic Y-X-Z Euler decomposition."""
-    r = axis_angle_to_matrix(rot)
-    # R = Ry(yaw) Rx(pitch) Rz(roll); R[0,2] = sin(yaw) cos(pitch), R[2,2] = cos(yaw) cos(pitch)
-    cos_pitch_sq = r[0, 2] ** 2 + r[2, 2] ** 2
-    if cos_pitch_sq < 1e-16:
-        # gimbal lock: pitch = +-pi/2; fold the free angle into yaw
-        return float(np.arctan2(r[0, 1], r[0, 0]))
-    return float(np.arctan2(r[0, 2], r[2, 2]))
-
-
 def write_motion(path: str | Path, seq: MotionSequence, version: int = MOTION_VERSION) -> None:
     """Write the little-endian binary motion format (magic, version, T, D, fps, f32 data)."""
     frames32 = np.ascontiguousarray(seq.frames, dtype="<f4")
@@ -279,7 +235,9 @@ def write_motion(path: str | Path, seq: MotionSequence, version: int = MOTION_VE
 
 def read_motion(path: str | Path) -> MotionSequence:
     """Read a file `write_motion` wrote. A file that is not SVMX, has another
-    version or ends early raises a ValueError naming the path."""
+    version, declares no frames, no features or a zero frame rate, ends early,
+    runs on past its frames or holds a non-finite value raises a ValueError
+    naming the path."""
     with open(path, "rb") as fh:
         header = fh.read(20)
         if header[:4] != MOTION_MAGIC[: len(header)]:
@@ -290,8 +248,17 @@ def read_motion(path: str | Path) -> MotionSequence:
         version, t, d, fps = struct.unpack("<IIII", header[4:])
         if version != MOTION_VERSION:
             raise ValueError(f"unsupported motion file version {version} in {path}")
-        raw = fh.read(4 * t * d)
-        if len(raw) != 4 * t * d:
-            raise ValueError(f"truncated motion file {path}: {len(raw)} of {4 * t * d} data bytes")
-        data = np.frombuffer(raw, dtype="<f4")
-    return MotionSequence(data.reshape(t, d).astype(np.float64), fps=fps)
+        if not (t and d and fps):
+            raise ValueError(f"empty motion file {path}: T={t}, D={d}, fps={fps}")
+        # the data size against the file's, before reading: a corrupt header
+        # can declare more bytes than any file holds
+        size, stored = 4 * t * d, os.fstat(fh.fileno()).st_size - 20
+        if stored < size:
+            raise ValueError(f"truncated motion file {path}: {stored} of {size} data bytes")
+        if stored > size:
+            raise ValueError(f"motion file {path} runs on past its data: {stored} bytes "
+                             f"where T={t}, D={d} need {size}")
+        frames = np.frombuffer(fh.read(size), dtype="<f4").reshape(t, d).astype(np.float64)
+    if not np.isfinite(frames).all():
+        raise ValueError(f"non-finite frame values in motion file {path}")
+    return MotionSequence(frames, fps=fps)

@@ -121,9 +121,11 @@ def _jsonable(value):
         return value.__name__
     if isinstance(value, np.generic):
         return value.item()
-    if callable(value):
-        return getattr(value, "__name__", "callable")
     return value
+
+
+# the model dtypes a config file may name, by the name `config_to_dict` writes
+DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
@@ -153,7 +155,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             if isinstance(v, list):
                 v = tuple(v)
             if k == "dtype":
-                v = {"float32": np.float32, "float64": np.float64}[v]
+                if not (isinstance(v, str) and v in DTYPES):
+                    raise ValueError(f"config key {key}.dtype must be one of "
+                                     f"{', '.join(DTYPES)}, got {v!r}")
+                v = DTYPES[v]
             clean[k] = v
         kwargs[key] = dataclasses.replace(current, **clean)
     return PipelineConfig(**kwargs)
@@ -387,15 +392,9 @@ def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
                              sentences=len(corpus.sentences), pairs=len(corpus.pair_specs))
     log.info("synth ready in %.1fs", time.time() - t0)
 
-    kept = 0
     for gloss, clips in corpus.clips.items():
-        filtered = []
-        for clip in clips:
-            result = qc_filters(clip, config.qc)
-            if result.keep:
-                filtered.append(result.clip)
-                kept += 1
-        corpus.clips[gloss] = filtered
+        corpus.clips[gloss] = [clip for clip in clips if qc_filters(clip, config.qc).keep]
+    kept = sum(len(clips) for clips in corpus.clips.values())
     if not store.hit("qc", config):
         store.begin("qc")
         store.write_manifest("qc", config, [], kept_clips=kept)
@@ -410,7 +409,7 @@ def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
         spans = {}
         for clips in corpus.clips.values():
             for clip in clips:
-                result = trim(clip, None, config.trim)
+                result = trim(clip, config.trim)
                 fell_back = "boundary-fallback" in result.flags or "span-too-short" in result.flags
                 fallbacks += int(fell_back)
                 span = clip.core_span if fell_back else result.span

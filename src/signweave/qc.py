@@ -1,82 +1,30 @@
-"""Rule-based quality-control filters and the dominant/non-dominant split."""
+"""The duration quality-control rule and the dominant/non-dominant split."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .metrics import _BLOCK_ELEMENTS, _dtw_wavefront
-from .motion import GlossClip, MotionSequence, PartLayout, yaw_angle
+from .motion import GlossClip
 
 
 @dataclass(frozen=True)
 class QcConfig:
     max_duration_seconds: float = 10.0
-    yaw_threshold: float = 0.7
-    identity_threshold: float = 0.5
-    # external per-frame score providers (identity re-id, scene change); None passes
-    identity_hook: Callable[[GlossClip], np.ndarray] | None = None
 
 
 @dataclass
 class QcResult:
     keep: bool
     reasons: list[str] = field(default_factory=list)
-    kept_frames: np.ndarray | None = None
-    clip: GlossClip | None = None
 
 
-def yaw_violations(frames: np.ndarray, layout: PartLayout, threshold: float) -> np.ndarray:
-    """Frames where both the root body yaw and the neck yaw exceed the threshold."""
-    if layout.global_orient is None or layout.neck is None:
-        return np.zeros(frames.shape[0], dtype=bool)
-    body_idx = layout.indices("global_orient")
-    neck_idx = layout.indices("neck")
-    body_yaw = np.array([abs(yaw_angle(f[body_idx])) for f in frames])
-    neck_yaw = np.array([abs(yaw_angle(f[neck_idx])) for f in frames])
-    return (body_yaw > threshold) & (neck_yaw > threshold)
-
-
-def qc_filters(clip: GlossClip, cfg: QcConfig = QcConfig(), layout: PartLayout | None = None) -> QcResult:
-    """Apply the duration rule, the frontal-view yaw rule, and external hooks.
-
-    The duration rule discards whole clips; side-view and low-identity frames
-    are dropped individually (the clip is discarded if nothing survives).
-    """
-    motion = clip.motion
-    t = motion.num_frames
-    if motion.duration_seconds > cfg.max_duration_seconds:
+def qc_filters(clip: GlossClip, cfg: QcConfig = QcConfig()) -> QcResult:
+    """Apply the duration rule: a clip longer than the limit is discarded whole."""
+    if clip.motion.duration_seconds > cfg.max_duration_seconds:
         return QcResult(False, ["duration"])
-    layout = layout if layout is not None else (
-        PartLayout.augmented() if motion.dim == 212 else PartLayout.base()
-    )
-    drop = yaw_violations(motion.frames, layout, cfg.yaw_threshold)
-    reasons = []
-    if cfg.identity_hook is not None:
-        scores = np.asarray(cfg.identity_hook(clip), dtype=np.float64)
-        if scores.shape[0] != t:
-            raise ValueError("identity hook must return one score per frame")
-        low = scores < cfg.identity_threshold
-        if low.any():
-            reasons.append("identity")
-        drop = drop | low
-    if drop.all():
-        return QcResult(False, reasons + ["no-frames-left"])
-    if drop.any() and "identity" not in reasons and yaw_violations(motion.frames, layout, cfg.yaw_threshold).any():
-        reasons.append("yaw")
-    kept = np.nonzero(~drop)[0]
-    if drop.any():
-        filtered = MotionSequence(motion.frames[kept].copy(), motion.fps)
-        # remap the core span onto the surviving frames
-        span_lo = int(np.searchsorted(kept, clip.core_span[0], side="left"))
-        span_hi = int(np.searchsorted(kept, clip.core_span[1], side="right")) - 1
-        span_lo = min(max(span_lo, 0), len(kept) - 1)
-        span_hi = min(max(span_hi, span_lo), len(kept) - 1)
-        new_clip = GlossClip(clip.gloss, filtered, (span_lo, span_hi), clip.source)
-    else:
-        new_clip = clip
-    return QcResult(True, reasons, kept, new_clip)
+    return QcResult(True)
 
 
 # ---------------------------------------------------------------------------

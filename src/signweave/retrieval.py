@@ -1,5 +1,5 @@
-"""Translation-memory retrieval: BM25, hybrid fusion, and the retrieval-based
-semantic evaluator for sentence-level motion."""
+"""Translation-memory retrieval: BM25, hybrid fusion and reranking over an
+English-gloss corpus."""
 from __future__ import annotations
 
 import json
@@ -14,8 +14,6 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .glossnorm import char_trigrams, trigram_counts_cosine
-from .metrics import token_f1
-from .motion import MotionSequence, PartLayout
 from .records import read_json_lines
 
 FUSE_ALPHA = 0.35
@@ -206,131 +204,3 @@ def save_corpus(path: str | Path, documents: list[Document]) -> None:
         for d in documents:
             fh.write(json.dumps({"english": d.english, "gloss": d.gloss, "id": d.doc_id}, sort_keys=True) + "\n")
 
-
-# ---------------------------------------------------------------------------
-# retrieval-based semantic evaluation
-
-
-@dataclass(frozen=True)
-class SemanticEvalConfig:
-    lambda_u: float = 0.55
-    lambda_g: float = 0.40
-    lambda_c: float = 0.05
-    top_k: int = 10
-
-
-class StatisticsEncoder:
-    """Default motion encoder: unit-normalized per-part mean/std statistics."""
-
-    def __init__(self, layout: PartLayout | None = None):
-        self.layout = layout if layout is not None else PartLayout.base()
-
-    def __call__(self, frames: np.ndarray) -> np.ndarray:
-        frames = np.asarray(frames, dtype=np.float64)
-        stats = []
-        for group in ("body", "face", "hand"):
-            part = frames[:, self.layout.group_indices(group)]
-            stats.append(part.mean(axis=0))
-            stats.append(part.std(axis=0))
-        vec = np.concatenate(stats)
-        norm = np.linalg.norm(vec)
-        return vec / norm if norm > 0 else vec
-
-
-@dataclass
-class SentenceMemoryItem:
-    motion: np.ndarray
-    gloss: list[str]
-    text: str
-    item_id: str
-
-
-def build_gloss_prototypes(clips_by_gloss: dict[str, list[np.ndarray]], encoder) -> dict[str, np.ndarray]:
-    """One unit vector per gloss: the renormalized mean of its clip embeddings."""
-    prototypes = {}
-    for gloss, clips in clips_by_gloss.items():
-        vecs = np.stack([encoder(c) for c in clips])
-        mean = vecs.mean(axis=0)
-        norm = np.linalg.norm(mean)
-        prototypes[gloss] = mean / norm if norm > 0 else mean
-    return prototypes
-
-
-def segment_frames(frames: np.ndarray, k: int) -> list[np.ndarray]:
-    """Split into k near-equal temporal parts (every part non-empty when T >= k)."""
-    t = frames.shape[0]
-    edges = np.linspace(0, t, k + 1).round().astype(int)
-    out = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        hi = max(hi, lo + 1) if lo < t else t
-        out.append(frames[lo:hi] if hi > lo else frames[max(lo - 1, 0):max(lo, 1)])
-    return out
-
-
-@dataclass
-class SemanticEvalResult:
-    best: SentenceMemoryItem
-    best_score: float
-    scores: list[float]
-    ranked_ids: list[str]
-    retrieved_gloss: list[str]
-    reference_rank: int | None = None
-
-
-def semantic_eval(
-    motion: np.ndarray | MotionSequence,
-    sentence_memory: list[SentenceMemoryItem],
-    gloss_prototypes: dict[str, np.ndarray],
-    encoder=None,
-    cfg: SemanticEvalConfig = SemanticEvalConfig(),
-    reference_id: str | None = None,
-) -> SemanticEvalResult:
-    """Hybrid score over retrieved sentence candidates.
-
-    Combines the min-max normalized sentence similarity over the top-k pool,
-    token F1 between segment-level gloss evidence and the candidate gloss, and
-    the mean best-match prototype cosine as retrieval confidence.
-    """
-    if not sentence_memory:
-        raise ValueError("sentence memory is empty")
-    if not gloss_prototypes:
-        raise ValueError("gloss prototype memory is empty")
-    frames = motion.frames if isinstance(motion, MotionSequence) else np.asarray(motion)
-    encoder = encoder if encoder is not None else StatisticsEncoder()
-    query_vec = encoder(frames)
-    sims = np.array([float(query_vec @ encoder(item.motion)) for item in sentence_memory])
-    top = np.argsort(-sims, kind="stable")[: cfg.top_k]
-    s_u = min_max_normalize(sims[top])
-
-    proto_names = list(gloss_prototypes)
-    proto_mat = np.stack([gloss_prototypes[g] for g in proto_names])
-
-    scores = []
-    evidences = []
-    for pool_rank, mem_idx in enumerate(top):
-        item = sentence_memory[mem_idx]
-        k = max(len(item.gloss), 1)
-        seg_vecs = np.stack([encoder(seg) for seg in segment_frames(frames, k)])
-        cos = seg_vecs @ proto_mat.T
-        best_idx = cos.argmax(axis=1)
-        evidence = [proto_names[i] for i in best_idx]
-        confidence = float(cos.max(axis=1).mean())
-        f1 = token_f1(evidence, item.gloss)
-        score = cfg.lambda_u * float(s_u[pool_rank]) + cfg.lambda_g * f1 + cfg.lambda_c * confidence
-        scores.append(score)
-        evidences.append(evidence)
-
-    best_rank = int(np.argmax(scores))
-    ranked = np.argsort(-np.asarray(scores), kind="stable")
-    ranked_ids = [sentence_memory[top[i]].item_id for i in ranked]
-    reference_rank = None
-    if reference_id is not None and reference_id in ranked_ids:
-        reference_rank = ranked_ids.index(reference_id) + 1
-    return SemanticEvalResult(
-        best=sentence_memory[top[best_rank]],
-        best_score=float(scores[best_rank]),
-        scores=[float(s) for s in scores],
-        ranked_ids=ranked_ids,
-        retrieved_gloss=evidences[best_rank],
-        reference_rank=reference_rank,
-    )

@@ -235,7 +235,6 @@ def test_show_config_output_reloads_identically(tmp_path, tiny_config_file, caps
     assert capsys.readouterr().out == shown
     config = json.loads(shown)
     assert config["dur_model"]["dtype"] == "float32" and config["denoiser"]["dtype"] == "float32"
-    assert config["qc"]["identity_hook"] is None
 
 
 def _loaded_config(config_file, work_dir, overrides=()):
@@ -295,10 +294,15 @@ def test_partial_config_section_keeps_pipeline_defaults(tmp_path, capsys):
     ("show-config", ["--set", "synth=3"], "config key synth names a nested config"),
     ("pipeline", ["--set", "ddim_step=3"], "unknown config key ddim_step"),
     ("train-duration", ["--config", "bad.json"], "unknown config key dur_gloss.stepz"),
+    ("train-duration", ["--config", "hook.json"], "unknown config key qc.identity_hook"),
+    ("pipeline", ["--config", "dtype.json"],
+     "config key denoiser.dtype must be one of float32, float64, got 'float16'"),
 ])
 def test_bad_config_key_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flags, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.json").write_text(json.dumps({"dur_gloss": {"stepz": 3}}))
+    (tmp_path / "hook.json").write_text(json.dumps({"qc": {"identity_hook": "x"}}))
+    (tmp_path / "dtype.json").write_text(json.dumps({"denoiser": {"dtype": "float16"}}))
     with pytest.raises(SystemExit) as exc:
         main([command, "--work-dir", "work"] + flags)
     assert exc.value.code == 2

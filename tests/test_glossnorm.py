@@ -5,7 +5,6 @@ import pytest
 
 from trigram_oracle import pairwise_trigram_cosine
 from signweave.glossnorm import (
-    FilterConfig,
     FilterReport,
     GlossToken,
     KIND_ANNOTATIVE,
@@ -169,11 +168,6 @@ class TestFilterPair:
         report = filter_pair("zzzz qqqq xxxx", tokenize("ABABA KKKKK"))
         assert report.decision == "discard"
         assert "similarity" in report.reasons
-
-    def test_external_hook(self):
-        cfg = FilterConfig(semantic_hook=lambda eng, gl: False)
-        report = filter_pair("my mother works", tokenize("POSS-1p MOTHER WORK mother works"), cfg)
-        assert "external" in report.reasons
 
     def test_discard_requires_reasons(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,6 @@ from signweave.metrics import (
     procrustes_batch,
     procrustes_path_error,
     ranking_metrics,
-    token_f1,
 )
 
 
@@ -356,32 +355,6 @@ class TestFgd:
         b = rng.normal(size=(70, 6)) + 0.3
         assert fgd(a, b) == pytest.approx(fgd(b, a), abs=1e-8)
         assert fgd(a, b) >= 0.0
-
-
-class TestTextMetrics:
-    def test_identical(self):
-        tokens = "IX-1p LIKE BOOK".split()
-        assert token_f1(tokens, tokens) == pytest.approx(1.0)
-
-    def test_disjoint_tokens(self):
-        assert token_f1("A B".split(), "C D".split()) == 0.0
-
-    def test_empty_hypothesis(self):
-        ref = "A B".split()
-        assert token_f1([], ref) == 0.0
-
-    def test_four_token_toy_hand_computed(self):
-        hyp = "a b c d".split()
-        ref = "a b x d".split()
-        assert token_f1(hyp, ref) == pytest.approx(0.75)
-
-    def test_scores_bounded(self):
-        rng = np.random.default_rng(16)
-        vocab = list("abcdefg")
-        for _ in range(50):
-            hyp = list(rng.choice(vocab, size=rng.integers(1, 8)))
-            ref = list(rng.choice(vocab, size=rng.integers(1, 8)))
-            assert 0.0 <= token_f1(hyp, ref) <= 1.0 + 1e-12
 
 
 class TestRankingMetrics:

@@ -1,21 +1,20 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
 from signweave.motion import (
     BASE_DIM,
-    AUGMENTED_DIM,
     GlossClip,
     MotionSequence,
     PartLayout,
-    axis_angle_to_matrix,
     read_motion,
     resample_frames,
     savgol_smooth,
     temporal_diff,
     write_motion,
-    yaw_angle,
 )
 
 
@@ -32,19 +31,11 @@ class TestPartLayout:
             covered[layout.indices(part)] += 1
         assert np.all(covered == 1)
 
-    def test_augmented_partitions_full_axis(self):
-        layout = PartLayout.augmented()
-        assert layout.dim == AUGMENTED_DIM == 212
-        covered = np.zeros(212, dtype=int)
-        for part in ["global_orient", "body", "neck", "jaw", "expression", "rhand", "lhand"]:
-            covered[layout.indices(part)] += 1
-        assert np.all(covered == 1)
-
     def test_group_indices_partition(self):
-        for layout in [PartLayout.base(), PartLayout.augmented()]:
-            groups = [layout.group_indices(g) for g in ["body", "face", "hand"]]
-            merged = np.sort(np.concatenate(groups))
-            assert np.array_equal(merged, np.arange(layout.dim))
+        layout = PartLayout.base()
+        groups = [layout.group_indices(g) for g in ["body", "face", "hand"]]
+        merged = np.sort(np.concatenate(groups))
+        assert np.array_equal(merged, np.arange(layout.dim))
 
     def test_rejects_gap(self):
         with pytest.raises(ValueError):
@@ -198,31 +189,6 @@ class TestTemporalDiff:
         assert np.all(temporal_diff(np.array([[5.0]]), 1) == 0)
 
 
-class TestYaw:
-    def test_zero_rotation(self):
-        assert yaw_angle(np.zeros(3)) == 0.0
-
-    def test_pure_yaw(self):
-        assert yaw_angle(np.array([0.0, 0.5, 0.0])) == pytest.approx(0.5, abs=1e-12)
-        assert yaw_angle(np.array([0.0, -0.8, 0.0])) == pytest.approx(-0.8, abs=1e-12)
-
-    def test_composed_rotation_matches_matrix_oracle(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            rot = rng.normal(size=3) * 0.6
-            r = axis_angle_to_matrix(rot)
-            # oracle: direct Euler extraction for R = Ry(a) Rx(b) Rz(g)
-            expected = np.arctan2(r[0, 2], r[2, 2])
-            assert yaw_angle(rot) == pytest.approx(expected, abs=1e-12)
-
-    def test_rodrigues_is_rotation(self):
-        rng = np.random.default_rng(6)
-        rot = rng.normal(size=3)
-        r = axis_angle_to_matrix(rot)
-        assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
-        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
-
-
 class TestMotionFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -250,6 +216,21 @@ class TestMotionFile:
             with pytest.raises(ValueError, match="truncated motion file") as exc:
                 read_motion(cut)
             assert str(cut) in str(exc.value), length
+
+    @pytest.mark.parametrize("header, data, message", [
+        ((1, 0, 4, 25), b"", "empty motion file"),
+        ((1, 3, 0, 25), b"", "empty motion file"),
+        ((1, 3, 4, 0), np.zeros(12, "<f4").tobytes(), "empty motion file"),
+        ((1, 3, 4, 25), np.full(12, np.nan, "<f4").tobytes(), "non-finite frame values"),
+        ((1, 3, 4, 25), np.zeros(13, "<f4").tobytes(), "runs on past its data"),
+        ((1, 2**32 - 1, 2**32 - 1, 25), b"", "truncated motion file"),
+    ], ids=["no-frames", "no-features", "zero-fps", "nan", "trailing-bytes", "huge-header"])
+    def test_malformed_file_is_rejected_with_the_path(self, tmp_path, header, data, message):
+        path = tmp_path / "clip.svmx"
+        path.write_bytes(b"SVMX" + struct.pack("<IIII", *header) + data)
+        with pytest.raises(ValueError, match=message) as exc:
+            read_motion(path)
+        assert str(path) in str(exc.value)
 
     def test_other_version_is_rejected_with_the_path(self, tmp_path):
         path = tmp_path / "clip.svmx"

@@ -65,17 +65,18 @@ class TestConfig:
     def test_default_stage_hashes_are_pinned(self):
         """A change to how the config is serialized must not invalidate
         existing work directories: the default config's hashes stay these
-        (SCHEMA_VERSION 3). The baseline stage adds no field, so its hash is
+        (SCHEMA_VERSION 3; the qc and trim sections hold only the fields
+        their rules read). The baseline stage adds no field, so its hash is
         trim's."""
         assert {stage: stage_hash(PipelineConfig(), stage) for stage in STAGES} == {
             "synth": "2fbcafc31d6225f6",
-            "qc": "7ced79b66f9937d3",
-            "trim": "d433067bee25d8f5",
-            "baseline": "d433067bee25d8f5",
-            "duration": "ef08b2d9a0eb48c1",
-            "inpaint": "21206c1327b81232",
-            "compose": "f541971eceb5acc4",
-            "eval": "f541971eceb5acc4",
+            "qc": "26d31f017197e435",
+            "trim": "7c77a5d98cd5d9ad",
+            "baseline": "7c77a5d98cd5d9ad",
+            "duration": "d67d0b1efc13777a",
+            "inpaint": "6d4343c47b9eb1e3",
+            "compose": "2e3faef68a9ae67b",
+            "eval": "2e3faef68a9ae67b",
         }
 
     def test_apply_overrides(self, tmp_path):

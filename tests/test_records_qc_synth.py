@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 import signweave.qc as qc
-from signweave.motion import GlossClip, MotionSequence, PartLayout
+from signweave.motion import GlossClip, MotionSequence
 from dtw_oracles import full_feature_costs, loop_subsequence_distance
 from synth_oracles import loop_evaluate, loop_synth_generate
 from signweave.qc import (
-    QcConfig,
     dominant_split,
     pairwise_similarity,
     qc_filters,
@@ -197,33 +196,10 @@ class TestQc:
         clip = GlossClip("OK", MotionSequence(np.zeros((250, 206)), fps=25), (0, 249))
         assert qc_filters(clip).keep
 
-    def test_yaw_and_condition(self):
-        layout = PartLayout.augmented()
-        frames = np.zeros((6, 212))
-        # frame 2: only body yaw high -> kept; frame 4: both high -> dropped
-        frames[2, layout.indices("global_orient")] = [0.0, 0.8, 0.0]
-        frames[4, layout.indices("global_orient")] = [0.0, 0.8, 0.0]
-        frames[4, layout.indices("neck")] = [0.0, 0.9, 0.0]
-        clip = GlossClip("X", MotionSequence(frames, fps=25), (0, 5))
-        result = qc_filters(clip)
-        assert result.keep
-        assert "yaw" in result.reasons
-        assert result.clip.motion.num_frames == 5
-        assert 2 in result.kept_frames and 4 not in result.kept_frames
-
     def test_zero_rotations_kept(self):
         clip = GlossClip("Z", MotionSequence(np.zeros((20, 212)), fps=25), (0, 19))
         result = qc_filters(clip)
         assert result.keep and result.reasons == []
-
-    def test_identity_hook_drops_frames(self):
-        clip = GlossClip("H", MotionSequence(np.ones((10, 206)), fps=25), (0, 9))
-        cfg = QcConfig(identity_hook=lambda c: np.concatenate([np.ones(8), np.zeros(2)]))
-        result = qc_filters(clip, cfg)
-        assert result.keep
-        assert "identity" in result.reasons
-        assert result.clip.motion.num_frames == 8
-
 
 class TestDominantSplit:
     def test_self_distance_zero(self):

@@ -6,26 +6,19 @@ import re
 import numpy as np
 import pytest
 
-from signweave.metrics import token_f1
 from trigram_oracle import pairwise_trigram_cosine
 from signweave.retrieval import (
     Corpus,
     Document,
     OverlapReranker,
     RetrievalResult,
-    SemanticEvalConfig,
-    SentenceMemoryItem,
-    StatisticsEncoder,
     TrigramSparseScorer,
     bm25_score,
-    build_gloss_prototypes,
     load_corpus,
     min_max_normalize,
     normalize_english,
     retrieve,
     save_corpus,
-    segment_frames,
-    semantic_eval,
     word_tokens,
 )
 
@@ -158,94 +151,3 @@ class TestCorpusIo:
         path.write_text(path.read_text() + "\n" + bad_line + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 5: ")):
             load_corpus(path)
-
-
-def build_semantic_fixture(seed=0, n_items=6, dim=206):
-    rng = np.random.default_rng(seed)
-    glosses = [f"G{i}" for i in range(5)]
-    memory = []
-    for i in range(n_items):
-        t = int(rng.integers(20, 40))
-        motion = rng.normal(size=(t, dim))
-        k = int(rng.integers(2, 5))
-        memory.append(SentenceMemoryItem(motion, list(rng.choice(glosses, size=k)), f"text {i}", f"s{i}"))
-    encoder = StatisticsEncoder()
-    clips = {g: [rng.normal(size=(int(rng.integers(10, 20)), dim)) for _ in range(3)] for g in glosses}
-    prototypes = build_gloss_prototypes(clips, encoder)
-    return memory, prototypes, encoder
-
-
-class TestSemanticEval:
-    def test_identical_query_is_top1(self):
-        memory, prototypes, encoder = build_semantic_fixture(seed=1)
-        query = memory[2].motion.copy()
-        result = semantic_eval(query, memory, prototypes, encoder, reference_id="s2")
-        assert result.best.item_id == "s2"
-        assert result.reference_rank == 1
-        assert result.best_score == max(result.scores)
-
-    def test_perfect_gloss_evidence_gives_f1_one(self):
-        # prototypes built from the exact segments of the query sentence
-        rng = np.random.default_rng(2)
-        dim = 206
-        encoder = StatisticsEncoder()
-        segs = [rng.normal(size=(12, dim)) for _ in range(3)]
-        motion = np.concatenate(segs)
-        glosses = ["A", "B", "C"]
-        prototypes = build_gloss_prototypes({g: [s] for g, s in zip(glosses, segs)}, encoder)
-        memory = [
-            SentenceMemoryItem(motion, glosses, "match", "hit"),
-            SentenceMemoryItem(rng.normal(size=(30, dim)), ["A", "C", "B"], "other", "miss"),
-        ]
-        result = semantic_eval(motion, memory, prototypes, encoder)
-        assert result.best.item_id == "hit"
-        assert result.retrieved_gloss == glosses
-        assert token_f1(result.retrieved_gloss, glosses) == 1.0
-
-    def test_randomized_vs_brute_force_reimplementation(self):
-        memory, prototypes, encoder = build_semantic_fixture(seed=3)
-        rng = np.random.default_rng(4)
-        query = rng.normal(size=(25, 206))
-        cfg = SemanticEvalConfig()
-        result = semantic_eval(query, memory, prototypes, encoder, cfg)
-
-        # independent evaluation of the published scoring formula
-        qv = encoder(query)
-        sims = np.array([qv @ encoder(m.motion) for m in memory])
-        top = np.argsort(-sims, kind="stable")[: cfg.top_k]
-        lo, hi = sims[top].min(), sims[top].max()
-        s_u = np.ones_like(sims[top]) if hi <= lo else (sims[top] - lo) / (hi - lo)
-        names = list(prototypes)
-        expected_scores = []
-        for rank, idx in enumerate(top):
-            item = memory[idx]
-            k = len(item.gloss)
-            t = query.shape[0]
-            edges = np.round(np.linspace(0, t, k + 1)).astype(int)
-            evid, conf = [], []
-            for a, b in zip(edges[:-1], edges[1:]):
-                seg = query[a:max(b, a + 1)]
-                cos = np.array([encoder(seg) @ prototypes[g] for g in names])
-                evid.append(names[int(cos.argmax())])
-                conf.append(cos.max())
-            f1 = token_f1(evid, item.gloss)
-            expected_scores.append(0.55 * s_u[rank] + 0.40 * f1 + 0.05 * float(np.mean(conf)))
-        assert np.allclose(result.scores, expected_scores, atol=1e-12)
-
-    def test_empty_memories_rejected(self):
-        memory, prototypes, encoder = build_semantic_fixture(seed=5)
-        with pytest.raises(ValueError):
-            semantic_eval(np.zeros((10, 206)), [], prototypes, encoder)
-        with pytest.raises(ValueError):
-            semantic_eval(np.zeros((10, 206)), memory, {}, encoder)
-
-
-class TestSegmentFrames:
-    def test_partition_covers_everything(self):
-        rng = np.random.default_rng(6)
-        frames = rng.normal(size=(23, 4))
-        for k in [1, 2, 3, 5, 8]:
-            segs = segment_frames(frames, k)
-            assert len(segs) == k
-            assert sum(s.shape[0] for s in segs) >= frames.shape[0]
-            assert all(s.shape[0] >= 1 for s in segs)

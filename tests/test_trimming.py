@@ -5,27 +5,13 @@ import pytest
 
 from signweave.motion import GlossClip, MotionSequence
 from signweave.trimming import (
-    PostureTrack,
     TrimConfig,
     apply_margins,
     detect_boundaries,
     motion_energy,
-    normalize_and_gate,
+    normalize_energy,
     trim,
 )
-
-
-def make_posture(t, wrist_rel=0.3, torso=0.5):
-    """A rigid synthetic skeleton with wrists wrist_rel * torso above the shoulders."""
-    zeros = np.zeros((t, 3))
-    pelvis = zeros.copy()
-    neck = zeros.copy()
-    neck[:, 1] = torso
-    shoulder = zeros.copy()
-    shoulder[:, 1] = torso * 0.9
-    wrist = shoulder.copy()
-    wrist[:, 1] += wrist_rel * torso
-    return PostureTrack(pelvis, neck, shoulder.copy(), shoulder.copy(), wrist.copy(), wrist.copy())
 
 
 class TestMotionEnergy:
@@ -55,31 +41,13 @@ class TestMotionEnergy:
 class TestNormalizeAndGate:
     def test_constant_energy_degenerate(self):
         e = np.full(20, 3.0)
-        scaled, flags = normalize_and_gate(e, None)
+        scaled, flags = normalize_energy(e)
         assert "degenerate-energy" in flags
         assert np.all(scaled == 0)
 
-    def test_gate_zero_when_wrists_down(self):
-        e = np.linspace(0, 1, 20)
-        posture = make_posture(20, wrist_rel=-0.8)
-        scaled, _ = normalize_and_gate(e, posture, direction="on")
-        assert np.all(scaled == 0)
-
-    def test_gate_open_for_raised_wrist(self):
-        # wrist 0.3 * torso above the shoulder clears the offset threshold 0.25
-        e = np.linspace(0, 1, 20)
-        posture = make_posture(20, wrist_rel=0.3)
-        elevation = posture.wrist_elevation()
-        assert np.allclose(elevation, 0.3, atol=1e-12)
-        gated_off, _ = normalize_and_gate(e, posture, direction="off")
-        assert gated_off.max() > 0
-        # but not the stricter onset threshold 0.6
-        gated_on, _ = normalize_and_gate(e, posture, direction="on")
-        assert np.all(gated_on == 0)
-
     def test_no_posture_passes_through(self):
         e = np.concatenate([np.zeros(10), np.ones(10)])
-        scaled, flags = normalize_and_gate(e, None)
+        scaled, flags = normalize_energy(e)
         assert flags == []
         assert scaled.max() == 1.0 and scaled.min() == 0.0
 
@@ -87,17 +55,17 @@ class TestNormalizeAndGate:
 class TestDetectBoundaries:
     def test_spec_example(self):
         e = np.array([0.0, 0, 1, 1, 1, 0])
-        t_on, t_off, fb = detect_boundaries(e, e, TrimConfig())
+        t_on, t_off, fb = detect_boundaries(e, TrimConfig())
         assert (t_on, t_off, fb) == (4, 2, False)
 
     def test_all_high(self):
         e = np.ones(5)
-        t_on, t_off, fb = detect_boundaries(e, e, TrimConfig())
+        t_on, t_off, fb = detect_boundaries(e, TrimConfig())
         assert (t_on, t_off, fb) == (2, 2, False)
 
     def test_all_low_falls_back(self):
         e = np.zeros(6)
-        t_on, t_off, fb = detect_boundaries(e, e, TrimConfig())
+        t_on, t_off, fb = detect_boundaries(e, TrimConfig())
         assert (t_on, t_off, fb) == (0, 5, True)
 
     def test_monotone_in_threshold(self):
@@ -106,7 +74,7 @@ class TestDetectBoundaries:
         prev_span = None
         for theta in [0.2, 0.35, 0.5, 0.7]:
             cfg = TrimConfig(theta_act=theta)
-            t_on, t_off, fb = detect_boundaries(e, e, cfg)
+            t_on, t_off, fb = detect_boundaries(e, cfg)
             if fb:
                 break
             span = t_off - t_on
@@ -179,4 +147,3 @@ class TestTrim:
         r1 = trim(clip)
         r2 = trim(scaled)
         assert r1.span == r2.span
-
