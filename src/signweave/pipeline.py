@@ -3,18 +3,17 @@ training, pair composition, sentence stitching, and evaluation.
 
 Stages persist their outputs under the work directory with a manifest that
 records the config hash, the seed, the files written and the report fields
-the stage adds. A stage hits, and is reused, when its manifest's hash matches
-the config, every file it lists exists, and every stage before it hit; a
-rerun whose stages all hit builds its report from the manifests without
-loading anything. Every file is written whole or not at all, and a stage
-whose manifest lists a file that is not in place misses.
+the stage adds. `StageStore.run` reuses a stage when its manifest's hash
+matches the config, every file it lists exists and decodes, and every stage
+before it hit, and recomputes it otherwise; a rerun whose stages all hit
+builds its report from the manifests without loading anything. Every file is
+written whole or not at all.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
-import logging
 import os
 import time
 from contextlib import contextmanager
@@ -58,10 +57,8 @@ from .neuralkit import load_checkpoint, restore_into, save_checkpoint
 from .qc import QcConfig, qc_filters
 from .records import export_canonical
 from .stitch import assemble_sentence
-from .synth import SynthCorpus, SynthSpec, synth_generate
+from .synth import SentenceSample, SynthCorpus, SynthSpec, synth_generate
 from .trimming import TrimConfig, trim
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -100,9 +97,9 @@ STAGE_FIELDS = [
 
 STAGES = tuple(name for name, _ in STAGE_FIELDS)
 
-# the stages `run_pipeline` can stop after; synth, qc, trim and baseline run
-# as one prepare step before them
-RUN_STAGES = ("duration", "inpaint", "compose", "eval")
+# the stages `run_pipeline` can stop after: those after synth, qc, trim and
+# baseline, which run as one prepare step
+RUN_STAGES = STAGES[STAGES.index("baseline") + 1:]
 
 # Part of every stage hash. Bump it whenever a change alters what a stage
 # writes, so that a work directory from older code is recomputed, not reused.
@@ -136,32 +133,38 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     """Rebuild a config from `config_to_dict` output, or any subset of its keys.
 
     A nested section takes the keys it gives and keeps `PipelineConfig()`'s
-    values (what `show-config` prints) for the rest."""
-    defaults = PipelineConfig()
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in _field_names(defaults):
-            raise ValueError(f"unknown config key {key}")
-        current = getattr(defaults, key)
-        if not dataclasses.is_dataclass(current):
-            kwargs[key] = value
-            continue
+    values (what `show-config` prints) for the rest. A bad key or value
+    raises a ValueError naming the key (see `_checked`)."""
+    return _checked("", raw, PipelineConfig())
+
+
+def _checked(key: str, value, default):
+    """The JSON `value` as the config value at `key`, whose default is
+    `default`. A value has its default's type, except that a model dtype is
+    named as `config_to_dict` writes it, a tuple is a list of as many items,
+    and an int stands for a float and is kept as given; a bool is not an int."""
+    if dataclasses.is_dataclass(default):
         if not isinstance(value, dict):
-            raise ValueError(f"config key {key} names a nested config and needs an object")
-        clean = {}
+            raise ValueError(f"config key {key} names a nested config and needs an object" if key
+                             else "a config must be a JSON object")
+        checked = {}
         for k, v in value.items():
-            if k not in _field_names(current):
-                raise ValueError(f"unknown config key {key}.{k}")
-            if isinstance(v, list):
-                v = tuple(v)
-            if k == "dtype":
-                if not (isinstance(v, str) and v in DTYPES):
-                    raise ValueError(f"config key {key}.dtype must be one of "
-                                     f"{', '.join(DTYPES)}, got {v!r}")
-                v = DTYPES[v]
-            clean[k] = v
-        kwargs[key] = dataclasses.replace(current, **clean)
-    return PipelineConfig(**kwargs)
+            path = f"{key}.{k}" if key else k
+            if k not in _field_names(default):
+                raise ValueError(f"unknown config key {path}")
+            checked[k] = _checked(path, v, getattr(default, k))
+        return dataclasses.replace(default, **checked)
+    if isinstance(default, type):
+        if not (isinstance(value, str) and value in DTYPES):
+            raise ValueError(f"config key {key} must be one of {', '.join(DTYPES)}, got {value!r}")
+        return DTYPES[value]
+    if isinstance(default, tuple):
+        if not (isinstance(value, list) and len(value) == len(default)):
+            raise ValueError(f"config key {key} must be a list of {len(default)} items, got {value!r}")
+        return tuple(_checked(key, v, d) for v, d in zip(value, default))
+    if type(value) is type(default) or (type(default) is float and type(value) is int):
+        return value
+    raise ValueError(f"config key {key} must be of type {type(default).__name__}, got {value!r}")
 
 
 def _field_names(obj) -> set[str]:
@@ -206,14 +209,12 @@ def apply_overrides(config: PipelineConfig, overrides: list[str]) -> PipelineCon
         current = getattr(target, leaf)
         if dataclasses.is_dataclass(current):
             raise ValueError(f"config key {key} names a nested config; set {key}.<field>=value")
-        if isinstance(current, bool):
-            value = raw.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
+        if isinstance(current, int):
             value = int(raw)
         elif isinstance(current, float):
             value = float(raw)
         elif isinstance(current, tuple):
-            value = tuple(type(current[0])(v) for v in raw.split(","))
+            value = _checked(key, [type(current[0])(v) for v in raw.split(",")], current)
         else:
             value = raw
         if type(target).__dataclass_params__.frozen:
@@ -240,15 +241,24 @@ def _write_text(path: Path, text: str) -> None:
         tmp.write_text(text, encoding="utf-8")
 
 
+def _read_json(path: Path):
+    """The JSON value stored at `path`, or None when it is missing or does not decode."""
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+
+
 class StageStore:
-    """Per-stage manifests under the work directory.
+    """Per-stage manifests under the work directory, and `run`, which reuses
+    or recomputes a stage.
 
     A store checks stages in order. A stage hits when its manifest's
     config_hash matches, every output the manifest lists exists, and every
     stage checked before it on this store hit. The first check of a stage
     decides it for the store, so that `run_pipeline`'s up-front check and the
     stage's own check agree. Checking creates no directory. The store keeps
-    each manifest as it last read or wrote it.
+    each manifest as it last read or wrote it, and `timings` (see `run`).
     """
 
     def __init__(self, work_dir: str | Path):
@@ -256,6 +266,7 @@ class StageStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._hits: dict[str, bool] = {}
         self._manifests: dict[str, dict | None] = {}
+        self.timings: dict[str, float] = {}
 
     def manifest_path(self, stage: str) -> Path:
         return self.root / stage / "manifest.json"
@@ -263,10 +274,7 @@ class StageStore:
     def manifest(self, stage: str) -> dict | None:
         """The stage's manifest, or None when it is missing or not a JSON object."""
         if stage not in self._manifests:
-            try:
-                manifest = json.loads(self.manifest_path(stage).read_text())
-            except (OSError, ValueError):
-                manifest = None
+            manifest = _read_json(self.manifest_path(stage))
             self._manifests[stage] = manifest if isinstance(manifest, dict) else None
         return self._manifests[stage]
 
@@ -281,10 +289,6 @@ class StageStore:
                 and all(isinstance(o, str) and (self.root / stage / o).is_file() for o in outputs)
             )
         return self._hits[stage]
-
-    def hit(self, stage: str, config: PipelineConfig) -> bool:
-        """Whether `stage` hits under `config` (see is_done)."""
-        return self.is_done(stage, stage_hash(config, stage))
 
     def done_through(self, config: PipelineConfig, until: str) -> bool:
         """Whether every stage through `until` hits under `config`, checked
@@ -308,25 +312,34 @@ class StageStore:
         d.mkdir(parents=True, exist_ok=True)
         return d
 
-    def write_manifest(self, stage: str, config: PipelineConfig, outputs: list[str],
-                       report: dict | None = None, **facts) -> None:
-        """Write the stage's manifest under its hash and seed: the outputs it
-        lists, the fields the stage adds to the run report, and other facts."""
-        manifest = {"stage": stage, "config_hash": stage_hash(config, stage), "seed": config.seed,
-                    "outputs": outputs, **facts}
-        if report is not None:
-            manifest["report"] = report
-        _write_text(self.manifest_path(stage), json.dumps(manifest, sort_keys=True, indent=1))
-        self._manifests[stage] = manifest
+    def run(self, stage: str, config: PipelineConfig, compute, load=None):
+        """The stage's value under `config`. A hit reads it back with
+        `load(stage_dir)`; a stage without `load`, or whose stored output does
+        not decode (`load` returns None), misses. On a miss, after `begin`,
+        `compute(stage_dir)` writes the outputs and returns the value with the
+        manifest's `outputs`, `report` (the stage's run report fields) and
+        other facts; the manifest is written last. The seconds the stage took
+        go into its manifest and `timings`."""
+        t0 = time.perf_counter()
+        config_hash = stage_hash(config, stage)
+        value = load(self.root / stage) if load is not None and self.is_done(stage, config_hash) else None
+        if value is None:
+            value, fields = compute(self.begin(stage))
+            manifest = {"stage": stage, "config_hash": config_hash, "seed": config.seed,
+                        **fields, "seconds": round(time.perf_counter() - t0, 2)}
+            _write_text(self.manifest_path(stage), json.dumps(manifest, sort_keys=True, indent=1))
+            self._manifests[stage] = manifest
+        self.timings[stage] = round(time.perf_counter() - t0, 2)
+        return value
 
     def report(self, config: PipelineConfig, until: str) -> dict:
         """The run report through `until`: the hash `until`'s manifest holds,
-        the seed, and the report fields of every stage through `until`,
-        merged in stage order. Every one of those stages hit or was written."""
+        the seed, the report fields of every stage through `until`, merged in
+        stage order, and `timings`. Every one of those stages hit or was written."""
         report = {"config_hash": self.manifest(until)["config_hash"], "seed": config.seed}
         for stage in STAGES[: STAGES.index(until) + 1]:
             report.update((self.manifest(stage) or {}).get("report", {}))
-        return report
+        return report | {"timings": dict(self.timings)}
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +354,11 @@ class PreparedData:
     eval_ids: list[str]
     # the linear baseline's scores on the held-out sentences (`baseline_stage`)
     baseline: dict = field(default_factory=dict)
+
+    @cached_property
+    def by_id(self) -> dict[str, SentenceSample]:
+        """Sentence id -> sentence, for every sentence of the corpus."""
+        return {s.sentence_id: s for s in self.corpus.sentences}
 
     @cached_property
     def round_variants(self) -> dict[str, dict[int, int]]:
@@ -377,36 +395,31 @@ def write_corpus(corpus: SynthCorpus, directory: Path) -> int:
 
 
 def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
-    """Stages synth + qc + trim + baseline. The corpus is regenerated on every
-    call, as it is deterministic and cheap: about 20 ms at 6 glosses x 3
-    variants x 24 sentences and 0.5 s for the default corpus, on one core of a
-    2-core machine. A stage that hits skips its writes, and a trim or
-    baseline hit reads its stored output back."""
-    t0 = time.time()
-    corpus = synth_generate(config.synth, rounds=config.pair_rounds)
-    train_ids, eval_ids = _split_sentences(corpus, config.holdout_fraction, config.seed)
-    if not store.hit("synth", config):
-        write_corpus(corpus, store.begin("synth"))
-        store.write_manifest("synth", config, ["words.json", "dialogues.json"],
-                             {"eval_sentences": len(eval_ids)},
-                             sentences=len(corpus.sentences), pairs=len(corpus.pair_specs))
-    log.info("synth ready in %.1fs", time.time() - t0)
+    """Stages synth, qc, trim and baseline. Synth and qc regenerate the corpus
+    and filter its clips on a hit too, as both are deterministic and cheap:
+    generating takes about 25 ms at 6 glosses x 3 variants x 24 sentences and
+    0.6 s for the default corpus, on one core of a 2-core machine. Their hits
+    skip only the writes; a trim or baseline hit reads its stored output back."""
+    def generate(stage_dir=None):
+        corpus = synth_generate(config.synth, rounds=config.pair_rounds)
+        return corpus, *_split_sentences(corpus, config.holdout_fraction, config.seed)
+
+    def write_synth(stage_dir):
+        corpus, _, eval_ids = value = generate()
+        write_corpus(corpus, stage_dir)
+        return value, {"outputs": ["words.json", "dialogues.json"], "report": {"eval_sentences": len(eval_ids)},
+                       "sentences": len(corpus.sentences), "pairs": len(corpus.pair_specs)}
+
+    corpus, train_ids, eval_ids = store.run("synth", config, write_synth, generate)
 
     for gloss, clips in corpus.clips.items():
         corpus.clips[gloss] = [clip for clip in clips if qc_filters(clip, config.qc).keep]
     kept = sum(len(clips) for clips in corpus.clips.values())
-    if not store.hit("qc", config):
-        store.begin("qc")
-        store.write_manifest("qc", config, [], kept_clips=kept)
+    store.run("qc", config, lambda d: (kept, {"outputs": [], "kept_clips": kept}), lambda d: kept)
 
-    clip_ids = [clip.source["id"] for clips in corpus.clips.values() for clip in clips]
-    spans = _read_spans(store.root / "trim" / "spans.json", clip_ids) if store.hit("trim", config) else None
-    if spans is None:
-        # spans that do not decode are a miss too; a clip whose trim falls
-        # back keeps its annotated core span
-        trim_dir = store.begin("trim")
-        fallbacks = 0
-        spans = {}
+    def write_trim(stage_dir):
+        # a clip whose trim falls back keeps its annotated core span
+        spans, fallbacks = {}, 0
         for clips in corpus.clips.values():
             for clip in clips:
                 result = trim(clip, config.trim)
@@ -414,8 +427,11 @@ def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
                 fallbacks += int(fell_back)
                 span = clip.core_span if fell_back else result.span
                 spans[clip.source["id"]] = [int(span[0]), int(span[1])]
-        _write_text(trim_dir / "spans.json", json.dumps(spans, sort_keys=True))
-        store.write_manifest("trim", config, ["spans.json"], {"trim_fallbacks": fallbacks})
+        _write_text(stage_dir / "spans.json", json.dumps(spans, sort_keys=True))
+        return spans, {"outputs": ["spans.json"], "report": {"trim_fallbacks": fallbacks}}
+
+    clip_ids = [clip.source["id"] for clips in corpus.clips.values() for clip in clips]
+    spans = store.run("trim", config, write_trim, lambda d: _read_spans(d / "spans.json", clip_ids))
 
     cores = {}
     for gloss, clips in corpus.clips.items():
@@ -431,10 +447,7 @@ def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
 def _read_spans(path: Path, clip_ids: list[str]) -> dict[str, list[int]] | None:
     """The trim spans stored at `path`, or None unless it holds an object
     with a [start, end] pair of integers for every clip id."""
-    try:
-        spans = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
+    spans = _read_json(path)
     if not isinstance(spans, dict):
         return None
     for cid in clip_ids:
@@ -448,26 +461,20 @@ def baseline_stage(config: PipelineConfig, store: StageStore, data: PreparedData
     """The linear baseline's scores on the held-out sentences: the rows, DTW
     paths and summary that `score_sentences` gives. The baseline depends on
     the trimmed cores alone, so it is scored once per prepared corpus, not on
-    every eval; a stored file that does not decode is a miss."""
-    path = store.root / "baseline" / "scores.json"
-    scores = _read_scores(path, data.eval_ids) if store.hit("baseline", config) else None
-    if scores is None:
-        stage_dir = store.begin("baseline")
-        by_id = {s.sentence_id: s for s in data.corpus.sentences}
+    every eval."""
+    def compute(stage_dir):
         scores = score_sentences("baseline", {
-            sid: linear_baseline(_sentence_segments(data, by_id[sid])) for sid in data.eval_ids}, data)
+            sid: linear_baseline(_sentence_segments(data, data.by_id[sid])) for sid in data.eval_ids}, data)
         _write_text(stage_dir / "scores.json", json.dumps(scores))
-        store.write_manifest("baseline", config, ["scores.json"])
-    return scores
+        return scores, {"outputs": ["scores.json"]}
+
+    return store.run("baseline", config, compute, lambda d: _read_scores(d / "scores.json", data.eval_ids))
 
 
 def _read_scores(path: Path, sentence_ids: list[str]) -> dict | None:
     """The scores stored at `path`, or None unless they hold a row and a path
     for each of the sentence ids, in order, and a summary of every metric."""
-    try:
-        scores = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
+    scores = _read_json(path)
     if not (isinstance(scores, dict) and isinstance(scores.get("summary"), dict)
             and set(scores["summary"]) == set(SUMMARY_KEYS)):
         return None
@@ -485,7 +492,6 @@ def _read_scores(path: Path, sentence_ids: list[str]) -> dict | None:
 def _pairs(data: PreparedData, held_out: bool):
     """(spec, sample, a, b) for each pair spec of the training sentences, or of
     the held-out ones: the spec, its sentence and the two trimmed cores."""
-    by_id = {s.sentence_id: s for s in data.corpus.sentences}
     train_set = set(data.train_ids)
     for spec in data.corpus.pair_specs:
         sid = spec.sentence_id.rsplit(".r", 1)[0]
@@ -493,7 +499,7 @@ def _pairs(data: PreparedData, held_out: bool):
             continue
         a = data.cores[f"{spec.gloss_a}.v{spec.variant_a}"]
         b = data.cores[f"{spec.gloss_b}.v{spec.variant_b}"]
-        yield spec, by_id[sid], a, b
+        yield spec, data.by_id[sid], a, b
 
 
 def _pair_examples(data: PreparedData, window: int, held_out: bool) -> list[PairExample]:
@@ -516,14 +522,13 @@ def build_duration_examples(data: PreparedData, window: int) -> tuple[list[PairE
 
     A training sentence gives one sentence example per round that has pair
     specs, built from that round's clip variants."""
-    by_id = {s.sentence_id: s for s in data.corpus.sentences}
     train_set = set(data.train_ids)
     sent_examples: list[SentenceExample] = []
     for round_id, variants in data.round_variants.items():
         sid = round_id.rsplit(".r", 1)[0]
         if sid not in train_set:
             continue
-        sample = by_id[sid]
+        sample = data.by_id[sid]
         segments = [data.cores[f"{g}.v{variants[i]}"] for i, g in enumerate(sample.glosses)]
         tokens = sentence_token_features(segments)
         t_src = sum(seg.shape[0] for seg in segments)
@@ -535,8 +540,11 @@ def build_duration_examples(data: PreparedData, window: int) -> tuple[list[PairE
 
 def _restored(model, path: Path):
     """`model`, built without drawing its parameters, with the checkpoint
-    at `path` restored into them."""
-    restore_into(model.params, load_checkpoint(path))
+    at `path` restored into them; None when the checkpoint does not decode."""
+    try:
+        restore_into(model.params, load_checkpoint(path))
+    except (OSError, KeyError, ValueError):
+        return None
     return model
 
 
@@ -549,24 +557,25 @@ def train_duration_stage(config: PipelineConfig, store: StageStore, data: Prepar
     """The trained gloss and sentence predictors. Training also scores the
     gloss predictor on the held-out pairs, and the manifest stores that
     evaluation, so that a hit only loads the checkpoints."""
-    if store.hit("duration", config):
-        stage_dir = store.root / "duration"
-        return (_restored(GlossDurationPredictor(config.dur_model, seed=None), stage_dir / "gloss.ckpt"),
-                _restored(SentenceDurationPredictor(config.dur_model, seed=None), stage_dir / "sent.ckpt"))
-    stage_dir = store.begin("duration")
-    gloss_model = GlossDurationPredictor(config.dur_model, seed=config.seed)
-    sent_model = SentenceDurationPredictor(config.dur_model, seed=config.seed)
-    train_pairs, sent_examples = build_duration_examples(data, config.dur_model.window)
-    t0 = time.time()
-    train_gloss_predictor(train_pairs, gloss_model, config.dur_gloss)
-    train_sentence_predictor(sent_examples, sent_model, config.dur_sent)
-    _save_checkpoint(stage_dir / "gloss.ckpt", gloss_model.params)
-    _save_checkpoint(stage_dir / "sent.ckpt", sent_model.params)
-    store.write_manifest("duration", config, ["gloss.ckpt", "sent.ckpt"],
-                         {"duration_eval": evaluate_duration(data, gloss_model, config.dur_model.window)},
-                         train_pairs=len(train_pairs), sentences=len(sent_examples),
-                         seconds=round(time.time() - t0, 1))
-    return gloss_model, sent_model
+    def load(stage_dir):
+        models = (_restored(GlossDurationPredictor(config.dur_model, seed=None), stage_dir / "gloss.ckpt"),
+                  _restored(SentenceDurationPredictor(config.dur_model, seed=None), stage_dir / "sent.ckpt"))
+        return models if all(m is not None for m in models) else None
+
+    def compute(stage_dir):
+        gloss_model = GlossDurationPredictor(config.dur_model, seed=config.seed)
+        sent_model = SentenceDurationPredictor(config.dur_model, seed=config.seed)
+        train_pairs, sent_examples = build_duration_examples(data, config.dur_model.window)
+        train_gloss_predictor(train_pairs, gloss_model, config.dur_gloss)
+        train_sentence_predictor(sent_examples, sent_model, config.dur_sent)
+        _save_checkpoint(stage_dir / "gloss.ckpt", gloss_model.params)
+        _save_checkpoint(stage_dir / "sent.ckpt", sent_model.params)
+        return (gloss_model, sent_model), {
+            "outputs": ["gloss.ckpt", "sent.ckpt"],
+            "report": {"duration_eval": evaluate_duration(data, gloss_model, config.dur_model.window)},
+            "train_pairs": len(train_pairs), "sentences": len(sent_examples)}
+
+    return store.run("duration", config, compute, load)
 
 
 def duration_adjust_pair(a: np.ndarray, b: np.ndarray, gloss_model: GlossDurationPredictor,
@@ -595,30 +604,27 @@ def build_inpaint_items(config: PipelineConfig, data: PreparedData,
 
 def train_inpaint_stage(config: PipelineConfig, store: StageStore, data: PreparedData,
                         gloss_model: GlossDurationPredictor) -> tuple[Denoiser | None, DiffusionSchedule]:
-    """The trained denoiser, or None with `inpaint_train.steps` <= 0. A stage
-    whose manifest matches but whose checkpoint was removed misses, and
-    composes with the linear fallback (None) rather than retraining."""
+    """The trained denoiser, or None with `inpaint_train.steps` <= 0, and the
+    diffusion schedule. A removed or undecodable checkpoint is a miss like
+    any other, so the denoiser is trained again."""
     schedule = DiffusionSchedule()
-    ckpt = store.root / "inpaint" / "denoiser.ckpt"
-    if store.hit("inpaint", config):
-        if config.inpaint_train.steps <= 0:
-            return None, schedule
-        return _restored(Denoiser(config.denoiser, seed=None), ckpt), schedule
-    if (store.manifest("inpaint") or {}).get("config_hash") == stage_hash(config, "inpaint"):
-        log.warning("inpaint manifest present but %s is missing; composing with the linear fallback", ckpt)
-        return None, schedule
-    store.begin("inpaint")
     if config.inpaint_train.steps <= 0:
-        store.write_manifest("inpaint", config, [])
-        return None, schedule
-    denoiser = Denoiser(config.denoiser, seed=config.seed)
-    items = build_inpaint_items(config, data, gloss_model)
-    t0 = time.time()
-    history = train_inpainter(items, denoiser, schedule, config.inpaint_train)
-    _save_checkpoint(ckpt, denoiser.params)
-    store.write_manifest("inpaint", config, ["denoiser.ckpt"], train_items=len(items),
-                         final_loss=history[-1] if history else None, seconds=round(time.time() - t0, 1))
-    return denoiser, schedule
+        return store.run("inpaint", config, lambda d: ((None, schedule), {"outputs": []}),
+                         lambda d: (None, schedule))
+
+    def load(stage_dir):
+        denoiser = _restored(Denoiser(config.denoiser, seed=None), stage_dir / "denoiser.ckpt")
+        return None if denoiser is None else (denoiser, schedule)
+
+    def compute(stage_dir):
+        denoiser = Denoiser(config.denoiser, seed=config.seed)
+        items = build_inpaint_items(config, data, gloss_model)
+        history = train_inpainter(items, denoiser, schedule, config.inpaint_train)
+        _save_checkpoint(stage_dir / "denoiser.ckpt", denoiser.params)
+        return (denoiser, schedule), {"outputs": ["denoiser.ckpt"], "train_items": len(items),
+                                      "final_loss": history[-1] if history else None}
+
+    return store.run("inpaint", config, compute, load)
 
 
 @dataclass
@@ -643,15 +649,11 @@ def compose_and_stitch(
     When no denoiser is available, the refined path falls back to the linear
     transition baseline's pairs (recorded per sentence).
     """
-    by_id = {s.sentence_id: s for s in data.corpus.sentences}
-    ema_swap = None
-    if denoiser is not None:
-        ema_swap = denoiser.params.swap_in_ema()
+    ema_swap = denoiser.params.swap_in_ema() if denoiser is not None else None
     out = []
     try:
         for sid in data.eval_ids:
-            segments = _sentence_segments(data, by_id[sid])
-            k = len(segments)
+            segments = _sentence_segments(data, data.by_id[sid])
             digest = int(hashlib.sha256(sid.encode("utf-8")).hexdigest()[:8], 16)
             rng = np.random.default_rng(config.seed + digest)
 
@@ -666,7 +668,7 @@ def compose_and_stitch(
 
             pred = sent_model.predict(segments)
             plan = integer_plan(sum(seg.shape[0] for seg in segments), pred, config.min_gloss_len)
-            if k == 1:
+            if len(segments) == 1:
                 # single-gloss sentences bypass pairing entirely
                 ours = assemble_sentence([(segments[0], 0)], GlossPlan([plan.total], plan.total))
             elif adjusted:
@@ -682,9 +684,30 @@ def compose_and_stitch(
                 ours = assemble_sentence(_baseline_pairs(segments), plan)
             out.append(ComposedSentence(sid, ours, linear_baseline(segments), denoiser is None))
     finally:
-        if denoiser is not None and ema_swap is not None:
+        if denoiser is not None:
             denoiser.params.restore(ema_swap)
     return out
+
+
+def compose_stage(config: PipelineConfig, store: StageStore, data: PreparedData,
+                  gloss_model: GlossDurationPredictor, sent_model: SentenceDurationPredictor,
+                  denoiser: Denoiser | None, schedule: DiffusionSchedule) -> list[ComposedSentence]:
+    """The held-out sentences composed, each written as SVMX beside its linear
+    baseline. With no `load`, a run that reaches compose recomputes it: eval
+    scores the in-memory frames, which the float32 SVMX files do not hold."""
+    def compute(stage_dir):
+        composed = compose_and_stitch(config, data, gloss_model, sent_model, denoiser, schedule)
+        outputs = []
+        for item in composed:
+            for method in ("ours", "baseline"):
+                name = f"{item.sentence_id}.{method}.svmx"
+                with atomic_path(stage_dir / name) as tmp:
+                    write_motion(tmp, getattr(item, method))
+                outputs.append(name)
+        return composed, {"outputs": outputs,
+                          "report": {"denoiser_fallback": any(c.fallback for c in composed)}}
+
+    return store.run("compose", config, compute)
 
 
 def _sentence_segments(data: PreparedData, sample) -> list[np.ndarray]:
@@ -706,22 +729,16 @@ def linear_baseline(segments: list[np.ndarray]) -> MotionSequence:
     if len(segments) == 1:
         return MotionSequence(segments[0].copy())
     pairs = _baseline_pairs(segments)
-    return assemble_sentence(pairs, _natural_plan(pairs, len(segments)))
+    return assemble_sentence(pairs, _natural_plan(pairs))
 
 
-def _natural_plan(pairs: list[tuple[np.ndarray, int]], k: int) -> GlossPlan:
-    """Stitching plan without the sentence-duration predictor: natural lengths."""
-    lengths = []
-    for gi in range(k):
-        if gi == 0:
-            lengths.append(pairs[0][1])
-        elif gi == k - 1:
-            frames, boundary = pairs[-1]
-            lengths.append(frames.shape[0] - boundary)
-        else:
-            right_len = pairs[gi - 1][0].shape[0] - pairs[gi - 1][1]
-            left_len = pairs[gi][1]
-            lengths.append((right_len + left_len + 1) // 2)
+def _natural_plan(pairs: list[tuple[np.ndarray, int]]) -> GlossPlan:
+    """Stitching plan without the sentence-duration predictor: natural
+    lengths, an inner gloss taking the mean of its two pairs' lengths for it,
+    rounded up."""
+    heads = [boundary for _, boundary in pairs]
+    tails = [frames.shape[0] - boundary for frames, boundary in pairs]
+    lengths = [heads[0]] + [(t + h + 1) // 2 for t, h in zip(tails, heads[1:])] + [tails[-1]]
     return GlossPlan(lengths, sum(lengths))
 
 
@@ -740,7 +757,6 @@ def score_sentences(method: str, outputs: dict[str, MotionSequence], data: Prepa
     sentences: a row and a DTW alignment path per sentence, in order, and the
     method's summary."""
     adapter = SyntheticSkeletonAdapter()
-    by_id = {s.sentence_id: s for s in data.corpus.sentences}
     joints = np.concatenate([adapter.body_joints, adapter.hand_joints])
     # metric -> point subset; the plain and Procrustes-aligned overall errors
     # share the overall alignment
@@ -752,7 +768,7 @@ def score_sentences(method: str, outputs: dict[str, MotionSequence], data: Prepa
     }
     rows, paths = [], []
     for sid, seq in outputs.items():
-        ref = by_id[sid].frames
+        ref = data.by_id[sid].frames
         pts, ref_pts = adapter.to_points(seq.frames), adapter.to_points(ref)
         aligned = dict(zip(subsets, dtw_alignments(pts, ref_pts, list(subsets.values()))))
         row = {"sentence_id": sid, "method": method}
@@ -763,7 +779,7 @@ def score_sentences(method: str, outputs: dict[str, MotionSequence], data: Prepa
         rows.append(row)
         paths.append({"sentence_id": sid, "method": method, "total_cost": total, "path": path.tolist()})
     summary = {key: float(np.mean([r[key] for r in rows])) for key in ERROR_KEYS}
-    refs = [by_id[sid].frames for sid in outputs]
+    refs = [data.by_id[sid].frames for sid in outputs]
     summary["length_ratio"] = length_ratio([seq.num_frames for seq in outputs.values()],
                                            [ref.shape[0] for ref in refs])
     summary["fgd"] = fgd(np.concatenate([seq.frames for seq in outputs.values()]), np.concatenate(refs))
@@ -824,80 +840,62 @@ def _jsonl(rows: list[dict]) -> str:
     return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
+def eval_stage(config: PipelineConfig, store: StageStore, data: PreparedData,
+               composed: list[ComposedSentence], dump_paths: bool = False) -> None:
+    """Score the composed sentences (`evaluate_composed`) into metrics.jsonl,
+    and into paths.jsonl with dump_paths; then write the run report to
+    report.json. Like compose, eval has no `load`."""
+    def compute(stage_dir):
+        # the manifest lists report.json, which is written after it: until then
+        # the stage misses, and no report.json of an earlier run is left to count
+        (stage_dir / "report.json").unlink(missing_ok=True)
+        result = evaluate_composed(composed, data, dump_paths=dump_paths)
+        outputs = ["metrics.jsonl", "report.json"]
+        _write_text(stage_dir / "metrics.jsonl", _jsonl(result["rows"]))
+        if dump_paths:
+            _write_text(stage_dir / "paths.jsonl", _jsonl(result["paths"]))
+            outputs.append("paths.jsonl")
+        else:
+            # the paths of an earlier run would not belong to these outputs
+            (stage_dir / "paths.jsonl").unlink(missing_ok=True)
+        return result, {"outputs": outputs, "report": {"sentence": result["summary"]}}
+
+    store.run("eval", config, compute)
+    report = json.dumps(store.report(config, "eval"), sort_keys=True, indent=1)
+    _write_text(store.root / "eval" / "report.json", report)
+
+
+def _steps(config: PipelineConfig, store: StageStore, dump_paths: bool):
+    """Run the steps in stage order, yielding each stage after prepare's
+    (synth, qc, trim and baseline) as it is done."""
+    data = prepare_data(config, store)
+    gloss_model, sent_model = train_duration_stage(config, store, data)
+    yield "duration"
+    denoiser, schedule = train_inpaint_stage(config, store, data, gloss_model)
+    yield "inpaint"
+    composed = compose_stage(config, store, data, gloss_model, sent_model, denoiser, schedule)
+    yield "compose"
+    eval_stage(config, store, data, composed, dump_paths)
+    yield "eval"
+
+
 def run_pipeline(config: PipelineConfig, until: str = "eval", dump_paths: bool = False) -> dict:
-    """Run the stages in order through `until` and return `StageStore.report`
-    with this run's timings.
+    """Run the stages in order through `until` and return `StageStore.report`.
 
     When every stage through `until` hits (see StageStore; with dump_paths,
-    the eval stage must also have written paths.jsonl), nothing is loaded.
-    Otherwise prepare, duration and inpaint are reused up to the first stage
-    that misses, and that stage and every later one are recomputed; compose
-    and eval are always recomputed together, because eval scores the
-    in-memory frames, which the float32 SVMX files do not hold exactly. The
-    eval stage also writes metrics.jsonl and report.json under eval/, and
-    paths.jsonl with the DTW alignment paths when dump_paths is set.
-    """
+    the eval stage must also have written paths.jsonl), nothing is loaded
+    and the `timings` are {"cached": seconds}. Otherwise `StageStore.run`
+    reuses or recomputes each stage through `until`, and the `timings` name
+    them. With dump_paths, eval also writes the DTW paths to paths.jsonl."""
     if until not in RUN_STAGES:
         raise ValueError(f"unknown stage {until!r}; expected one of {', '.join(RUN_STAGES)}")
+    t0 = time.perf_counter()
     store = StageStore(config.work_dir)
-    timings: dict[str, float] = {}
-    t0 = time.time()
-
-    def lap(stage: str) -> None:
-        nonlocal t0
-        timings[stage] = round(time.time() - t0, 2)
-        t0 = time.time()
-
-    def report() -> dict:
-        return store.report(config, until) | {"timings": timings}
-
     if store.done_through(config, until) and not (
             dump_paths and until == "eval" and "paths.jsonl" not in store.manifest("eval")["outputs"]):
-        lap("cached")
-        return report()
-
-    data = prepare_data(config, store)
-    lap("prepare")
-
-    gloss_model, sent_model = train_duration_stage(config, store, data)
-    lap("duration")
-    if until == "duration":
-        return report()
-
-    denoiser, schedule = train_inpaint_stage(config, store, data, gloss_model)
-    lap("inpaint")
-    if until == "inpaint":
-        return report()
-
-    compose_dir = store.begin("compose")
-    composed = compose_and_stitch(config, data, gloss_model, sent_model, denoiser, schedule)
-    outputs = []
-    for item in composed:
-        for method in ("ours", "baseline"):
-            name = f"{item.sentence_id}.{method}.svmx"
-            with atomic_path(compose_dir / name) as tmp:
-                write_motion(tmp, getattr(item, method))
-            outputs.append(name)
-    store.write_manifest("compose", config, outputs, {"denoiser_fallback": any(c.fallback for c in composed)})
-    lap("compose")
-    if until == "compose":
-        return report()
-
-    eval_dir = store.begin("eval")
-    # the manifest lists report.json, which is written after it: until then
-    # the stage misses, and no report.json of an earlier run is left to count
-    (eval_dir / "report.json").unlink(missing_ok=True)
-    eval_result = evaluate_composed(composed, data, dump_paths=dump_paths)
-    lap("eval")
-    outputs = ["metrics.jsonl", "report.json"]
-    _write_text(eval_dir / "metrics.jsonl", _jsonl(eval_result["rows"]))
-    if dump_paths:
-        _write_text(eval_dir / "paths.jsonl", _jsonl(eval_result["paths"]))
-        outputs.append("paths.jsonl")
+        store.timings["cached"] = round(time.perf_counter() - t0, 2)
     else:
-        # the paths of an earlier run would not belong to these outputs
-        (eval_dir / "paths.jsonl").unlink(missing_ok=True)
-    store.write_manifest("eval", config, outputs, {"sentence": eval_result["summary"]})
-    result = report()
-    _write_text(eval_dir / "report.json", json.dumps(result, sort_keys=True, indent=1))
-    return result
+        for stage in _steps(config, store, dump_paths):
+            if stage == until:
+                break
+    return store.report(config, until)

@@ -297,12 +297,27 @@ def test_partial_config_section_keeps_pipeline_defaults(tmp_path, capsys):
     ("train-duration", ["--config", "hook.json"], "unknown config key qc.identity_hook"),
     ("pipeline", ["--config", "dtype.json"],
      "config key denoiser.dtype must be one of float32, float64, got 'float16'"),
+    # a value of the wrong type, at the top level or in a section
+    ("show-config", ["--config", "qc_str.json"],
+     "config key qc.max_duration_seconds must be of type float, got 'ten'"),
+    ("show-config", ["--config", "ddim_str.json"], "config key ddim_steps must be of type int, got '50'"),
+    ("show-config", ["--config", "seed_bool.json"], "config key seed must be of type int, got True"),
+    ("show-config", ["--config", "length3.json"],
+     "config key synth.sentence_length must be a list of 2 items, got [3, 8, 9]"),
+    ("show-config", ["--config", "tempo_str.json"],
+     "config key synth.sentence_tempo must be of type float, got '0.9'"),
+    ("pipeline", ["--config", "qc_str.json"], "config key qc.max_duration_seconds must be of type float, got 'ten'"),
 ])
 def test_bad_config_key_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flags, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.json").write_text(json.dumps({"dur_gloss": {"stepz": 3}}))
     (tmp_path / "hook.json").write_text(json.dumps({"qc": {"identity_hook": "x"}}))
     (tmp_path / "dtype.json").write_text(json.dumps({"denoiser": {"dtype": "float16"}}))
+    (tmp_path / "qc_str.json").write_text(json.dumps({"qc": {"max_duration_seconds": "ten"}}))
+    (tmp_path / "ddim_str.json").write_text(json.dumps({"ddim_steps": "50"}))
+    (tmp_path / "seed_bool.json").write_text(json.dumps({"seed": True}))
+    (tmp_path / "length3.json").write_text(json.dumps({"synth": {"sentence_length": [3, 8, 9]}}))
+    (tmp_path / "tempo_str.json").write_text(json.dumps({"synth": {"sentence_tempo": [0.7, "0.9"]}}))
     with pytest.raises(SystemExit) as exc:
         main([command, "--work-dir", "work"] + flags)
     assert exc.value.code == 2
@@ -335,6 +350,18 @@ def test_degenerate_synth_config_is_a_usage_error(tmp_path, monkeypatch, capsys,
     assert captured.out == ""
     assert captured.err.startswith("usage: signweave") and f"error: {message}" in captured.err
     assert not (tmp_path / "work").exists() and not (tmp_path / "corpus").exists()
+
+
+def test_int_config_value_stands_for_a_float(tmp_path, capsys):
+    """An int where the default is a float is kept as given, so the stage
+    hashes of existing config files stay what they were."""
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({"qc": {"max_duration_seconds": 10}, "synth": {"sentence_tempo": [1, 2]}}))
+    assert main(["show-config", "--config", str(path)]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert shown["qc"]["max_duration_seconds"] == 10 and type(shown["qc"]["max_duration_seconds"]) is int
+    config = config_from_dict(json.loads(path.read_text()))
+    assert config.synth.sentence_tempo == (1, 2) and config.qc.max_duration_seconds == 10
 
 
 def test_synth_command_writes_the_pipeline_corpus(tmp_path, tiny_config_file, capsys):

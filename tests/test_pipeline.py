@@ -204,17 +204,6 @@ class TestDeterminism:
             assert again.ours.frames.tobytes() == composed.ours.frames.tobytes()
 
 
-class TestWorkersAndFallback:
-    def test_removed_checkpoint_falls_back(self, tmp_path):
-        config = tiny_config(tmp_path / "work")
-        run_pipeline(config)
-        ckpt = tmp_path / "work" / "inpaint" / "denoiser.ckpt"
-        assert ckpt.exists()
-        ckpt.unlink()
-        report = run_pipeline(config)
-        assert report["denoiser_fallback"] is True
-
-
 def _without_timings(report: dict) -> dict:
     return {k: v for k, v in report.items() if k != "timings"}
 
@@ -383,6 +372,7 @@ class TestResume:
     def test_rerun_without_denoiser_hits(self, tmp_path, monkeypatch):
         config = tiny_config(tmp_path / "work", steps=0)
         first = run_pipeline(config)
+        assert first["denoiser_fallback"] is True
         assert json.loads((tmp_path / "work" / "inpaint" / "manifest.json").read_text())["outputs"] == []
         _forbid(monkeypatch, "prepare_data", "compose_and_stitch")
         assert _without_timings(run_pipeline(config)) == _without_timings(first)
@@ -535,6 +525,59 @@ class TestResume:
                 assert np.array_equal(model.params.ema_value(pname), ema)
 
 
+def _trained_outputs(work: Path) -> dict[str, bytes]:
+    """The bytes of the checkpoints, the composed sentences and the metrics."""
+    paths = [*sorted(work.glob("*/*.ckpt")), *sorted(work.glob("compose/*.svmx")),
+             work / "eval" / "metrics.jsonl"]
+    return {path.relative_to(work).as_posix(): path.read_bytes() for path in paths}
+
+
+class TestStageProtocol:
+    """`StageStore.run` is the one rule: a stage whose stored output is gone
+    or does not decode misses like any other, and the run report times every
+    stage it ran."""
+
+    def test_removed_checkpoint_is_retrained(self, rerun, monkeypatch):
+        config, first = rerun
+        work = Path(config.work_dir)
+        before = _trained_outputs(work)
+        (work / "inpaint" / "denoiser.ckpt").unlink()
+        _forbid(monkeypatch, "train_gloss_predictor", "train_sentence_predictor")
+        retrained = _spy(monkeypatch, "train_inpainter")
+        report = run_pipeline(config)
+        assert retrained == ["train_inpainter"]
+        assert report["denoiser_fallback"] is False
+        assert _without_timings(report) == _without_timings(first)
+        assert _trained_outputs(work) == before
+
+    @pytest.mark.parametrize("ckpt", ["duration/gloss.ckpt", "inpaint/denoiser.ckpt"])
+    def test_undecodable_checkpoint_is_retrained(self, rerun, monkeypatch, ckpt):
+        config, first = rerun
+        work = Path(config.work_dir)
+        before = _trained_outputs(work)
+        (work / ckpt).write_bytes(before[ckpt][:100])
+        # a full hit decodes no stored output; a run that composes does
+        shutil.rmtree(work / "eval")
+        trained = {name: _spy(monkeypatch, name) for name in TRAINING}
+        report = run_pipeline(config)
+        # a retrained stage breaks the chain: the inpainter is retrained either way
+        assert [name for name, calls in trained.items() if calls] == (
+            list(TRAINING) if ckpt.startswith("duration") else ["train_inpainter"])
+        assert _without_timings(report) == _without_timings(first)
+        assert _trained_outputs(work) == before
+
+    def test_timings_name_each_stage_that_ran(self, finished_run, rerun):
+        _, fresh = finished_run
+        config, _ = rerun
+        work = Path(config.work_dir)
+        assert set(fresh["timings"]) == set(STAGES)
+        assert set(json.loads((work / "eval" / "report.json").read_text())["timings"]) == set(STAGES)
+        assert set(run_pipeline(config)["timings"]) == {"cached"}
+        for stage in ("compose", "eval"):
+            shutil.rmtree(work / stage)
+        assert set(run_pipeline(config, until="compose")["timings"]) == set(STAGES[: STAGES.index("compose") + 1])
+
+
 class TestPlaceholderModels:
     """seed=None builds the parameters a checkpoint restore fills, without
     drawing them; a seeded build draws as before."""
@@ -631,9 +674,11 @@ class TestEvaluation:
 
 class TestConfigKeys:
     @pytest.mark.parametrize("override", ["synth=3", "inpaint_train=1", "ddim_step=3",
-                                          "inpaint_train.stepz=3", "seed.x=1", "workers=2"])
+                                          "inpaint_train.stepz=3", "seed.x=1", "workers=2",
+                                          "inpaint_train.betas=0.9"])
     def test_bad_override_key_rejected(self, tmp_path, override):
-        # a nested config object or a name that is no config field
+        # a nested config object, a name that is no config field, or a tuple
+        # of the wrong length
         config = tiny_config(tmp_path)
         before = config_to_dict(config)
         with pytest.raises(ValueError, match="config key"):
