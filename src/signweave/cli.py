@@ -51,22 +51,22 @@ def cmd_qc(args) -> int:
     records = args.records
     cfg = QcConfig()
     kept = 0
-    dominant_labels: dict[str, bool] = {}
+    # labels by record position: an id need not be there, nor be unique
+    dominant = [True] * len(records)
     if args.dominant_split:
         from collections import defaultdict
 
         from .qc import dominant_split
 
         by_gloss = defaultdict(list)
-        for record in records:
-            by_gloss[record.gloss].append(record)
-        for gloss, group in by_gloss.items():
-            clips = [word_record_to_clip(r).motion.frames for r in group]
-            labels = dominant_split(clips)
-            for record, label in zip(group, labels):
-                dominant_labels[str(record.source_info.get("id"))] = label
+        for i, record in enumerate(records):
+            by_gloss[record.gloss].append(i)
+        for positions in by_gloss.values():
+            labels = dominant_split([word_record_to_clip(records[i]).motion.frames for i in positions])
+            for i, label in zip(positions, labels):
+                dominant[i] = label
     with open(args.out, "w", encoding="utf-8") as fh:
-        for record in records:
+        for record, is_dominant in zip(records, dominant):
             clip = word_record_to_clip(record)
             result = qc_filters(clip, cfg)
             kept += int(result.keep)
@@ -76,20 +76,32 @@ def cmd_qc(args) -> int:
                 "reasons": result.reasons,
             }
             if args.dominant_split:
-                row["is_dominant"] = dominant_labels.get(str(record.source_info.get("id")), True)
+                row["is_dominant"] = is_dominant
             fh.write(json.dumps(row, sort_keys=True) + "\n")
     print(f"kept {kept}/{len(records)}; report at {args.out}")
     return 0
 
 
+def _span_keys(records, path: str) -> list[str]:
+    """One key per W record for `trim`'s spans: its source_info id, or
+    `<gloss>#<position>` for a record without one. A key that two records
+    share raises a ValueError naming both, so that no span is overwritten."""
+    keys: dict[str, int] = {}
+    for i, record in enumerate(records):
+        record_id = record.source_info.get("id")
+        key = f"{record.gloss}#{i}" if record_id is None else str(record_id)
+        if key in keys:
+            raise ValueError(f"{path}: record {i} has the span key {key!r} of record {keys[key]}")
+        keys[key] = i
+    return list(keys)
+
+
 def cmd_trim(args) -> int:
-    records = args.records
     cfg = TrimConfig()
     spans = {}
-    for record in records:
-        clip = word_record_to_clip(record)
-        result = trim(clip, cfg)
-        spans[record.source_info.get("id", record.gloss)] = {
+    for key, record in zip(args.span_keys, args.records):
+        result = trim(word_record_to_clip(record), cfg)
+        spans[key] = {
             "span": list(result.span),
             "flags": result.flags,
         }
@@ -308,6 +320,8 @@ def main(argv: list[str] | None = None) -> int:
             args.lines = (Path(args.input).read_text() if args.input else sys.stdin.read()).splitlines()
         if args.command in ("ingest", "qc", "trim"):
             args.records = ingest(args.path, getattr(args, "schema", "W"), strict=not args.lenient)
+        if args.command == "trim":
+            args.span_keys = _span_keys(args.records, args.path)
         if args.command == "stitch":
             args.stitch_pairs, args.gloss_plan = _load_stitch_inputs(args.pairs_manifest, args.plan)
         if hasattr(args, "set"):

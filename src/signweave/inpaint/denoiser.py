@@ -90,20 +90,12 @@ class Denoiser:
             self._heads[group] = layers
         self._cond_cache = None
 
-    def _split_heads(self, x: Tensor, t: int) -> Tensor:
-        heads = self.cfg.heads
-        dh = self.cfg.latent // heads
-        return x.reshape(t, heads, dh).transpose(1, 0, 2)  # (H, T, dh)
-
-    def _merge_heads(self, x: Tensor, t: int) -> Tensor:
-        return x.transpose(1, 0, 2).reshape(t, self.cfg.latent)
-
-    def _conditioning(self, cond: np.ndarray, mask: np.ndarray,
-                      lengths: tuple[int, ...]) -> tuple[list, Tensor, Tensor]:
+    def _conditioning(self, cond: np.ndarray, mask: np.ndarray, lengths: tuple[int, ...],
+                      rope: nk.RopeTable) -> tuple[list, Tensor, Tensor]:
         """What the pairs contribute whatever the noise level: each block's
-        cross-attention keys (RoPE applied, positions restarting in each pair)
-        and values over the conditioning frames, the mask embedding, and the
-        residual.
+        cross-attention keys (rotated by `rope`, the pairs' rope table) and
+        values over the conditioning frames, in row layout, the mask
+        embedding, and the residual.
 
         Outside inference mode it is built afresh for autograd. Under
         `nk.no_grad` it is kept for the last (cond, mask, lengths) and reused
@@ -123,17 +115,13 @@ class Denoiser:
 
         cfg = self.cfg
         dtype = self.params.dtype
-        c_len = cond.shape[0]
-        positions = nk.segment_positions(nk.segment_offsets(lengths))
         memory = nk.dense(nk.tensor(np.asarray(cond, dtype=dtype)), *self._cond_proj)
         cross_kv = []
         for blk in self._blocks:
             kv = nk.dense(memory, *blk["kv"])
-            k = self._split_heads(kv[:, : cfg.latent], c_len)
-            v = self._split_heads(kv[:, cfg.latent :], c_len)
             # the conditioning stream is duration-aligned with the target, so
             # rotary positions let cross-attention localize boundary frames
-            cross_kv.append((nk.rope_apply(k, positions), v))
+            cross_kv.append((nk.rope_rotate(kv[:, : cfg.latent], rope), kv[:, cfg.latent :]))
         built = (cross_kv, self._mask_embed[mask_idx], Tensor(np.asarray(cond, dtype=dtype)))
         if inference:
             # holding the parameter arrays keeps their ids from being reused
@@ -157,6 +145,13 @@ class Denoiser:
         pair, whose RoPE positions restart at 0. `t` is one timestep for every
         pair or a sequence of one per pair.
 
+        Each attention sublayer is one `nk.segment_attention` node in row
+        layout: self-attention takes the packed query-key-value projection and
+        rotates its queries and keys from one RoPE table gathered per forward;
+        cross-attention rotates its queries and reads the keys `_conditioning`
+        rotated once per conditioning. Training and `predict_rows` run this
+        same path.
+
         With `rows` (ascending indices into the N frames), the last block's
         queries, its FFN, the final norm and the heads run on those rows only;
         keys and values still cover every frame. Training and `predict_rows`
@@ -170,7 +165,8 @@ class Denoiser:
         if offsets[-1] != x_t.shape[0]:
             raise ValueError(f"pair lengths {lengths} do not add up to {x_t.shape[0]} frames")
         positions = nk.segment_positions(offsets)
-        cross_kv, mask_emb, residual = self._conditioning(cond, mask, lengths)
+        rope = nk.rope_table(positions, cfg.latent // cfg.heads, dtype, heads=cfg.heads)
+        cross_kv, mask_emb, residual = self._conditioning(cond, mask, lengths, rope)
 
         tok = nk.dense(nk.tensor(np.asarray(x_t, dtype=dtype)), *self._in_proj)
         steps = np.atleast_1d(np.asarray(t, dtype=np.float64))
@@ -182,25 +178,20 @@ class Denoiser:
             t_emb = t_emb[np.repeat(np.arange(len(steps)), lengths)]
         x = tok + t_emb + mask_emb
 
-        q_offsets = offsets
+        q_offsets, q_rope, q_rows = offsets, rope, None
         last = len(self._blocks) - 1
         for i, (blk, (cross_k, cross_v)) in enumerate(zip(self._blocks, cross_kv)):
-            n = len(positions)
             normed = nk.layer_norm(x, *blk["ln1"])
             qkv = nk.dense(normed, *blk["qkv"])
-            k = nk.rope_apply(self._split_heads(qkv[:, cfg.latent : 2 * cfg.latent], n), positions)
-            v = self._split_heads(qkv[:, 2 * cfg.latent :], n)
             if i == last and rows is not None:
-                x, qkv, positions = x[rows], qkv[rows], positions[rows]
+                x, q_rows = x[rows], rows
                 q_offsets = np.searchsorted(rows, offsets)
-                n = len(rows)
-            q = nk.rope_apply(self._split_heads(qkv[:, : cfg.latent], n), positions)
-            attn = self._merge_heads(nk.segment_attention(q, k, v, q_offsets, offsets), n)
+                q_rope = nk.rope_table(positions[rows], cfg.latent // cfg.heads, dtype, heads=cfg.heads)
+            attn = nk.segment_attention(qkv, None, None, q_offsets, offsets, q_rope, key_rope=rope, rows=q_rows)
             x = x + nk.dense(attn, *blk["self_out"])
 
             normed = nk.layer_norm(x, *blk["ln_x"])
-            q = nk.rope_apply(self._split_heads(nk.dense(normed, *blk["q"]), n), positions)
-            cross = self._merge_heads(nk.segment_attention(q, cross_k, cross_v, q_offsets, offsets), n)
+            cross = nk.segment_attention(nk.dense(normed, *blk["q"]), cross_k, cross_v, q_offsets, offsets, q_rope)
             x = x + nk.dense(cross, *blk["cross_out"])
 
             normed = nk.layer_norm(x, *blk["ln2"])

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,15 +72,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 @lru_cache(maxsize=32)
-def _rope_tables(n: int, d: int, dtype: np.dtype, base: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (n, d) tables for positions 0..n-1: each pair's cosine twice,
-    and its sine as (-sin, +sin), so that rotation is x*C + pairswap(x)*S."""
+def _rope_tables(n: int, d: int, heads: int, dtype: np.dtype, base: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n, heads * d) tables for positions 0..n-1, one d-wide copy
+    per head: each pair's cosine twice, and its sine as (-sin, +sin), so that
+    rotation is x*C + pairswap(x)*S."""
     freqs = 1.0 / (base ** (np.arange(0, d, 2, dtype=np.float64) / d))
     angles = np.arange(n, dtype=np.float64)[:, None] * freqs[None, :]
     cos = np.cos(angles).astype(dtype)
     sin = np.sin(angles).astype(dtype)
-    c = np.repeat(cos, 2, axis=-1)
-    s = np.stack([-sin, sin], axis=-1).reshape(n, d)
+    c = np.tile(np.repeat(cos, 2, axis=-1), heads)
+    s = np.tile(np.stack([-sin, sin], axis=-1).reshape(n, d), heads)
     c.setflags(write=False)
     s.setflags(write=False)
     return c, s
@@ -87,15 +89,25 @@ def _rope_tables(n: int, d: int, dtype: np.dtype, base: float) -> tuple[np.ndarr
 
 def _pairswap(x: np.ndarray) -> np.ndarray:
     """Swap each (even, odd) pair along the last axis."""
-    return x.reshape(*x.shape[:-1], x.shape[-1] // 2, 2)[..., ::-1].reshape(x.shape)
+    out = np.empty_like(x)
+    out[..., 0::2] = x[..., 1::2]
+    out[..., 1::2] = x[..., 0::2]
+    return out
 
 
-def rope_apply(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
-    """Rotary position embedding over the last axis (pairs of even/odd dims).
+class RopeTable(NamedTuple):
+    """Rotary table rows for rows of `heads` d-wide heads side by side:
+    (N, heads * d) cosines C and signed sines S, so that rotating a row x is
+    x*C + pairswap(x)*S."""
 
-    x has shape (..., T, d) with d even; positions are T non-negative integers.
-    """
-    d = x.shape[-1]
+    cos: np.ndarray
+    sin: np.ndarray
+    heads: int
+
+
+def rope_table(positions: np.ndarray, d: int, dtype, heads: int = 1, base: float = 10000.0) -> RopeTable:
+    """The rows for `positions` of a d-wide rotary embedding (Su et al. 2021)
+    repeated for `heads` heads."""
     if d % 2 != 0:
         raise ValueError("rope requires an even feature dimension")
     positions = np.asarray(positions)
@@ -103,13 +115,39 @@ def rope_apply(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tenso
         raise ValueError("rope positions must be non-negative integers")
     n = int(positions.max()) + 1 if positions.size else 0
     # a power-of-two table length keeps few tables across ragged lengths
-    cos, sin = _rope_tables(1 << max(n - 1, 0).bit_length(), d, x.dtype, float(base))
-    c, s = cos[positions], sin[positions]
+    cos, sin = _rope_tables(1 << max(n - 1, 0).bit_length(), d, heads, np.dtype(dtype), float(base))
+    return RopeTable(cos[positions], sin[positions], heads)
+
+
+def _rotate(a: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return a * c + _pairswap(a) * s
+
+
+def _rotate_back(g: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The gradient of `_rotate` for the upstream g."""
+    return g * c + _pairswap(g * s)
+
+
+def rope_rotate(x: Tensor, table: RopeTable) -> Tensor:
+    """x (..., N, H*d) rotated row by row by a `rope_table` of N rows and H
+    heads. The heads sit side by side in a row, as a dense layer writes
+    them, so nothing is reshaped around the rotation."""
+    c, s, _ = table
+    if x.shape[-2:] != c.shape:
+        raise ValueError(f"a rope table of {c.shape} does not fit rows of {x.shape}")
 
     def backward(g):
-        x._accumulate(g * c + _pairswap(g * s))
+        x._accumulate(_rotate_back(g, c, s))
 
-    return Tensor._make(x.data * c + _pairswap(x.data) * s, (x,), backward)
+    return Tensor._make(_rotate(x.data, c, s), (x,), backward)
+
+
+def rope_apply(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
+    """Rotary position embedding over the last axis (pairs of even/odd dims).
+
+    x has shape (..., T, d) with d even; positions are T non-negative integers.
+    """
+    return rope_rotate(x, rope_table(positions, x.shape[-1], x.dtype, base=base))
 
 
 def scaled_dot_attention(
@@ -156,53 +194,107 @@ def segment_positions(offsets: np.ndarray) -> np.ndarray:
     return np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
 
 
-def segment_attention(q: Tensor, k: Tensor, v: Tensor, q_offsets: np.ndarray,
-                      k_offsets: np.ndarray) -> Tensor:
-    """Attention inside the segments of packed rows, as one autograd node.
+def _heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """Rows (N, H*d) seen as (H, N, d), without a copy."""
+    return a.reshape(a.shape[0], heads, a.shape[1] // heads).transpose(1, 0, 2)
 
-    Shapes are (..., N_q, d) x (..., N_k, d) -> (..., N_q, d_v). Query rows
-    q_offsets[s]:q_offsets[s + 1] attend to key rows k_offsets[s]:k_offsets[s + 1]
-    only, so nothing is padded and no segment sees another (Dao 2023; Krell et
-    al. 2021). Each segment's forward repeats `scaled_dot_attention`'s ops;
-    the backward is the closed form, in the inputs' dtype:
-    dS = P * (dP - rowsum(dP * P)) * scale, with dP = g V^T.
+
+def segment_attention(q: Tensor, k: Tensor | None, v: Tensor | None, q_offsets: np.ndarray,
+                      k_offsets: np.ndarray, rope: RopeTable, key_rope: RopeTable | None = None,
+                      rows: np.ndarray | None = None) -> Tensor:
+    """Multi-head rotary attention inside the segments of packed rows, as one
+    autograd node in row layout.
+
+    q, k and v are (N_q, H*d), (N_k, H*d) and (N_k, H*d_v), each of the H =
+    rope.heads heads' columns side by side as a dense layer writes them; the
+    output is
+    (N_q, H*d_v) in the same layout, so no head is split or merged by a copy.
+    With k = v = None, q is a self-attention projection (N_k, 3*H*d) holding
+    the queries, keys and values side by side, and `rows` (ascending) picks
+    its query rows, all of them when None. Query rows
+    q_offsets[s]:q_offsets[s + 1] attend to key rows
+    k_offsets[s]:k_offsets[s + 1] only, so nothing is padded and no segment
+    sees another (Dao 2023; Krell et al. 2021).
+
+    The queries are rotated by `rope`, the `rope_table` rows of their
+    positions; the keys by `key_rope`, or not at all when None, for keys
+    rotated already. Each segment's forward repeats
+    `scaled_dot_attention`'s ops in place: scores, max, exp, sum, divide. The
+    backward is the closed form, in the inputs' dtype:
+    dS = P * (dP - rowsum(dP * P)) * scale with dP = g V^T, and each rotation
+    turns back as g*C + pairswap(g*S).
     """
+    packed = k is None
+    if packed != (v is None) or (rows is not None and not packed):
+        raise ValueError("give keys and values both, or neither and a packed projection")
+    if rows is not None and np.any(np.diff(rows) <= 0):
+        raise ValueError("query rows must rise")
+    if packed:
+        source = q.data
+        width = source.shape[-1] // 3
+        qa = source[:, :width] if rows is None else source[rows, :width]
+        ka, va = source[:, width : 2 * width], source[:, 2 * width :]
+    else:
+        qa, ka, va = q.data, k.data, v.data
     if len(q_offsets) != len(k_offsets):
         raise ValueError("query and key offsets must name the same segments")
-    if (q_offsets[0] != 0 or k_offsets[0] != 0 or q_offsets[-1] != q.shape[-2]
-            or k_offsets[-1] != k.shape[-2] or np.any(np.diff(q_offsets) < 0)
+    if (q_offsets[0] != 0 or k_offsets[0] != 0 or q_offsets[-1] != qa.shape[0]
+            or k_offsets[-1] != ka.shape[0] or np.any(np.diff(q_offsets) < 0)
             or np.any(np.diff(k_offsets) < 0)):
         raise ValueError("segment offsets must rise from 0 to the row counts")
-    scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
-    out_data = np.empty(q.shape[:-1] + v.shape[-1:], dtype=q.dtype)
+    c, s, heads = rope
+    if c.shape != qa.shape or ka.shape[-1] != qa.shape[-1] or (
+            key_rope is not None and (key_rope.cos.shape != ka.shape or key_rope.heads != heads)):
+        raise ValueError(f"rope tables of {c.shape} do not fit queries of {qa.shape} and keys of {ka.shape}")
+    qr = _rotate(qa, c, s)
+    kr = ka if key_rope is None else _rotate(ka, key_rope.cos, key_rope.sin)
+    qh, kh, vh = _heads(qr, heads), _heads(kr, heads), _heads(va, heads)
+    # (H, d, N_k): the score GEMMs read the keys fastest in this layout
+    kt = np.ascontiguousarray(kh.transpose(0, 2, 1))
+    scale = qa.dtype.type(1.0 / np.sqrt(qa.shape[-1] // heads))
+    out_data = np.empty((qa.shape[0], va.shape[-1]), dtype=qa.dtype)
+    out_heads = _heads(out_data, heads)
     spans, probs = [], []
     for q0, q1, k0, k1 in zip(q_offsets[:-1], q_offsets[1:], k_offsets[:-1], k_offsets[1:]):
         if q1 == q0:
             continue
-        scores = (q.data[..., q0:q1, :] @ np.swapaxes(k.data[..., k0:k1, :], -1, -2)) * scale
-        exps = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        p = exps / exps.sum(axis=-1, keepdims=True)
-        out_data[..., q0:q1, :] = p @ v.data[..., k0:k1, :]
+        p = qh[:, q0:q1] @ kt[:, :, k0:k1]
+        p *= scale
+        # a maximum is exact whichever way it is found; fmax skips max's NaN
+        # bookkeeping (a NaN score still makes its whole row NaN)
+        p -= np.fmax.reduce(p, axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, vh[:, k0:k1], out=out_heads[:, q0:q1])
         spans.append((q0, q1, k0, k1))
         probs.append(p)
 
     def backward(g):
-        dq = np.zeros_like(q.data)
-        dk = np.zeros_like(k.data)
-        dv = np.zeros_like(v.data)
+        grad = np.zeros_like(source) if packed else None
+        dqr = np.empty_like(qr)  # every query row lies in a segment
+        dkr = np.zeros_like(kr)  # key rows that no query sees get no gradient
+        dv = grad[:, 2 * width :] if packed else np.zeros_like(va)
+        gh, dqh, dkh, dvh = _heads(g, heads), _heads(dqr, heads), _heads(dkr, heads), _heads(dv, heads)
         for (q0, q1, k0, k1), p in zip(spans, probs):
-            gs = g[..., q0:q1, :]
-            dv[..., k0:k1, :] = np.swapaxes(p, -1, -2) @ gs
-            dp = gs @ np.swapaxes(v.data[..., k0:k1, :], -1, -2)
+            gs = gh[:, q0:q1]
+            np.matmul(p.transpose(0, 2, 1), gs, out=dvh[:, k0:k1])
+            dp = gs @ vh[:, k0:k1].transpose(0, 2, 1)
             ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
             ds *= scale
-            dq[..., q0:q1, :] = ds @ k.data[..., k0:k1, :]
-            dk[..., k0:k1, :] = np.swapaxes(ds, -1, -2) @ q.data[..., q0:q1, :]
-        for t, grad in ((q, dq), (k, dk), (v, dv)):
+            np.matmul(ds, kh[:, k0:k1], out=dqh[:, q0:q1])
+            np.matmul(ds.transpose(0, 2, 1), qh[:, q0:q1], out=dkh[:, k0:k1])
+        dq = _rotate_back(dqr, c, s)
+        dk = dkr if key_rope is None else _rotate_back(dkr, key_rope.cos, key_rope.sin)
+        if packed:
+            grad[slice(None) if rows is None else rows, :width] = dq
+            grad[:, width : 2 * width] = dk
+            q._accumulate(grad)
+            return
+        for t, t_grad in ((q, dq), (k, dk), (v, dv)):
             if t.requires_grad:
-                t._accumulate(grad)
+                t._accumulate(t_grad)
 
-    return Tensor._make(out_data, (q, k, v), backward)
+    return Tensor._make(out_data, (q,) if packed else (q, k, v), backward)
 
 
 class ParameterSet:

@@ -360,6 +360,10 @@ class Tensor:
             if _is_basic_key(key):
                 # slices, ints, Ellipsis and None select each element at most once
                 full[key] = g
+            elif _is_unique_ascending(key):
+                # each row is picked once, so its sum is 0 + g: np.add.at's
+                # bits (a -0.0 turns +0.0) without its unbuffered loop
+                full[key] = g + 0.0
             else:
                 # advanced keys may repeat an index, whose gradients must add up
                 np.add.at(full, key, g)
@@ -371,6 +375,12 @@ class Tensor:
 def _is_basic_key(key) -> bool:
     parts = key if isinstance(key, tuple) else (key,)
     return all(p is None or p is Ellipsis or isinstance(p, (int, np.integer, slice)) for p in parts)
+
+
+def _is_unique_ascending(key) -> bool:
+    """A 1-D integer array of strictly rising non-negative indices."""
+    return (isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind in "iu"
+            and (key.size == 0 or key[0] >= 0) and bool(np.all(key[1:] > key[:-1])))
 
 
 def as_tensor(value, dtype=None) -> Tensor:

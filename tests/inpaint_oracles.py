@@ -1,13 +1,22 @@
-"""The denoiser's training objective as it was first written: the full pair
-is predicted, and the loss masks out every frame outside the boundary mask.
+"""The denoiser as it was first written, for tests to compare against.
 
-`signweave.inpaint.sample_step_loss` predicts and scores only the frames
-inside the mask; tests compare the two, loss and parameter gradients.
+`full_row_step_loss` is the training objective before it was packed: the full
+pair is predicted, and the loss masks out every frame outside the boundary
+mask. `signweave.inpaint.sample_step_loss` predicts and scores only the frames
+inside the mask.
+
+`ComposedDenoiser` runs a `Denoiser`'s parameters through the forward built
+from composed ops: heads split and merged by copies, `rope_apply` per call and
+head-major segment attention (`nn_oracles.composed_segment_attention`), with
+the keys and values cut out of the packed projections as slices.
+`Denoiser.forward` runs each attention sublayer as one node in row layout.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from nn_oracles import composed_segment_attention
+from signweave import neuralkit as nk
 from signweave.inpaint import combined_loss, make_boundary_mask, min_snr_weight, q_sample
 
 
@@ -17,3 +26,61 @@ def full_row_step_loss(item, denoiser, schedule, loss_cfg, t, radius, noise, par
     x0_hat = denoiser.forward(x_t, t, item.x_tilde, mask.values)
     w_t = min_snr_weight(t, schedule, loss_cfg.min_snr_gamma)
     return combined_loss(x0_hat, item.x0, mask.values, part_weights, w_t, loss_cfg)
+
+
+class ComposedDenoiser:
+    """`Denoiser.forward` from composed ops, over the parameters of `denoiser`."""
+
+    def __init__(self, denoiser):
+        self.denoiser = denoiser
+        self.layout = denoiser.layout
+
+    def forward(self, x_t, t, cond, mask, rows=None, lengths=None):
+        d = self.denoiser
+        cfg, dtype, latent, heads = d.cfg, d.params.dtype, d.cfg.latent, d.cfg.heads
+        lengths = (x_t.shape[0],) if lengths is None else tuple(int(n) for n in lengths)
+        offsets = nk.segment_offsets(lengths)
+        positions = nk.segment_positions(offsets)
+        memory = nk.dense(nk.tensor(np.asarray(cond, dtype=dtype)), *d._cond_proj)
+        mask_emb = d._mask_embed[(np.asarray(mask) > 0.5).astype(int)]
+        residual = nk.Tensor(np.asarray(cond, dtype=dtype))
+
+        tok = nk.dense(nk.tensor(np.asarray(x_t, dtype=dtype)), *d._in_proj)
+        steps = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        t_emb = nk.tensor(nk.sinusoidal_embedding(steps, latent).astype(dtype))
+        t_emb = nk.dense(nk.gelu(nk.dense(t_emb, *d._t1)), *d._t2)
+        if len(steps) > 1:
+            t_emb = t_emb[np.repeat(np.arange(len(steps)), lengths)]
+        x = tok + t_emb + mask_emb
+
+        q_offsets, q_positions = offsets, positions
+        last = len(d._blocks) - 1
+        for i, blk in enumerate(d._blocks):
+            normed = nk.layer_norm(x, *blk["ln1"])
+            qkv = nk.dense(normed, *blk["qkv"])
+            k, v = qkv[:, latent : 2 * latent], qkv[:, 2 * latent :]
+            if i == last and rows is not None:
+                x, qkv, q_positions = x[rows], qkv[rows], positions[rows]
+                q_offsets = np.searchsorted(rows, offsets)
+            attn = composed_segment_attention(qkv[:, :latent], k, v, heads, q_offsets, offsets,
+                                              q_positions, positions)
+            x = x + nk.dense(attn, *blk["self_out"])
+
+            normed = nk.layer_norm(x, *blk["ln_x"])
+            kv = nk.dense(memory, *blk["kv"])
+            cross = composed_segment_attention(nk.dense(normed, *blk["q"]), kv[:, :latent], kv[:, latent:],
+                                               heads, q_offsets, offsets, q_positions, positions)
+            x = x + nk.dense(cross, *blk["cross_out"])
+
+            normed = nk.layer_norm(x, *blk["ln2"])
+            x = x + nk.dense(nk.gelu(nk.dense(normed, *blk["ff1"])), *blk["ff2"])
+
+        x = nk.layer_norm(x, *d._ln_final)
+        outputs = []
+        for group in ("body", "face", "hand"):
+            h = x
+            layers = d._heads[group]
+            for w, b in layers[:-1]:
+                h = nk.gelu(nk.dense(h, w, b))
+            outputs.append(nk.dense(h, *layers[-1]))
+        return nk.concat(outputs, axis=-1) + (residual if rows is None else residual[rows])

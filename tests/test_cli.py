@@ -376,3 +376,53 @@ def test_synth_command_writes_the_pipeline_corpus(tmp_path, tiny_config_file, ca
     assert sorted(p.name for p in out_dir.iterdir()) == ["dialogues.json", "words.json"]
     for name in ("words.json", "dialogues.json"):
         assert (out_dir / name).read_bytes() == (synth_dir / name).read_bytes()
+
+
+@pytest.fixture()
+def words_without_ids(tmp_path, tiny_config_file, capsys):
+    """A W file of records of one gloss without `source_info.id`: five copies
+    of one clip after another gloss's clip relabelled as that gloss."""
+    main(["synth", "--config", str(tiny_config_file), "--out", str(tmp_path / "corpus")])
+    capsys.readouterr()
+    words = json.loads((tmp_path / "corpus" / "words.json").read_text())
+    gloss = words[0]["gloss"]
+    other = next(w for w in words if w["gloss"] != gloss)
+    records = [dict(other, gloss=gloss)] + [words[0]] * 5
+    records = [dict(r, source_info={k: v for k, v in r["source_info"].items() if k != "id"}) for r in records]
+    path = tmp_path / "no_ids.json"
+    path.write_text(json.dumps(records))
+    return path, gloss
+
+
+def test_trim_keeps_records_without_id(tmp_path, words_without_ids, capsys):
+    path, gloss = words_without_ids
+    out = tmp_path / "spans.json"
+    assert main(["trim", "--path", str(path), "--out", str(out)]) == 0
+    assert "trimmed 6 clips" in capsys.readouterr().out
+    spans = json.loads(out.read_text())
+    assert sorted(spans) == [f"{gloss}#{i}" for i in range(6)]
+    assert spans[f"{gloss}#1"] == spans[f"{gloss}#5"] != spans[f"{gloss}#0"]
+
+
+def test_trim_repeated_id_is_a_usage_error(tmp_path, words_without_ids, capsys):
+    path, _ = words_without_ids
+    records = json.loads(path.read_text())
+    for record in records[2:4]:
+        record["source_info"]["id"] = "take-1"
+    path.write_text(json.dumps(records))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["trim", "--path", str(path), "--out", str(tmp_path / "spans.json")])
+    assert exit_info.value.code == 2
+    assert "record 3 has the span key 'take-1' of record 2" in capsys.readouterr().err
+    assert not (tmp_path / "spans.json").exists()
+
+
+def test_qc_dominant_split_labels_records_without_id(tmp_path, words_without_ids, capsys):
+    """Labels are kept by record position: the relabelled clip, first in the
+    file, is the one non-dominant clip, although no record has an id."""
+    path, _ = words_without_ids
+    out = tmp_path / "qc.jsonl"
+    assert main(["qc", "--path", str(path), "--out", str(out), "--dominant-split"]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["id"] for r in rows] == [None] * 6
+    assert [r["is_dominant"] for r in rows] == [False] + [True] * 5

@@ -322,27 +322,33 @@ class TestPaddedBatch:
             assert np.all(alloc.data[i, k:] == 0.0)
 
     def test_packed_attention_matches_padded_attention(self):
-        """The packed primitive on the predictor's (B, H, K, dh) attention:
-        the sentences' valid rows laid end to end as segments give the padded,
-        key-masked attention on every valid row, forward and gradients,
-        within float32 rounding."""
+        """The packed node on the predictor's (B, H, K, dh) rotary attention:
+        the sentences' valid rows laid end to end as segments, each head's
+        columns side by side, give the padded, key-masked attention of
+        `rope_apply`-rotated queries and keys on every valid row, forward and
+        gradients, within float32 rounding."""
         rng = np.random.default_rng(38)
         lengths = [3, 8, 1, 5]
-        shape = (len(lengths), 2, max(lengths), 4)
+        heads, dh = 2, 4
+        shape = (len(lengths), heads, max(lengths), dh)
         valid = np.arange(shape[2])[None, :] < np.array(lengths)[:, None]
         arrays = [rng.normal(size=shape).astype(np.float32) for _ in range(3)]
         weight = (rng.normal(size=shape) * valid[:, None, :, None]).astype(np.float32)
         padded = [nk.tensor(a, requires_grad=True) for a in arrays]
-        out = nk.scaled_dot_attention(*padded, key_padding_mask=valid[:, None, None, :])
+        positions = np.arange(shape[2])
+        q, k = (nk.rope_apply(t, positions) for t in padded[:2])
+        out = nk.scaled_dot_attention(q, k, padded[2], key_padding_mask=valid[:, None, None, :])
         (out * nk.Tensor(weight)).sum().backward()
 
         def pack(a):
-            """(B, H, K, dh) -> (H, N, dh): each sentence's valid rows in turn."""
-            return np.concatenate([a[i, :, :n] for i, n in enumerate(lengths)], axis=1)
+            """(B, H, K, dh) -> (N, H * dh): each sentence's valid rows in turn."""
+            rows = np.concatenate([a[i, :, :n] for i, n in enumerate(lengths)], axis=1)
+            return rows.transpose(1, 0, 2).reshape(sum(lengths), heads * dh)
 
         packed = [nk.tensor(pack(a), requires_grad=True) for a in arrays]
         offsets = nk.segment_offsets(lengths)
-        got = nk.segment_attention(*packed, offsets, offsets)
+        rope = nk.rope_table(nk.segment_positions(offsets), dh, np.float32, heads=heads)
+        got = nk.segment_attention(*packed, offsets, offsets, rope, key_rope=rope)
         (got * nk.Tensor(pack(weight))).sum().backward()
         assert got.dtype == np.float32
         np.testing.assert_allclose(got.data, pack(out.data), rtol=1e-5, atol=1e-6)

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from inpaint_oracles import full_row_step_loss
+from inpaint_oracles import ComposedDenoiser, full_row_step_loss
 from signweave import neuralkit as nk
 from signweave.inpaint import (
     Denoiser,
@@ -29,6 +30,7 @@ from signweave.inpaint import (
     train_inpainter,
     velocity_loss,
 )
+from signweave.inpaint.train import packed_step_loss
 from signweave.motion import PartLayout
 from signweave.neuralkit import Tensor
 from signweave.neuralkit.gradcheck import check_directional
@@ -325,9 +327,9 @@ class TestDdim:
 SMALL = DenoiserConfig(motion_dim=206, latent=16, layers=2, heads=2, ffn=32, hand_head_depth=2)
 
 
-def perturbed_denoiser(seed: int) -> Denoiser:
+def perturbed_denoiser(seed: int, dtype=np.float32) -> Denoiser:
     """A small denoiser whose zero-initialized heads are moved off the copy solution."""
-    denoiser = Denoiser(SMALL, seed=seed)
+    denoiser = Denoiser(replace(SMALL, dtype=dtype), seed=seed)
     rng = np.random.default_rng(seed)
     for name in denoiser.params.names():
         t = denoiser.params[name]
@@ -577,3 +579,56 @@ class TestRowsOnlyTraining:
             assert grad.dtype == np.float32, name
             np.testing.assert_allclose(grad, want_grads[name], rtol=1e-5, atol=1e-6 * np.abs(want_grads[name]).max(),
                                        err_msg=name)
+
+
+class TestAgainstComposedForward:
+    """`Denoiser.forward` runs each attention sublayer as one node in row
+    layout. The forward composed from the ops it replaced (split heads,
+    `rope_apply`, head-major segment attention, merge heads) gives
+    `predict_rows` bit for bit, and through one `packed_step_loss` the same
+    loss and parameter gradients within the rounding of the dtype."""
+
+    RTOL = {np.float32: 1e-5, np.float64: 1e-10}
+
+    @staticmethod
+    def pairs(rng):
+        masks = [make_boundary_mask(20, 17, 6), make_boundary_mask(9, 30, 12), make_boundary_mask(25, 25, 9)]
+        items = []
+        for mask in masks:
+            x_tilde = rng.normal(size=(len(mask.values), 206)) * 0.5
+            items.append(PairItem(x_tilde, x_tilde + rng.normal(size=x_tilde.shape) * 0.1, mask.boundary_index))
+        return masks, items
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_predict_rows_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(30)
+        denoiser = perturbed_denoiser(9, dtype)
+        masks = pack_masks(self.pairs(rng)[0])
+        x_t, cond = (rng.normal(size=(len(masks.values), 206)) for _ in range(2))
+        rows, got = denoiser.predict_rows(x_t, 70, cond, masks)
+        with nk.no_grad():
+            want = ComposedDenoiser(denoiser).forward(x_t, 70, cond, masks.values, rows=rows, lengths=masks.lengths)
+        assert want.dtype == dtype and len(rows) < len(masks.values)
+        assert got.tobytes() == want.data.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_packed_step_gradients(self, dtype):
+        rng = np.random.default_rng(31)
+        denoiser = perturbed_denoiser(10, dtype)
+        masks, items = self.pairs(rng)
+        draws = [(t, mask.radius, rng.standard_normal(item.x0.shape))
+                 for t, mask, item in zip((5, 300, 900), masks, items)]
+        schedule, cfg = DiffusionSchedule(), LossConfig()
+        weights = cfg.part_weights(denoiser.layout)
+        results = []
+        for model in (ComposedDenoiser(denoiser), denoiser):
+            denoiser.params.zero_grad()
+            loss = packed_step_loss(items, model, schedule, cfg, draws, weights)
+            loss.backward()
+            results.append((loss.data, {n: denoiser.params[n].grad for n in denoiser.params.names()}))
+        (want, want_grads), (got, got_grads) = results
+        assert got.dtype == dtype and got == want
+        for name, grad in got_grads.items():
+            assert grad.dtype == dtype, name
+            np.testing.assert_allclose(grad, want_grads[name], rtol=self.RTOL[dtype],
+                                       atol=self.RTOL[dtype] * np.abs(want_grads[name]).max(), err_msg=name)

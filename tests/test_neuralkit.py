@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from nn_oracles import composed_gelu, composed_layer_norm
+from nn_oracles import composed_gelu, composed_layer_norm, composed_segment_attention
 from optim_oracles import Fp64MomentAdamW
 from rope_oracle import slice_rope
 from signweave.neuralkit import (
@@ -21,6 +21,8 @@ from signweave.neuralkit import (
     no_grad,
     restore_into,
     rope_apply,
+    rope_rotate,
+    rope_table,
     save_checkpoint,
     scaled_dot_attention,
     segment_attention,
@@ -33,6 +35,7 @@ from signweave.neuralkit import (
     where,
 )
 from signweave.neuralkit.gradcheck import check_gradients
+from signweave.neuralkit.tensor import _is_unique_ascending
 
 
 def leaf(rng, shape, name=None):
@@ -94,12 +97,30 @@ class TestKernelGradients:
 
     def test_segment_attention(self):
         rng = np.random.default_rng(15)
-        q = leaf(rng, (2, 6, 4), "q")
-        k = leaf(rng, (2, 7, 4), "k")
-        v = leaf(rng, (2, 7, 3), "v")
-        # the second segment has keys but no queries
+        q = leaf(rng, (6, 8), "q")
+        k = leaf(rng, (7, 8), "k")
+        v = leaf(rng, (7, 6), "v")
+        # two heads; the second segment has keys but no queries
         q_offsets, k_offsets = segment_offsets([2, 0, 4]), segment_offsets([3, 1, 3])
-        check_gradients(lambda: (segment_attention(q, k, v, q_offsets, k_offsets) ** 2).sum(), [q, k, v])
+        rope = rope_table(np.array([0, 1, 0, 1, 2, 3]), 4, np.float64, heads=2)
+        key_rope = rope_table(segment_positions(k_offsets), 4, np.float64, heads=2)
+        check_gradients(lambda: (segment_attention(q, k, v, q_offsets, k_offsets, rope, key_rope) ** 2).sum(),
+                        [q, k, v])
+
+    def test_segment_attention_packed_projection(self):
+        rng = np.random.default_rng(16)
+        qkv = leaf(rng, (7, 24), "qkv")
+        rows = np.array([0, 2, 3, 6])
+        offsets = segment_offsets([3, 4])
+        positions = segment_positions(offsets)
+        rope = rope_table(positions, 4, np.float64, heads=2)
+
+        def f():
+            out = segment_attention(qkv, None, None, np.searchsorted(rows, offsets), offsets,
+                                    rope_table(positions[rows], 4, np.float64, heads=2), key_rope=rope, rows=rows)
+            return (out**2).sum()
+
+        check_gradients(f, [qkv])
 
     def test_rope(self):
         rng = np.random.default_rng(6)
@@ -160,6 +181,31 @@ class TestKernelGradients:
         assert np.allclose(x.grad, expected, atol=1e-15)
 
 
+class TestGatherGradient:
+    """A gather's backward assigns for a key of strictly rising rows and adds
+    with np.add.at for any other advanced key; both give np.add.at's bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("key", [np.array([0, 2, 3, 7]), np.array([1, 1, 4, 0, 4]), np.array([5, 2]),
+                                     np.array([], dtype=int)], ids=["ascending", "repeated", "falling", "empty"])
+    def test_same_bits_as_add_at(self, dtype, key):
+        rng = np.random.default_rng(18)
+        x = tensor(rng.normal(size=(8, 3)).astype(dtype), requires_grad=True)
+        upstream = rng.normal(size=(len(key), 3)).astype(dtype)
+        if len(key):
+            upstream[0, 1] = -0.0  # np.add.at turns it into +0.0
+        (x[key] * Tensor(upstream)).sum().backward()
+        want = np.zeros((8, 3), dtype=dtype)
+        np.add.at(want, key, upstream)
+        assert x.grad.dtype == dtype and x.grad.tobytes() == want.tobytes()
+
+    def test_only_rising_rows_skip_add_at(self):
+        assert _is_unique_ascending(np.array([0, 3, 5])) and _is_unique_ascending(np.array([], dtype=int))
+        for key in (np.array([3, 3]), np.array([-1, 2]), np.array([2, 1]), np.array([[0, 1]]),
+                    np.array([True, False]), [0, 1], (np.array([0, 1]), 0)):
+            assert not _is_unique_ascending(key)
+
+
 class TestAttentionMask:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_padded_keys_match_unpadded_attention(self, dtype):
@@ -184,28 +230,38 @@ class TestAttentionMask:
 
 
 class TestSegmentAttention:
-    """segment_attention is one autograd node over packed rows. Each segment
-    gives `scaled_dot_attention`'s forward on its own rows bit for bit, and
-    the composed per-segment graph's gradients within the rounding of the
-    dtype; float32 inputs get float32 gradients."""
+    """segment_attention is one autograd node over packed rows in row layout:
+    each head's columns side by side, queries rotated by a rope table, keys
+    by another or not at all. Each segment gives `scaled_dot_attention`'s
+    forward on its own rotated heads bit for bit, and the composed
+    per-segment graph's gradients within the rounding of the dtype; float32
+    inputs get float32 gradients."""
 
     # query and key rows per segment; the second segment has no queries
     Q_LENGTHS, K_LENGTHS = [3, 0, 5, 1], [4, 2, 6, 1]
+    HEADS, DH = 2, 4
     RTOL = {np.float32: 1e-5, np.float64: 1e-10}
+
+    def split(self, x: Tensor) -> Tensor:
+        return x.reshape(x.shape[0], self.HEADS, self.DH).transpose(1, 0, 2)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_per_segment_attention(self, monkeypatch, dtype):
         rng = np.random.default_rng(16)
-        q = rng.normal(size=(2, sum(self.Q_LENGTHS), 4)).astype(dtype)
-        k, v = (rng.normal(size=(2, sum(self.K_LENGTHS), 4)).astype(dtype) for _ in range(2))
+        width = self.HEADS * self.DH
+        q = rng.normal(size=(sum(self.Q_LENGTHS), width)).astype(dtype)
+        k, v = (rng.normal(size=(sum(self.K_LENGTHS), width)).astype(dtype) for _ in range(2))
         weight = Tensor(rng.normal(size=q.shape).astype(dtype))
         q_offsets, k_offsets = segment_offsets(self.Q_LENGTHS), segment_offsets(self.K_LENGTHS)
+        q_pos, k_pos = segment_positions(q_offsets), segment_positions(k_offsets)
 
         want_leaves = [tensor(a, requires_grad=True) for a in (q, k, v)]
-        wq, wk, wv = want_leaves
+        wq, wk, wv = (self.split(t) for t in want_leaves)
+        wq, wk = rope_apply(wq, q_pos), rope_apply(wk, k_pos)
         spans = zip(q_offsets[:-1], q_offsets[1:], k_offsets[:-1], k_offsets[1:])
-        want = concat([scaled_dot_attention(wq[:, q0:q1], wk[:, k0:k1], wv[:, k0:k1])
-                       for q0, q1, k0, k1 in spans if q1 > q0], axis=1)
+        heads = concat([scaled_dot_attention(wq[:, q0:q1], wk[:, k0:k1], wv[:, k0:k1])
+                        for q0, q1, k0, k1 in spans if q1 > q0], axis=1)
+        want = heads.transpose(1, 0, 2).reshape(q.shape)
         (want * weight).sum().backward()
 
         computed = []
@@ -213,7 +269,9 @@ class TestSegmentAttention:
         monkeypatch.setattr(Tensor, "_accumulate",
                             lambda t, g: computed.append(np.asarray(g).dtype) or accumulate(t, g))
         got_leaves = [tensor(a, requires_grad=True) for a in (q, k, v)]
-        got = segment_attention(*got_leaves, q_offsets, k_offsets)
+        got = segment_attention(*got_leaves, q_offsets, k_offsets,
+                                rope_table(q_pos, self.DH, dtype, heads=self.HEADS),
+                                rope_table(k_pos, self.DH, dtype, heads=self.HEADS))
         (got * weight).sum().backward()
         assert computed and set(computed) == {np.dtype(dtype)}
         assert got.dtype == dtype and np.array_equal(got.data, want.data)
@@ -222,7 +280,7 @@ class TestSegmentAttention:
             np.testing.assert_allclose(got_leaf.grad, want_leaf.grad, rtol=self.RTOL[dtype],
                                        atol=self.RTOL[dtype] * np.abs(want_leaf.grad).max())
         # key rows that no query sees get no gradient
-        assert not np.any(got_leaves[1].grad[:, 4:6]) and not np.any(got_leaves[2].grad[:, 4:6])
+        assert not np.any(got_leaves[1].grad[4:6]) and not np.any(got_leaves[2].grad[4:6])
 
     def test_offsets_and_positions(self):
         offsets = segment_offsets([3, 1, 2])
@@ -233,8 +291,26 @@ class TestSegmentAttention:
                              ids=["segment-count", "row-count", "falling"])
     def test_bad_offsets_rejected(self, q_lengths, k_lengths):
         q, k = Tensor(np.zeros((3, 2))), Tensor(np.zeros((6, 2)))
+        rope = rope_table(np.arange(3), 2, np.float64)
         with pytest.raises(ValueError, match="offsets"):
-            segment_attention(q, k, k, segment_offsets(q_lengths), segment_offsets(k_lengths))
+            segment_attention(q, k, k, segment_offsets(q_lengths), segment_offsets(k_lengths), rope)
+
+    def test_bad_shapes_rejected(self):
+        q, k = Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4)))
+        offsets = segment_offsets([3])
+        with pytest.raises(ValueError, match="rope table"):
+            segment_attention(q, k, k, offsets, offsets, rope_table(np.arange(2), 2, np.float64, heads=2))
+        with pytest.raises(ValueError, match="rope table"):
+            segment_attention(q, k, k, offsets, offsets, rope_table(np.arange(3), 2, np.float64, heads=2),
+                              rope_table(np.arange(3), 4, np.float64))
+        with pytest.raises(ValueError, match="rope table"):
+            rope_rotate(q, rope_table(np.arange(2), 2, np.float64, heads=2))
+        with pytest.raises(ValueError, match="keys and values"):
+            segment_attention(q, k, None, offsets, offsets, rope_table(np.arange(3), 2, np.float64, heads=2))
+        qkv = Tensor(np.zeros((3, 12)))
+        with pytest.raises(ValueError, match="rows must rise"):
+            segment_attention(qkv, None, None, segment_offsets([2]), offsets,
+                              rope_table(np.arange(2), 2, np.float64, heads=2), rows=np.array([1, 1]))
 
 
 class TestNoGrad:
@@ -302,6 +378,22 @@ class TestRope:
         (new * upstream).sum().backward()
         (old * upstream).sum().backward()
         assert np.array_equal(x_new.grad, x_old.grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rotate_rows_is_rope_apply_per_head(self, dtype):
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(6, 3 * 8)).astype(dtype)
+        positions = np.array([4, 0, 1, 2, 9, 3])
+        upstream = rng.normal(size=x.shape).astype(dtype)
+        rows = Tensor(x, requires_grad=True)
+        got = rope_rotate(rows, rope_table(positions, 8, dtype, heads=3))
+        (got * Tensor(upstream)).sum().backward()
+        heads = Tensor(x.reshape(6, 3, 8).transpose(1, 0, 2), requires_grad=True)
+        want = rope_apply(heads, positions)
+        (want * Tensor(upstream.reshape(6, 3, 8).transpose(1, 0, 2))).sum().backward()
+        assert got.dtype == rows.grad.dtype == dtype
+        assert np.array_equal(got.data, want.data.transpose(1, 0, 2).reshape(x.shape))
+        assert np.array_equal(rows.grad, heads.grad.transpose(1, 0, 2).reshape(x.shape))
 
     def test_rejects_bad_positions(self):
         x = tensor(np.zeros((2, 4)))
@@ -634,9 +726,10 @@ class TestDeterminism:
 
 
 class TestFusedKernelsAgainstOracles:
-    """layer_norm and gelu are single autograd nodes; the composed versions in
-    nn_oracles give the same forward bit for bit and the same gradients within
-    the rounding of the dtype, and float32 inputs get float32 gradients."""
+    """layer_norm, gelu and segment_attention are single autograd nodes; the
+    composed versions in nn_oracles give the same forward bit for bit and the
+    same gradients within the rounding of the dtype, and float32 inputs get
+    float32 gradients."""
 
     SHAPES = [(7, 64), (3, 5, 64), (2, 3, 4, 33)]
     RTOL = {np.float32: 1e-5, np.float64: 1e-10}
@@ -681,6 +774,50 @@ class TestFusedKernelsAgainstOracles:
         x = (rng.normal(size=shape) * 3.0).astype(dtype)
         weight = rng.normal(size=shape).astype(dtype)
         self.check(monkeypatch, gelu, composed_gelu, [x], weight, dtype)
+
+    # two heads of four; the second segment has keys but no queries
+    Q_LENGTHS, K_LENGTHS, HEADS, DH = [3, 0, 5, 1], [4, 2, 6, 1], 2, 4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("keys", ["rotated-here", "rotated-before", "packed"])
+    def test_segment_attention(self, monkeypatch, dtype, keys):
+        """The node against the chain it replaced: split heads, rope_apply,
+        head-major segment attention, merge heads. Keys are rotated from
+        their positions by the node (self-attention), given rotated
+        (cross-attention's cached keys), or cut with the queries and values
+        from one packed projection with a subset of query rows."""
+        rng = np.random.default_rng(20)
+        width = self.HEADS * self.DH
+        q_offsets, k_offsets = segment_offsets(self.Q_LENGTHS), segment_offsets(self.K_LENGTHS)
+        q_pos, k_pos = segment_positions(q_offsets), segment_positions(k_offsets)
+        rope = rope_table(q_pos, self.DH, dtype, heads=self.HEADS)
+        key_rope = rope_table(k_pos, self.DH, dtype, heads=self.HEADS)
+        n_q, n_k = q_offsets[-1], k_offsets[-1]
+        weight = rng.normal(size=(n_q, width)).astype(dtype)
+        if keys == "packed":
+            rows = np.array([0, 1, 3, 6, 7, 8, 9, 10, 12])
+            q_offsets = np.searchsorted(rows, k_offsets)
+            q_pos = k_pos[rows]
+            rope = rope_table(q_pos, self.DH, dtype, heads=self.HEADS)
+            qkv = rng.normal(size=(n_k, 3 * width)).astype(dtype)
+
+            def kernel(x):
+                return segment_attention(x, None, None, q_offsets, k_offsets, rope, key_rope, rows=rows)
+
+            def oracle(x):
+                return composed_segment_attention(x[rows][:, :width], x[:, width : 2 * width], x[:, 2 * width :],
+                                                  self.HEADS, q_offsets, k_offsets, q_pos, k_pos)
+
+            self.check(monkeypatch, kernel, oracle, [qkv], weight, dtype)
+            return
+        rotate = keys == "rotated-here"
+        arrays = [rng.normal(size=(n, width)).astype(dtype) for n in (n_q, n_k, n_k)]
+        self.check(monkeypatch,
+                   lambda q, k, v: segment_attention(q, k, v, q_offsets, k_offsets, rope,
+                                                     key_rope if rotate else None),
+                   lambda q, k, v: composed_segment_attention(q, k, v, self.HEADS, q_offsets, k_offsets, q_pos,
+                                                              k_pos if rotate else None),
+                   arrays, weight, dtype)
 
     def test_layer_norm_with_frozen_affine(self):
         rng = np.random.default_rng(3)
