@@ -4,19 +4,50 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import glossnorm as gn
 from .duration import GlossPlan
 from .metrics import ranking_metrics
 from .motion import read_motion, write_motion
-from .pipeline import PipelineConfig, apply_overrides, config_from_dict, config_to_dict, run_pipeline, write_corpus
+from .pipeline import (PipelineConfig, apply_overrides, atomic_path, config_from_dict, config_to_dict, run_pipeline,
+                       write_corpus)
 from .qc import QcConfig, qc_filters
 from .records import export_canonical, ingest, read_json_lines, word_record_to_clip
 from .retrieval import load_corpus, retrieve
 from .stitch import assemble_sentence
 from .synth import synth_generate
 from .trimming import TrimConfig, trim
+
+
+# sysexits.h EX_CANTCREAT: an output file the user named cannot be written
+EXIT_CANNOT_WRITE = 73
+
+
+class OutputError(Exception):
+    """An output file that cannot be written; `main` reports it on one line."""
+
+
+@contextmanager
+def _writing(path):
+    """Turn an OSError raised while writing `path` into an OutputError naming it."""
+    try:
+        yield
+    except OSError as err:
+        raise OutputError(f"cannot write {path}: {err.strerror or err}") from None
+
+
+@contextmanager
+def _output_file(path: str):
+    """A temporary path to write the output file `path` to (`atomic_path`)."""
+    with _writing(path), atomic_path(Path(path)) as tmp:
+        yield tmp
+
+
+def _write_text_output(path: str, text: str) -> None:
+    with _output_file(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
 
 
 def _load_config(args) -> PipelineConfig:
@@ -32,8 +63,9 @@ def cmd_synth(args) -> int:
     config = args.pipeline_config
     corpus = synth_generate(config.synth, rounds=config.pair_rounds)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    n_words = write_corpus(corpus, out)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        n_words = write_corpus(corpus, out)
     print(f"wrote {n_words} word records and {len(corpus.sentences)} sentences to {out}")
     return 0
 
@@ -42,7 +74,8 @@ def cmd_ingest(args) -> int:
     records = args.records
     print(f"{args.path}: {len(records)} valid {args.schema} records")
     if args.export:
-        export_canonical(records, args.export, args.schema)
+        with _output_file(args.export) as tmp:
+            export_canonical(records, tmp, args.schema)
         print(f"canonical export written to {args.export}")
     return 0
 
@@ -65,7 +98,7 @@ def cmd_qc(args) -> int:
             labels = dominant_split([word_record_to_clip(records[i]).motion.frames for i in positions])
             for i, label in zip(positions, labels):
                 dominant[i] = label
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _output_file(args.out) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for record, is_dominant in zip(records, dominant):
             clip = word_record_to_clip(record)
             result = qc_filters(clip, cfg)
@@ -105,7 +138,7 @@ def cmd_trim(args) -> int:
             "span": list(result.span),
             "flags": result.flags,
         }
-    Path(args.out).write_text(json.dumps(spans, sort_keys=True, indent=1))
+    _write_text_output(args.out, json.dumps(spans, sort_keys=True, indent=1))
     print(f"trimmed {len(spans)} clips; spans at {args.out}")
     return 0
 
@@ -138,7 +171,8 @@ def _load_stitch_inputs(manifest_path: str, plan_path: str) -> tuple[list, Gloss
 def cmd_stitch(args) -> int:
     pairs = args.stitch_pairs
     out = assemble_sentence(pairs, args.gloss_plan)
-    write_motion(args.out, out)
+    with _output_file(args.out) as tmp:
+        write_motion(tmp, out)
     print(f"stitched {len(pairs)} pairs into {out.num_frames} frames at {args.out}")
     return 0
 
@@ -158,7 +192,7 @@ def cmd_glossnorm(args) -> int:
             }, sort_keys=True))
         text = "\n".join(reports) + ("\n" if reports else "")
         if args.out:
-            Path(args.out).write_text(text)
+            _write_text_output(args.out, text)
         else:
             sys.stdout.write(text)
         return 0
@@ -170,7 +204,7 @@ def cmd_glossnorm(args) -> int:
         out_lines.append(gn.detokenize(tokens))
     text = "\n".join(out_lines) + ("\n" if out_lines else "")
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text_output(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -328,7 +362,11 @@ def main(argv: list[str] | None = None) -> int:
             args.pipeline_config = _load_config(args)
     except (OSError, ValueError) as err:
         parser.error(str(err))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OutputError as err:
+        print(f"signweave {args.command}: error: {err}", file=sys.stderr)
+        return EXIT_CANNOT_WRITE
 
 
 if __name__ == "__main__":

@@ -185,7 +185,7 @@ class GlossDurationPredictor:
 
     def __init__(self, cfg: DurationModelConfig = DurationModelConfig(), seed: int | None = 0):
         self.cfg = cfg
-        self.params = ParameterSet(dtype=cfg.dtype)
+        self.params = ParameterSet(dtype=cfg.dtype, ema_decay=None)  # trained without an EMA
         rng = None if seed is None else np.random.default_rng(seed)
         in_dim = pair_feature_dim(cfg.motion_dim)
         dims = [in_dim] + [cfg.hidden] * cfg.mlp_layers
@@ -219,7 +219,7 @@ class SentenceDurationPredictor:
 
     def __init__(self, cfg: DurationModelConfig = DurationModelConfig(), seed: int | None = 0):
         self.cfg = cfg
-        self.params = ParameterSet(dtype=cfg.dtype)
+        self.params = ParameterSet(dtype=cfg.dtype, ema_decay=None)  # trained without an EMA
         rng = None if seed is None else np.random.default_rng(seed)
         h = cfg.hidden
         self._proj = nk.init_dense(self.params, "proj", token_feature_dim(cfg.motion_dim), h, rng)

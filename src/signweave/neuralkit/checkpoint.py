@@ -1,6 +1,10 @@
-"""Binary checkpoint format, version 2: the magic `SWCK`, u32 version, u32
-count, then (name, dtype, shape, data, ema) records, each array stored in its
-parameter dtype."""
+"""Binary checkpoint format, version 3: the magic `SWCK`, u32 version, u32
+count, u32 EMA flag (1 when the parameter set keeps EMA shadows, else 0),
+then one (name, dtype, shape, data) record per parameter, followed by its
+EMA shadow when the flag is 1. Each array is stored in its parameter dtype.
+
+Version 2 wrote an EMA shadow for every set, including sets that never
+update one; it no longer decodes."""
 from __future__ import annotations
 
 import math
@@ -13,7 +17,7 @@ import numpy as np
 from .nn import ParameterSet
 
 MAGIC = b"SWCK"
-VERSION = 2
+VERSION = 3
 # dtype code in the file (its item size) -> stored little-endian dtype
 DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 
@@ -21,7 +25,7 @@ DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 def save_checkpoint(path: str | Path, params: ParameterSet) -> None:
     names = params.names()
     with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<II", VERSION, len(names)))
+        fh.write(MAGIC + struct.pack("<III", VERSION, len(names), int(params.keeps_ema)))
         for name in names:
             raw = name.encode("utf-8")
             dtype = params[name].data.dtype
@@ -29,22 +33,24 @@ def save_checkpoint(path: str | Path, params: ParameterSet) -> None:
                 raise ValueError(f"{name}: cannot checkpoint a {dtype} parameter")
             stored = DTYPES[dtype.itemsize]
             data = np.ascontiguousarray(params[name].data, dtype=stored)
-            ema = np.ascontiguousarray(params.ema_value(name), dtype=stored)
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
             fh.write(struct.pack("<II", dtype.itemsize, data.ndim))
             fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
             fh.write(data.tobytes())
-            fh.write(ema.tobytes())
+            if params.keeps_ema:
+                fh.write(np.ascontiguousarray(params.ema_value(name), dtype=stored).tobytes())
 
 
-def load_checkpoint(path: str | Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+def load_checkpoint(path: str | Path) -> dict[str, tuple[np.ndarray, np.ndarray | None]]:
     """Returns {name: (data, ema)} in the dtype each was saved in, each read
-    from the file straight into its own writable array.
+    from the file straight into its own writable array; ema is None when
+    the file holds no EMA shadows.
 
-    A file that does not start with the magic number and version 2, ends
-    inside a record, has bytes after the last one, holds a name that is not
-    UTF-8 or an unknown dtype code raises a ValueError naming the path."""
+    A file that does not start with the magic number and version 3, has an
+    EMA flag other than 0 or 1, ends inside a record, has bytes after the
+    last one, holds a name that is not UTF-8 or an unknown dtype code raises
+    a ValueError naming the path."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -70,8 +76,10 @@ def load_checkpoint(path: str | Path) -> dict[str, tuple[np.ndarray, np.ndarray]
         (version,) = struct.unpack("<I", header[len(MAGIC):])
         if version != VERSION:
             raise ValueError(f"{path}: checkpoint version {version}, expected {VERSION}")
-        out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        (count,) = struct.unpack("<I", take(4))
+        out: dict[str, tuple[np.ndarray, np.ndarray | None]] = {}
+        count, has_ema = struct.unpack("<II", take(8))
+        if has_ema not in (0, 1):
+            raise ValueError(f"{path}: checkpoint EMA flag {has_ema}, expected 0 or 1")
         for _ in range(count):
             (name_len,) = struct.unpack("<I", take(4))
             try:
@@ -82,18 +90,20 @@ def load_checkpoint(path: str | Path) -> dict[str, tuple[np.ndarray, np.ndarray]
             if code not in DTYPES:
                 raise ValueError(f"{path}: parameter {name} has unknown dtype code {code}")
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-            out[name] = (take_array(shape, DTYPES[code]), take_array(shape, DTYPES[code]))
+            out[name] = (take_array(shape, DTYPES[code]), take_array(shape, DTYPES[code]) if has_ema else None)
         if fh.tell() != size:
             raise ValueError(f"{path}: {size - fh.tell()} trailing bytes after the last "
                              "checkpoint record")
     return out
 
 
-def restore_into(params: ParameterSet, loaded: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
+def restore_into(params: ParameterSet, loaded: dict[str, tuple[np.ndarray, np.ndarray | None]]) -> None:
     """Make the loaded arrays the values and EMA shadows of `params`. An array
     already in the parameter dtype is taken over, not copied, so the caller
     hands it to `params`; an EMA that may share memory with its value is
-    copied, since the EMA update writes its shadow in place."""
+    copied, since the EMA update writes its shadow in place. A set that keeps
+    shadows needs them in the checkpoint, and a set without them takes none:
+    either mismatch raises a ValueError."""
     for name in params.names():
         if name not in loaded:
             raise KeyError(f"checkpoint is missing parameter {name}")
@@ -101,6 +111,11 @@ def restore_into(params: ParameterSet, loaded: dict[str, tuple[np.ndarray, np.nd
         current = params[name]
         if tuple(data.shape) != tuple(current.data.shape):
             raise ValueError(f"shape mismatch for {name}: {data.shape} vs {current.data.shape}")
+        if ema is None and params.keeps_ema:
+            raise ValueError(f"checkpoint has no EMA shadow for {name}, and the parameter set keeps shadows")
+        if ema is not None and not params.keeps_ema:
+            raise ValueError(f"checkpoint has an EMA shadow for {name}, and the parameter set keeps none")
         value = data.astype(current.data.dtype, copy=False)
         current.data = value
-        params._ema[name] = ema.astype(value.dtype, copy=np.may_share_memory(ema, value))
+        if ema is not None:
+            params._ema[name] = ema.astype(value.dtype, copy=np.may_share_memory(ema, value))

@@ -298,13 +298,16 @@ def segment_attention(q: Tensor, k: Tensor | None, v: Tensor | None, q_offsets: 
 
 
 class ParameterSet:
-    """Named parameter tensors with gradient slots and EMA shadow copies."""
+    """Named parameter tensors with gradient slots and, unless `ema_decay` is
+    None, EMA shadow copies. A set without shadows has no `ema_update`,
+    `ema_value` or `swap_in_ema`, and its checkpoint holds no EMA records."""
 
-    def __init__(self, dtype=np.float32, ema_decay: float = 0.9999):
-        if not 0.0 <= ema_decay < 1.0:
+    def __init__(self, dtype=np.float32, ema_decay: float | None = 0.9999):
+        if ema_decay is not None and not 0.0 <= ema_decay < 1.0:
             raise ValueError("ema decay must lie in [0, 1)")
         self.dtype = dtype
         self.ema_decay = ema_decay
+        self.keeps_ema = ema_decay is not None
         self._params: dict[str, Tensor] = {}
         self._ema: dict[str, np.ndarray] = {}
 
@@ -314,7 +317,8 @@ class ParameterSet:
         t = Tensor(np.asarray(value, dtype=self.dtype), requires_grad=True)
         t.name = name
         self._params[name] = t
-        self._ema[name] = t.data.copy()
+        if self.keeps_ema:
+            self._ema[name] = t.data.copy()
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -333,7 +337,12 @@ class ParameterSet:
         for t in self._params.values():
             t.grad = None
 
+    def _need_ema(self) -> None:
+        if not self.keeps_ema:
+            raise ValueError("this parameter set keeps no EMA shadows (ema_decay=None)")
+
     def ema_update(self, decay: float | None = None) -> None:
+        self._need_ema()
         d = self.ema_decay if decay is None else decay
         for name, t in self._params.items():
             shadow = self._ema[name]
@@ -341,10 +350,12 @@ class ParameterSet:
             shadow += (1.0 - d) * t.data
 
     def ema_value(self, name: str) -> np.ndarray:
+        self._need_ema()
         return self._ema[name]
 
     def swap_in_ema(self) -> dict[str, np.ndarray]:
         """Replace live values with EMA values; returns the originals."""
+        self._need_ema()
         saved = {}
         for name, t in self._params.items():
             saved[name] = t.data

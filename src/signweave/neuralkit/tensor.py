@@ -449,7 +449,9 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    # a maximum is exact whichever way it is found; fmax skips max's NaN
+    # bookkeeping, which dominates over short rows (a NaN still makes its row NaN)
+    shifted = x.data - np.fmax.reduce(x.data, axis=axis, keepdims=True)
     exps = np.exp(shifted)
     out_data = exps / exps.sum(axis=axis, keepdims=True)
 

@@ -396,10 +396,16 @@ def write_corpus(corpus: SynthCorpus, directory: Path) -> int:
 
 def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
     """Stages synth, qc, trim and baseline. Synth and qc regenerate the corpus
-    and filter its clips on a hit too, as both are deterministic and cheap:
-    generating takes about 25 ms at 6 glosses x 3 variants x 24 sentences and
-    0.6 s for the default corpus, on one core of a 2-core machine. Their hits
-    skip only the writes; a trim or baseline hit reads its stored output back."""
+    and filter its clips on a hit too, as both are deterministic and cheap;
+    their hits skip only the writes, and a trim or baseline hit reads its
+    stored output back. Generating draws the clips and each sentence's gloss
+    spans, and builds a sentence's frames on their first read only. The
+    synth stage's export reads every sentence, inpaint training the training
+    sentences, and baseline and eval scoring the held-out ones; so a reload
+    of a finished work directory builds none. Generating takes about 8 ms at
+    6 glosses x 3 variants x 24 sentences (25 ms with every sentence's
+    frames) and 0.17 s for the default corpus (0.55 s), on one core of a
+    2-core machine."""
     def generate(stage_dir=None):
         corpus = synth_generate(config.synth, rounds=config.pair_rounds)
         return corpus, *_split_sentences(corpus, config.holdout_fraction, config.seed)
@@ -532,7 +538,7 @@ def build_duration_examples(data: PreparedData, window: int) -> tuple[list[PairE
         segments = [data.cores[f"{g}.v{variants[i]}"] for i, g in enumerate(sample.glosses)]
         tokens = sentence_token_features(segments)
         t_src = sum(seg.shape[0] for seg in segments)
-        scale = target_scale(t_src, sample.frames.shape[0])
+        scale = target_scale(t_src, sample.gloss_spans[-1][1] + 1)
         alloc = target_allocation(sample.gloss_spans)
         sent_examples.append(SentenceExample(tokens, scale, alloc))
     return _pair_examples(data, window, held_out=False), sent_examples

@@ -9,7 +9,7 @@ the length mismatch between composed pseudo inputs and real targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -105,11 +105,22 @@ def _make_gloss_model(name: str, rng: np.random.Generator, spec: SynthSpec,
 
 @dataclass
 class SentenceSample:
+    """One continuous ground-truth sentence. Its frames are built from its
+    gloss models and span lengths on the first read of `frames`, since a
+    pipeline rerun that hits its caches reads few or none of them."""
+
     sentence_id: str
     glosses: list[str]
-    frames: np.ndarray
     gloss_spans: list[tuple[int, int]]
     tempo: float
+    models: list[GlossModel] = field(repr=False, compare=False)
+    transition_width: int
+    coarticulation_scale: float
+
+    @cached_property
+    def frames(self) -> np.ndarray:
+        lengths = [end - start + 1 for start, end in self.gloss_spans]
+        return _sentence_frames(self.models, lengths, self.transition_width, self.coarticulation_scale)
 
     @property
     def text(self) -> str:
@@ -250,7 +261,10 @@ def _sentence_frames(models: list[GlossModel], lengths: list[int], width: int,
 
 def synth_generate(spec: SynthSpec, rounds: int = 2) -> SynthCorpus:
     """Deterministic corpus: lexicon clips, blended continuous sentences, and
-    decomposed pseudo gloss pairs (rounds compositions per sentence)."""
+    decomposed pseudo gloss pairs (rounds compositions per sentence).
+
+    A sentence's frames draw no random number, so they are left for the
+    first read of `SentenceSample.frames` to build."""
     rng = np.random.default_rng(spec.seed)
     layout = PartLayout.base()
     names = [f"V{i:02d}" for i in range(spec.vocab_size)]
@@ -268,11 +282,10 @@ def synth_generate(spec: SynthSpec, rounds: int = 2) -> SynthCorpus:
         glosses = list(rng.choice(names, size=k))
         tempo = float(rng.uniform(*spec.sentence_tempo))
         lengths = [max(int(round(models[g].duration * tempo)), 8) for g in glosses]
-        frames = _sentence_frames([models[g] for g in glosses], lengths, spec.transition_width,
-                                  spec.coarticulation_scale)
         starts = np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(int)
         spans = [(int(s), int(s + n - 1)) for s, n in zip(starts, lengths)]
-        sentences.append(SentenceSample(f"s{si:04d}", glosses, frames, spans, tempo))
+        sentences.append(SentenceSample(f"s{si:04d}", glosses, spans, tempo, [models[g] for g in glosses],
+                                        spec.transition_width, spec.coarticulation_scale))
 
     pair_specs = []
     for sample in sentences:

@@ -426,3 +426,46 @@ def test_qc_dominant_split_labels_records_without_id(tmp_path, words_without_ids
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["id"] for r in rows] == [None] * 6
     assert [r["is_dominant"] for r in rows] == [False] + [True] * 5
+
+
+def test_ingest_export_reproduces_the_corpus(tmp_path, tiny_config_file, capsys):
+    """A canonical re-export of the corpus `synth` wrote is the same bytes,
+    and leaves no temporary file behind."""
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--config", str(tiny_config_file), "--out", str(corpus)]) == 0
+    again = tmp_path / "again"
+    again.mkdir()
+    for name, schema in (("words.json", "W"), ("dialogues.json", "U")):
+        assert main(["ingest", "--path", str(corpus / name), "--schema", schema,
+                     "--export", str(again / name)]) == 0
+        assert (again / name).read_bytes() == (corpus / name).read_bytes()
+    assert sorted(p.name for p in again.iterdir()) == ["dialogues.json", "words.json"]
+
+
+@pytest.mark.parametrize("command", ["ingest", "qc", "trim", "glossnorm", "stitch", "synth"])
+def test_unwritable_output_is_a_one_line_error(tmp_path, tiny_config_file, capsys, command):
+    """An output path that cannot be written ends the command with exit
+    status 73 and one line on stderr naming the path, not a traceback."""
+    assert main(["synth", "--config", str(tiny_config_file), "--out", str(tmp_path / "corpus")]) == 0
+    words = str(tmp_path / "corpus" / "words.json")
+    write_motion(tmp_path / "p0.svmx", MotionSequence(np.zeros((10, 206))))
+    (tmp_path / "pairs.json").write_text(json.dumps({"pairs": [{"file": "p0.svmx", "boundary": 4}]}))
+    (tmp_path / "plan.json").write_text(json.dumps({"lengths": [5, 5]}))
+    (tmp_path / "lines.txt").write_text("BOOK GOOD\n")
+    (tmp_path / "a-file").write_text("")
+    # a directory that does not exist, or a path below a regular file
+    out = str(tmp_path / ("a-file" if command == "synth" else "missing") / "out")
+    argv = {
+        "ingest": ["ingest", "--path", words, "--schema", "W", "--export", out],
+        "qc": ["qc", "--path", words, "--out", out],
+        "trim": ["trim", "--path", words, "--out", out],
+        "glossnorm": ["glossnorm", "--input", str(tmp_path / "lines.txt"), "--out", out],
+        "stitch": ["stitch", "--pairs-manifest", str(tmp_path / "pairs.json"),
+                   "--plan", str(tmp_path / "plan.json"), "--out", out],
+        "synth": ["synth", "--config", str(tiny_config_file), "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 73
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"signweave {command}: error: cannot write {out}: ")

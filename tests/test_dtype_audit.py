@@ -68,8 +68,11 @@ def assert_float32_throughout(params, recorded, outputs):
     for name in params.names():
         p = params[name]
         assert p.grad is not None, name
-        arrays = {"parameter": p.data, "gradient": p.grad, "EMA shadow": params.ema_value(name),
+        arrays = {"parameter": p.data, "gradient": p.grad,
                   "first moment": opt._m[name], "second moment": opt._v[name]}
+        # only a set trained with an EMA keeps shadows
+        if params.keeps_ema:
+            arrays["EMA shadow"] = params.ema_value(name)
         for what, array in arrays.items():
             assert array.dtype == np.float32, f"{name} {what} is {array.dtype}"
 
@@ -81,6 +84,7 @@ def test_gloss_predictor_step(recorded):
     model = GlossDurationPredictor(DurationModelConfig(motion_dim=MOTION_DIM, hidden=8, mlp_layers=2))
     outputs = record_forward(model)
     duration.train_gloss_predictor(examples, model, DurationTrainConfig(epochs=1, batch_size=6))
+    assert not model.params.keeps_ema
     assert_float32_throughout(model.params, recorded, outputs)
 
 
@@ -92,6 +96,7 @@ def test_sentence_predictor_padded_step(recorded):
     model = SentenceDurationPredictor(cfg)
     outputs = record_forward(model)
     duration.train_sentence_predictor(examples, model, DurationTrainConfig(epochs=1, batch_size=4))
+    assert not model.params.keeps_ema
     assert_float32_throughout(model.params, recorded, outputs)
 
 
@@ -105,4 +110,5 @@ def test_denoiser_step(recorded):
     outputs = record_forward(denoiser)
     inpaint_train.train_inpainter(pairs, denoiser, DiffusionSchedule(),
                                   InpaintTrainConfig(steps=1, batch_size=4, radius_min=3, radius_max=6))
+    assert denoiser.params.keeps_ema
     assert_float32_throughout(denoiser.params, recorded, outputs)

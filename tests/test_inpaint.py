@@ -345,6 +345,27 @@ def fresh_copy(denoiser: Denoiser) -> Denoiser:
     return copy
 
 
+def test_denoiser_checkpoint_round_trip_keeps_values_and_ema(tmp_path):
+    """Save, load and restore into a placeholder denoiser: every value and
+    EMA shadow comes back with its bytes, and the EMA weights predict alike."""
+    denoiser = perturbed_denoiser(5)
+    denoiser.params.ema_update(decay=0.5)
+    path = tmp_path / "denoiser.ckpt"
+    nk.save_checkpoint(path, denoiser.params)
+    restored = Denoiser(denoiser.cfg, seed=None)
+    nk.restore_into(restored.params, nk.load_checkpoint(path))
+    assert restored.params.keeps_ema
+    for name in denoiser.params.names():
+        assert restored.params[name].data.tobytes() == denoiser.params[name].data.tobytes()
+        assert restored.params.ema_value(name).tobytes() == denoiser.params.ema_value(name).tobytes()
+    rng = np.random.default_rng(13)
+    x_t, cond = rng.normal(size=(18, 206)), rng.normal(size=(18, 206))
+    mask = make_boundary_mask(9, 9, 3).values
+    for model in (denoiser, restored):
+        model.params.swap_in_ema()
+    assert np.array_equal(restored.predict_x0(x_t, 40, cond, mask), denoiser.predict_x0(x_t, 40, cond, mask))
+
+
 class TestPredictX0:
     def setup_method(self):
         rng = np.random.default_rng(11)

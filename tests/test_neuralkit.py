@@ -344,6 +344,24 @@ class TestSoftmaxRows:
         s = softmax(x).data
         assert np.allclose(s.sum(axis=1), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_bits_equal_the_max_shifted_softmax(self, dtype, axis):
+        """The row max is taken with np.fmax.reduce; on finite rows and on
+        rows masked to -inf the output has the bits of the .max version."""
+        rng = np.random.default_rng(17)
+        x = (rng.normal(size=(64, 4, 8, 8)) * 4).astype(dtype)
+        masked = x.copy()
+        masked[..., 5:] = -np.inf          # key padding: the last three keys of every row
+        masked[:3, :, 2] = -np.inf         # whole rows masked: NaN either way
+        for data in (x, masked):
+            with np.errstate(invalid="ignore"):
+                exps = np.exp(data - data.max(axis=axis, keepdims=True))
+                want = exps / exps.sum(axis=axis, keepdims=True)
+                got = softmax(tensor(data), axis=axis).data
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
 
 class TestRope:
     def test_inner_product_depends_only_on_offset(self):
@@ -568,8 +586,8 @@ class TestCheckpoint:
         assert np.array_equal(fresh["layer.weight"].data, params["layer.weight"].data)
         assert np.array_equal(fresh.ema_value("layer.bias"), params.ema_value("layer.bias"))
 
-    def _small_checkpoint(self, tmp_path, dtype=np.float32):
-        params = ParameterSet(dtype=dtype)
+    def _small_checkpoint(self, tmp_path, dtype=np.float32, ema_decay=0.9999):
+        params = ParameterSet(dtype=dtype, ema_decay=ema_decay)
         params.add("w", np.arange(6.0).reshape(2, 3))
         params.add("scalar", np.array(1.5))
         params.add("b", np.ones(2))
@@ -578,9 +596,9 @@ class TestCheckpoint:
         return path, path.read_bytes()
 
     def test_every_truncation_is_rejected_with_the_path(self, tmp_path):
-        for dtype in (np.float32, np.float64):
-            path, raw = self._small_checkpoint(tmp_path, dtype)
-            assert raw[:8] == b"SWCK\x02\x00\x00\x00"
+        for dtype, ema_decay in ((np.float32, 0.9999), (np.float64, 0.9999), (np.float32, None)):
+            path, raw = self._small_checkpoint(tmp_path, dtype, ema_decay)
+            assert raw[:16] == b"SWCK\x03\x00\x00\x00\x03\x00\x00\x00" + bytes([ema_decay is not None, 0, 0, 0])
             assert set(load_checkpoint(path)) == {"w", "scalar", "b"}
             cut = tmp_path / "cut.ckpt"
             for length in range(len(raw)):
@@ -604,19 +622,23 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("header,message", [
         (b"\x03\x00\x00\x00\x01\x00\x00\x00", "no SWCK magic number"),  # a version 1 file
-        (b"SWCK\x01\x00\x00\x00", "checkpoint version 1, expected 2"),
-        (b"SWCK\x03\x00\x00\x00", "checkpoint version 3, expected 2"),
+        (b"SWCK\x01\x00\x00\x00", "checkpoint version 1, expected 3"),
+        # version 2 wrote an EMA shadow for every parameter set
+        (b"SWCK\x02\x00\x00\x00", "checkpoint version 2, expected 3"),
+        (b"SWCK\x04\x00\x00\x00", "checkpoint version 4, expected 3"),
+        # version 3, three records, an EMA flag that is neither 0 nor 1
+        (b"SWCK\x03\x00\x00\x00\x03\x00\x00\x00\x02\x00\x00\x00", "checkpoint EMA flag 2, expected 0 or 1"),
     ])
     def test_other_format_is_rejected_with_the_path(self, tmp_path, header, message):
         path, raw = self._small_checkpoint(tmp_path)
-        path.write_bytes(header + raw[8:])
+        path.write_bytes(header + raw[len(header):])
         with pytest.raises(ValueError, match=message) as exc:
             load_checkpoint(path)
         assert str(path) in str(exc.value)
 
     def test_unknown_dtype_code_is_rejected(self, tmp_path):
         path, raw = self._small_checkpoint(tmp_path)
-        path.write_bytes(raw[:17] + b"\x02" + raw[18:])  # the first record's dtype code
+        path.write_bytes(raw[:21] + b"\x02" + raw[22:])  # the first record's dtype code
         with pytest.raises(ValueError, match="unknown dtype code 2") as exc:
             load_checkpoint(path)
         assert str(path) in str(exc.value)
@@ -652,10 +674,45 @@ class TestCheckpoint:
 
     def test_name_that_is_not_utf8_is_rejected(self, tmp_path):
         path, raw = self._small_checkpoint(tmp_path)
-        path.write_bytes(raw[:16] + b"\xff" + raw[17:])  # the first name's only byte
+        path.write_bytes(raw[:20] + b"\xff" + raw[21:])  # the first name's only byte
         with pytest.raises(ValueError, match="not UTF-8") as exc:
             load_checkpoint(path)
         assert str(path) in str(exc.value)
+
+    def test_set_without_ema_keeps_and_writes_no_shadow(self, tmp_path):
+        rng = np.random.default_rng(14)
+        params = ParameterSet(dtype=np.float32, ema_decay=None)
+        params.add("w", rng.normal(size=(3, 4)))
+        params.add("b", rng.normal(size=4))
+        assert not params.keeps_ema and params._ema == {}
+        for call in (params.ema_update, params.swap_in_ema, lambda: params.ema_value("w")):
+            with pytest.raises(ValueError, match="keeps no EMA shadows"):
+                call()
+        path = tmp_path / "plain.ckpt"
+        save_checkpoint(path, params)
+        # header, then per record: name length, name, dtype code, ndim, shape, values
+        assert path.stat().st_size == 16 + (4 + 1 + 8 + 8 + 48) + (4 + 1 + 8 + 4 + 16)
+        loaded = load_checkpoint(path)
+        assert all(ema is None for _, ema in loaded.values())
+        fresh = ParameterSet(dtype=np.float32, ema_decay=None)
+        fresh.add("w", np.zeros((3, 4)))
+        fresh.add("b", np.zeros(4))
+        restore_into(fresh, loaded)
+        for name in ("w", "b"):
+            assert fresh[name].data.tobytes() == params[name].data.tobytes()
+        assert fresh._ema == {}
+
+    def test_ema_records_must_match_the_set(self, tmp_path):
+        sets = {}
+        for ema_decay in (0.9999, None):
+            params = ParameterSet(dtype=np.float32, ema_decay=ema_decay)
+            params.add("w", np.ones((2, 2)))
+            save_checkpoint(tmp_path / f"{ema_decay}.ckpt", params)
+            sets[ema_decay] = params
+        with pytest.raises(ValueError, match="no EMA shadow for w"):
+            restore_into(sets[0.9999], load_checkpoint(tmp_path / "None.ckpt"))
+        with pytest.raises(ValueError, match="an EMA shadow for w"):
+            restore_into(sets[None], load_checkpoint(tmp_path / "0.9999.ckpt"))
 
     def test_missing_param_rejected(self, tmp_path):
         params = ParameterSet()

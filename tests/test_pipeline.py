@@ -3,12 +3,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import signweave.pipeline as pipeline
+import signweave.synth as synth_module
 from dtw_oracles import loop_dtw, loop_dtw_error
 from signweave.duration import (DurationModelConfig, DurationTrainConfig, GlossDurationPredictor,
                                 SentenceDurationPredictor, integer_plan)
@@ -35,6 +37,7 @@ from signweave.pipeline import (
     train_inpaint_stage,
 )
 from signweave.metrics import SyntheticSkeletonAdapter
+from signweave.neuralkit import load_checkpoint
 from signweave.synth import SynthSpec
 
 
@@ -522,7 +525,10 @@ class TestResume:
             assert model.params.names() == list(loaded)
             for pname, (data_, ema) in loaded.items():
                 assert np.array_equal(model.params[pname].data, data_)
-                assert np.array_equal(model.params.ema_value(pname), ema)
+                # only the denoiser keeps EMA shadows
+                assert (ema is not None) == model.params.keeps_ema == (model is denoiser)
+                if ema is not None:
+                    assert np.array_equal(model.params.ema_value(pname), ema)
 
 
 def _trained_outputs(work: Path) -> dict[str, bytes]:
@@ -530,6 +536,71 @@ def _trained_outputs(work: Path) -> dict[str, bytes]:
     paths = [*sorted(work.glob("*/*.ckpt")), *sorted(work.glob("compose/*.svmx")),
              work / "eval" / "metrics.jsonl"]
     return {path.relative_to(work).as_posix(): path.read_bytes() for path in paths}
+
+
+def _count_sentence_frames(monkeypatch) -> list:
+    """The gloss lengths of each `_sentence_frames` call: one call per
+    sentence whose frames are built."""
+    calls = []
+    original = synth_module._sentence_frames
+
+    def counted(models, lengths, *args, **kwargs):
+        calls.append(tuple(lengths))
+        return original(models, lengths, *args, **kwargs)
+
+    monkeypatch.setattr(synth_module, "_sentence_frames", counted)
+    return calls
+
+
+def _lengths(sample) -> tuple[int, ...]:
+    return tuple(end - start + 1 for start, end in sample.gloss_spans)
+
+
+class TestLazySentenceFrames:
+    """A sentence's frames are built on their first read: a fresh run reads
+    every sentence once (the synth stage exports them), a reload of a
+    finished work directory reads none, and eval reads the held-out ones."""
+
+    def test_fresh_run_builds_each_sentence_once(self, tmp_path, monkeypatch):
+        calls = _count_sentence_frames(monkeypatch)
+        config = tiny_config(tmp_path / "work", steps=4)
+        run_pipeline(config)
+        corpus = synth_module.synth_generate(config.synth, rounds=config.pair_rounds)
+        assert calls == [_lengths(s) for s in corpus.sentences]
+
+    def test_reload_builds_no_sentence(self, rerun, monkeypatch):
+        config, _ = rerun
+        calls = _count_sentence_frames(monkeypatch)
+        store = StageStore(config.work_dir)
+        data = prepare_data(config, store)
+        gloss_model, _ = train_duration_stage(config, store, data)
+        train_inpaint_stage(config, store, data, gloss_model)
+        assert calls == []
+
+    def test_compose_and_eval_build_the_held_out_sentences(self, rerun, monkeypatch):
+        config, first = rerun
+        work = Path(config.work_dir)
+        for stage in ("compose", "eval"):
+            shutil.rmtree(work / stage)
+        calls = _count_sentence_frames(monkeypatch)
+        report = run_pipeline(config)
+        assert _without_timings(report) == _without_timings(first)
+        by_id = {s.sentence_id: s for s in prepare_data(config, StageStore(config.work_dir)).corpus.sentences}
+        eval_ids = [row["sentence_id"] for row in map(json.loads, (work / "eval" / "metrics.jsonl").read_text()
+                                                      .splitlines()) if row.get("method") == "ours"]
+        assert eval_ids and calls == [_lengths(by_id[sid]) for sid in eval_ids]
+
+
+def _as_version_2(path: Path) -> None:
+    """Rewrite a checkpoint in format version 2, which stored an EMA record
+    (here a copy of the value) for every parameter of every set."""
+    loaded = load_checkpoint(path)
+    out = [b"SWCK", struct.pack("<II", 2, len(loaded))]
+    for name, (data, _) in loaded.items():
+        raw = name.encode("utf-8")
+        out += [struct.pack("<I", len(raw)), raw, struct.pack("<II", data.dtype.itemsize, data.ndim),
+                struct.pack(f"<{data.ndim}I", *data.shape), data.tobytes(), data.tobytes()]
+    path.write_bytes(b"".join(out))
 
 
 class TestStageProtocol:
@@ -563,6 +634,18 @@ class TestStageProtocol:
         # a retrained stage breaks the chain: the inpainter is retrained either way
         assert [name for name, calls in trained.items() if calls] == (
             list(TRAINING) if ckpt.startswith("duration") else ["train_inpainter"])
+        assert _without_timings(report) == _without_timings(first)
+        assert _trained_outputs(work) == before
+
+    def test_version_2_checkpoint_is_retrained_to_the_same_bytes(self, rerun, monkeypatch):
+        config, first = rerun
+        work = Path(config.work_dir)
+        before = _trained_outputs(work)
+        _as_version_2(work / "duration" / "sent.ckpt")
+        shutil.rmtree(work / "eval")
+        trained = {name: _spy(monkeypatch, name) for name in TRAINING}
+        report = run_pipeline(config)
+        assert all(trained.values())
         assert _without_timings(report) == _without_timings(first)
         assert _trained_outputs(work) == before
 

@@ -369,6 +369,16 @@ def test_synth_matches_per_frame_oracle(spec, rounds):
             for p in corpus.pair_specs] == oracle["pairs"]
 
 
+def test_sentence_frames_are_built_on_first_read_only():
+    corpus = synth_generate(SynthSpec(vocab_size=4, variants_per_gloss=2, n_sentences=5, seed=3))
+    sample = corpus.sentences[2]
+    assert "frames" not in vars(sample)
+    first = sample.frames
+    assert sample.frames is first
+    assert first.shape == (sample.gloss_spans[-1][1] + 1, corpus.layout.dim)
+    assert all("frames" not in vars(s) for s in corpus.sentences if s is not sample)
+
+
 def test_evaluate_matches_all_columns_oracle():
     corpus = synth_generate(SynthSpec(vocab_size=3, variants_per_gloss=1, n_sentences=0, seed=21))
     rng = np.random.default_rng(22)
