@@ -236,7 +236,9 @@ def cmd_retrieve(args) -> int:
 def cmd_run(args) -> int:
     """The stage commands: run the pipeline through `args.until`."""
     config = args.pipeline_config
-    report = run_pipeline(config, until=args.until, dump_paths=getattr(args, "dump_paths", False))
+    with _writing(config.work_dir):
+        Path(config.work_dir).mkdir(parents=True, exist_ok=True)
+    report = run_pipeline(config, until=args.until)
     print(json.dumps(report, indent=1, sort_keys=True))
     return 0
 
@@ -321,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="run every stage and score the composed sentences")
     common(p)
-    p.add_argument("--dump-paths", action="store_true",
-                   help="also write the DTW alignment paths for debugging")
     p.set_defaults(func=cmd_run, until="eval")
 
     p = sub.add_parser("pipeline", help="run every stage end to end")

@@ -13,6 +13,7 @@ import numpy as np
 from .. import neuralkit as nk
 from ..neuralkit import ParameterSet, Tensor
 from ..motion import PartLayout
+from .masks import InpaintMask, PackedMask
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,22 @@ class DenoiserConfig:
     ffn: int = 128
     hand_head_depth: int = 2
     dtype: type = np.float32
+
+
+@dataclass(frozen=True)
+class Conditioning:
+    """The pairs' share of a denoiser forward (`Denoiser.condition`): the
+    pair lengths, their row offsets and in-pair positions, the RoPE table of
+    those positions, each block's rotated cross-attention keys and values in
+    row layout, the mask embedding, and the residual."""
+
+    lengths: tuple[int, ...]
+    offsets: np.ndarray
+    positions: np.ndarray
+    rope: nk.RopeTable
+    cross_kv: list[tuple[Tensor, Tensor]]
+    mask_emb: Tensor
+    residual: Tensor
 
 
 def _group_slices(layout: PartLayout) -> dict[str, tuple[int, int]]:
@@ -88,110 +105,85 @@ class Denoiser:
             # only the refinement
             layers.append(nk.init_dense(p, f"head.{group}.out", h, hi - lo, rng, zero=True))
             self._heads[group] = layers
-        self._cond_cache = None
 
-    def _conditioning(self, cond: np.ndarray, mask: np.ndarray, lengths: tuple[int, ...],
-                      rope: nk.RopeTable) -> tuple[list, Tensor, Tensor]:
-        """What the pairs contribute whatever the noise level: each block's
-        cross-attention keys (rotated by `rope`, the pairs' rope table) and
-        values over the conditioning frames, in row layout, the mask
-        embedding, and the residual.
+    def condition(self, cond: np.ndarray, mask: np.ndarray,
+                  lengths: list[int] | tuple[int, ...] | None = None) -> Conditioning:
+        """What the pairs of `cond` under `mask` (values > 0.5 inside) give
+        every forward, whatever the noise level. `cond` and `mask` may hold
+        several pairs laid end to end, of `lengths` frames each (one pair when
+        None); each pair's RoPE positions restart at 0.
 
-        Outside inference mode it is built afresh for autograd. Under
-        `nk.no_grad` it is kept for the last (cond, mask, lengths) and reused
-        while every parameter array is the same object: optimizer steps, EMA
-        swaps and restores, and `restore_into` all assign new arrays.
+        It is built from the parameters as they are now, with autograd unless
+        under `nk.no_grad`. Training builds one per step (`packed_step_loss`)
+        and DDIM one per run (`sampler`); nothing keeps it beyond that.
         """
-        cond = np.asarray(cond)
-        mask_idx = (np.asarray(mask) > 0.5).astype(int)
-        inference = not nk.is_grad_enabled()
-        if inference:
-            state = tuple(t.data for t in self.params.tensors())
-            if self._cond_cache is not None:
-                c, m, n, s, built = self._cond_cache
-                if (n == lengths and np.array_equal(c, cond) and np.array_equal(m, mask_idx)
-                        and all(a is b for a, b in zip(s, state))):
-                    return built
-
         cfg = self.cfg
         dtype = self.params.dtype
-        memory = nk.dense(nk.tensor(np.asarray(cond, dtype=dtype)), *self._cond_proj)
+        cond = np.asarray(cond, dtype=dtype)
+        lengths = (cond.shape[0],) if lengths is None else tuple(int(n) for n in lengths)
+        offsets = nk.segment_offsets(lengths)
+        if offsets[-1] != cond.shape[0]:
+            raise ValueError(f"pair lengths {lengths} do not add up to {cond.shape[0]} frames")
+        positions = nk.segment_positions(offsets)
+        rope = nk.rope_table(positions, cfg.latent // cfg.heads, dtype, heads=cfg.heads)
+        memory = nk.dense(nk.tensor(cond), *self._cond_proj)
         cross_kv = []
         for blk in self._blocks:
             kv = nk.dense(memory, *blk["kv"])
             # the conditioning stream is duration-aligned with the target, so
             # rotary positions let cross-attention localize boundary frames
             cross_kv.append((nk.rope_rotate(kv[:, : cfg.latent], rope), kv[:, cfg.latent :]))
-        built = (cross_kv, self._mask_embed[mask_idx], Tensor(np.asarray(cond, dtype=dtype)))
-        if inference:
-            # holding the parameter arrays keeps their ids from being reused
-            self._cond_cache = (cond.copy(), mask_idx, lengths, state, built)
-        return built
+        mask_emb = self._mask_embed[(np.asarray(mask) > 0.5).astype(int)]
+        return Conditioning(lengths, offsets, positions, rope, cross_kv, mask_emb, Tensor(cond))
 
-    def forward(
-        self,
-        x_t: np.ndarray,
-        t: int | list[int],
-        cond: np.ndarray,
-        mask: np.ndarray,
-        rows: np.ndarray | None = None,
-        lengths: list[int] | tuple[int, ...] | None = None,
-    ) -> Tensor:
-        """Clean-motion prediction, (N, D), or (len(rows), D) for the given rows.
+    def forward(self, x_t: np.ndarray, t: int | list[int], c: Conditioning,
+                rows: np.ndarray | None = None) -> Tensor:
+        """Clean-motion prediction, (N, D), or (len(rows), D) for the given
+        rows, of x_t under the conditioning `c` of its pairs (`condition`).
 
-        x_t, cond and mask may hold several pairs laid end to end, of
-        `lengths` frames each (one pair when None). Dense layers, norms, GELU
-        and the heads run once over all rows; attention stays inside each
-        pair, whose RoPE positions restart at 0. `t` is one timestep for every
-        pair or a sequence of one per pair.
-
-        Each attention sublayer is one `nk.segment_attention` node in row
-        layout: self-attention takes the packed query-key-value projection and
-        rotates its queries and keys from one RoPE table gathered per forward;
-        cross-attention rotates its queries and reads the keys `_conditioning`
-        rotated once per conditioning. Training and `predict_rows` run this
-        same path.
+        Dense layers, norms, GELU and the heads run once over all rows;
+        attention stays inside each pair. `t` is one timestep for every pair
+        or a sequence of one per pair. Each attention sublayer is one
+        `nk.segment_attention` node in row layout: self-attention takes the
+        packed query-key-value projection and rotates its queries and keys
+        from the conditioning's RoPE table; cross-attention rotates its
+        queries and reads the keys the conditioning rotated.
 
         With `rows` (ascending indices into the N frames), the last block's
         queries, its FFN, the final norm and the heads run on those rows only;
-        keys and values still cover every frame. Training and `predict_rows`
-        both pass the rows inside the mask, the only ones the loss and DDIM
+        keys and values still cover every frame. Training and `sampler` both
+        pass the rows inside the mask, the only ones the loss and DDIM
         composition read.
         """
         cfg = self.cfg
         dtype = self.params.dtype
-        lengths = (x_t.shape[0],) if lengths is None else tuple(int(n) for n in lengths)
-        offsets = nk.segment_offsets(lengths)
-        if offsets[-1] != x_t.shape[0]:
-            raise ValueError(f"pair lengths {lengths} do not add up to {x_t.shape[0]} frames")
-        positions = nk.segment_positions(offsets)
-        rope = nk.rope_table(positions, cfg.latent // cfg.heads, dtype, heads=cfg.heads)
-        cross_kv, mask_emb, residual = self._conditioning(cond, mask, lengths, rope)
-
+        if x_t.shape[0] != c.offsets[-1]:
+            raise ValueError(f"pair lengths {c.lengths} do not add up to {x_t.shape[0]} frames")
         tok = nk.dense(nk.tensor(np.asarray(x_t, dtype=dtype)), *self._in_proj)
         steps = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        if len(steps) not in (1, len(lengths)):
-            raise ValueError(f"{len(steps)} timesteps for {len(lengths)} pairs")
+        if len(steps) not in (1, len(c.lengths)):
+            raise ValueError(f"{len(steps)} timesteps for {len(c.lengths)} pairs")
         t_emb = nk.tensor(nk.sinusoidal_embedding(steps, cfg.latent).astype(dtype))
         t_emb = nk.dense(nk.gelu(nk.dense(t_emb, *self._t1)), *self._t2)
         if len(steps) > 1:
-            t_emb = t_emb[np.repeat(np.arange(len(steps)), lengths)]
-        x = tok + t_emb + mask_emb
+            t_emb = t_emb[np.repeat(np.arange(len(steps)), c.lengths)]
+        x = tok + t_emb + c.mask_emb
 
-        q_offsets, q_rope, q_rows = offsets, rope, None
+        q_offsets, q_rope, q_rows = c.offsets, c.rope, None
         last = len(self._blocks) - 1
-        for i, (blk, (cross_k, cross_v)) in enumerate(zip(self._blocks, cross_kv)):
+        for i, (blk, (cross_k, cross_v)) in enumerate(zip(self._blocks, c.cross_kv)):
             normed = nk.layer_norm(x, *blk["ln1"])
             qkv = nk.dense(normed, *blk["qkv"])
             if i == last and rows is not None:
                 x, q_rows = x[rows], rows
-                q_offsets = np.searchsorted(rows, offsets)
-                q_rope = nk.rope_table(positions[rows], cfg.latent // cfg.heads, dtype, heads=cfg.heads)
-            attn = nk.segment_attention(qkv, None, None, q_offsets, offsets, q_rope, key_rope=rope, rows=q_rows)
+                q_offsets = np.searchsorted(rows, c.offsets)
+                q_rope = nk.rope_table(c.positions[rows], cfg.latent // cfg.heads, dtype, heads=cfg.heads)
+            attn = nk.segment_attention(qkv, None, None, q_offsets, c.offsets, q_rope, key_rope=c.rope, rows=q_rows)
             x = x + nk.dense(attn, *blk["self_out"])
 
             normed = nk.layer_norm(x, *blk["ln_x"])
-            cross = nk.segment_attention(nk.dense(normed, *blk["q"]), cross_k, cross_v, q_offsets, offsets, q_rope)
+            query = nk.dense(normed, *blk["q"])
+            cross = nk.segment_attention(query, cross_k, cross_v, q_offsets, c.offsets, q_rope)
             x = x + nk.dense(cross, *blk["cross_out"])
 
             normed = nk.layer_norm(x, *blk["ln2"])
@@ -205,27 +197,21 @@ class Denoiser:
             for w, b in layers[:-1]:
                 h = nk.gelu(nk.dense(h, w, b))
             outputs.append(nk.dense(h, *layers[-1]))
-        return nk.concat(outputs, axis=-1) + (residual if rows is None else residual[rows])
+        return nk.concat(outputs, axis=-1) + (c.residual if rows is None else c.residual[rows])
 
-    def predict_rows(self, x_t: np.ndarray, t: int, cond: np.ndarray, mask) -> tuple[np.ndarray, np.ndarray]:
-        """Inference-mode clean-motion prediction of the rows inside the mask
-        (values > 0.5), the ones DDIM composition keeps: their indices and
-        their predictions as a float64 array.
-
-        `mask` is the mask values, or a mask object (`InpaintMask`,
-        `PackedMask`) whose `values` and `lengths` say where each pair of a
-        packed x_t starts.
+    def sampler(self, cond: np.ndarray, mask: InpaintMask | PackedMask):
+        """DDIM's view of the denoiser for one run over `cond` under `mask`:
+        the rows inside the mask, the only ones DDIM composition keeps, and
+        `predict(x_t, t)`, their clean-motion prediction in inference mode as
+        a float64 array. The conditioning is built here, once, from the
+        parameters as they are now; build a new sampler after they change.
         """
-        values = np.asarray(getattr(mask, "values", mask))
-        rows = np.flatnonzero(values > 0.5)
+        rows = np.flatnonzero(mask.values > 0.5)
         with nk.no_grad():
-            pred = self.forward(x_t, t, cond, values, rows=rows, lengths=getattr(mask, "lengths", None)).data
-        return rows, pred.astype(np.float64, copy=False)
+            c = self.condition(cond, mask.values, mask.lengths)
 
-    def predict_x0(self, x_t: np.ndarray, t: int, cond: np.ndarray, mask) -> np.ndarray:
-        """`predict_rows` as a plain float64 array of every row: the rows
-        outside the mask are returned as `cond`."""
-        rows, pred = self.predict_rows(x_t, t, cond, mask)
-        out = np.array(cond, dtype=np.float64)
-        out[rows] = pred
-        return out
+        def predict(x_t: np.ndarray, t: int) -> np.ndarray:
+            with nk.no_grad():
+                return self.forward(x_t, t, c, rows=rows).data.astype(np.float64, copy=False)
+
+        return rows, predict

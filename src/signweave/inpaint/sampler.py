@@ -22,13 +22,13 @@ def ddim_refine(
     The reverse process starts from noise only inside the mask; unmasked frames
     stay pinned to x_tilde throughout and in the returned composition. Every
     update is row-wise, so packed pairs refine as they would one by one, up to
-    the denoiser's rounding. The denoiser must expose
-    predict_x0(x_t, t, cond, mask), which receives the mask object: its
-    `values` and the pair `lengths`. A denoiser that also exposes
-    predict_rows(x_t, t, cond, mask), returning the masked rows' indices and
-    predictions (as `Denoiser` does), is asked for those rows only and they
-    are written into the composition in place, so no step copies the
-    unmasked frames.
+    the denoiser's rounding.
+
+    The denoiser exposes sampler(cond, mask), as `Denoiser` does: the masked
+    rows and predict(x_t, t), their clean-motion prediction, for one run, so
+    the run conditions the denoiser once and no step copies the unmasked
+    frames. A denoiser that exposes only predict_x0(x_t, t, cond, mask), a
+    prediction of every frame, is read at the masked rows.
     """
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
     m = mask.values[:, None]
@@ -41,22 +41,24 @@ def ddim_refine(
     plan = schedule.respaced_steps(steps)
 
     x = m * noise + (1.0 - m) * x_tilde
+    # temporal-context frames stay pinned to the duration-adjusted input
     x0_comp = x_tilde.copy()
-    predict_rows = getattr(denoiser, "predict_rows", None)
+    rows, predict = (denoiser.sampler(x_tilde, mask) if hasattr(denoiser, "sampler")
+                     else _predict_x0_sampler(denoiser, x_tilde, mask))
     for i, t in enumerate(plan):
-        # pin temporal-context frames to the duration-adjusted input
-        if predict_rows is not None:
-            rows, x0_rows = predict_rows(x, t, x_tilde, mask)
-            x0_comp[rows] = x0_rows
-        else:
-            x0_hat = np.asarray(denoiser.predict_x0(x, t, x_tilde, mask), dtype=np.float64)
-            x0_comp = np.where(m > 0.5, x0_hat, x_tilde)
+        x0_comp[rows] = predict(x, t)
         ab_t = schedule.alpha_bar[t]
         eps = (x - np.sqrt(ab_t) * x0_comp) / np.sqrt(1.0 - ab_t)
         t_prev = plan[i + 1] if i + 1 < len(plan) else 0
         ab_prev = schedule.alpha_bar[t_prev]
         x = np.sqrt(ab_prev) * x0_comp + np.sqrt(1.0 - ab_prev) * eps
     return x0_comp
+
+
+def _predict_x0_sampler(denoiser, cond: np.ndarray, mask: InpaintMask | PackedMask):
+    """`Denoiser.sampler` for a denoiser that predicts every frame."""
+    rows = np.flatnonzero(mask.values > 0.5)
+    return rows, lambda x_t, t: np.asarray(denoiser.predict_x0(x_t, t, cond, mask), dtype=np.float64)[rows]
 
 
 def linear_transition_baseline(a: np.ndarray, b: np.ndarray, transition_frames: int = 4) -> tuple[np.ndarray, int]:

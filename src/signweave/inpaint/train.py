@@ -71,9 +71,9 @@ def packed_step_loss(
         weights_t.append(min_snr_weight(t, schedule, loss_cfg.min_snr_gamma))
         offset += length
     rows = np.concatenate(rows)
-    x0_hat = denoiser.forward(np.concatenate(x_t), [t for t, _, _ in draws],
-                              np.concatenate([item.x_tilde for item in items]), np.concatenate(masks),
-                              rows=rows, lengths=[item.x0.shape[0] for item in items])
+    c = denoiser.condition(np.concatenate([item.x_tilde for item in items]), np.concatenate(masks),
+                           [item.x0.shape[0] for item in items])
+    x0_hat = denoiser.forward(np.concatenate(x_t), [t for t, _, _ in draws], c, rows=rows)
     x0 = np.concatenate([item.x0 for item in items])[rows]
     return packed_loss(x0_hat, x0, runs, part_weights, weights_t, loss_cfg)
 

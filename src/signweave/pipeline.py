@@ -112,12 +112,8 @@ def _jsonable(value):
         return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, type):
         return value.__name__
-    if isinstance(value, np.generic):
-        return value.item()
     return value
 
 
@@ -193,34 +189,39 @@ def stage_hash(config: PipelineConfig, stage: str) -> str:
 
 
 def apply_overrides(config: PipelineConfig, overrides: list[str]) -> PipelineConfig:
-    """Apply dotted key=value overrides, coercing to the current field type."""
+    """Apply dotted key=value overrides to `config` in place and return it.
+
+    Each override is read as the config file object {"key": {"path": value}}
+    and checked as `config_from_dict` checks one (`_checked`), against the
+    current values. The value is JSON, or the text as given where JSON does
+    not parse or the field is text or a model dtype; a tuple's items are
+    separated by commas. A bad key or value leaves `config` as it was."""
     for item in overrides:
         key, _, raw = item.partition("=")
         if not raw:
             raise ValueError(f"override {item!r} must look like key.path=value")
-        *path, leaf = key.split(".")
-        target = config
-        for part in path:
-            target = getattr(target, part) if part in _field_names(target) else None
-            if not dataclasses.is_dataclass(target):
-                raise ValueError(f"unknown config key {key}")
-        if leaf not in _field_names(target):
-            raise ValueError(f"unknown config key {key}")
-        current = getattr(target, leaf)
-        if dataclasses.is_dataclass(current):
-            raise ValueError(f"config key {key} names a nested config; set {key}.<field>=value")
-        if isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        elif isinstance(current, tuple):
-            value = _checked(key, [type(current[0])(v) for v in raw.split(",")], current)
-        else:
+        parts = key.split(".")
+        current = config
+        for part in parts:
+            current = getattr(current, part, None) if dataclasses.is_dataclass(current) else None
+        if isinstance(current, tuple):
+            value = [_override_value(v) for v in raw.split(",")]
+        elif isinstance(current, (str, type)):
             value = raw
-        if type(target).__dataclass_params__.frozen:
-            raise ValueError(f"field {key} belongs to a frozen config; set it in the config file")
-        setattr(target, leaf, value)
+        else:
+            value = _override_value(raw)
+        for part in reversed(parts):
+            value = {part: value}
+        setattr(config, parts[0], getattr(_checked("", value, config), parts[0]))
     return config
+
+
+def _override_value(raw: str):
+    """The JSON value `raw` stands for, or `raw` itself when it is not JSON."""
+    try:
+        return json.loads(raw)
+    except ValueError:
+        return raw
 
 
 @contextmanager
@@ -792,19 +793,13 @@ def score_sentences(method: str, outputs: dict[str, MotionSequence], data: Prepa
     return {"rows": rows, "paths": paths, "summary": summary}
 
 
-def evaluate_composed(
-    composed: list[ComposedSentence],
-    data: PreparedData,
-    dump_paths: bool = False,
-) -> dict:
+def evaluate_composed(composed: list[ComposedSentence], data: PreparedData) -> dict:
     """Sentence-level metrics table for the refined outputs and the linear
-    baseline. Only the refined outputs are scored here: the baseline's rows,
+    baseline, with the DTW alignment path of each output against its
+    reference. Only the refined outputs are scored here: the baseline's rows,
     paths and summary are the ones the baseline stage stored
     (`data.baseline`), and its rows take each sentence's `fallback` from
     compose. `composed` must hold the held-out sentences in order.
-
-    With dump_paths, the DTW alignment path of each output against its
-    reference is included for debugging.
     """
     baseline = data.baseline
     if [c.sentence_id for c in composed] != [r["sentence_id"] for r in baseline["rows"]]:
@@ -815,10 +810,7 @@ def evaluate_composed(
         for scores in (ours, baseline):
             rows.append(scores["rows"][i] | {"fallback": item.fallback})
             paths.append(scores["paths"][i])
-    out = {"rows": rows, "summary": {"ours": ours["summary"], "baseline": baseline["summary"]}}
-    if dump_paths:
-        out["paths"] = paths
-    return out
+    return {"rows": rows, "paths": paths, "summary": {"ours": ours["summary"], "baseline": baseline["summary"]}}
 
 
 def evaluate_duration(data: PreparedData, gloss_model: GlossDurationPredictor, window: int) -> dict:
@@ -847,31 +839,26 @@ def _jsonl(rows: list[dict]) -> str:
 
 
 def eval_stage(config: PipelineConfig, store: StageStore, data: PreparedData,
-               composed: list[ComposedSentence], dump_paths: bool = False) -> None:
-    """Score the composed sentences (`evaluate_composed`) into metrics.jsonl,
-    and into paths.jsonl with dump_paths; then write the run report to
-    report.json. Like compose, eval has no `load`."""
+               composed: list[ComposedSentence]) -> None:
+    """Score the composed sentences (`evaluate_composed`) into metrics.jsonl
+    and their DTW alignment paths into paths.jsonl; then write the run report
+    to report.json. Like compose, eval has no `load`."""
     def compute(stage_dir):
         # the manifest lists report.json, which is written after it: until then
         # the stage misses, and no report.json of an earlier run is left to count
         (stage_dir / "report.json").unlink(missing_ok=True)
-        result = evaluate_composed(composed, data, dump_paths=dump_paths)
-        outputs = ["metrics.jsonl", "report.json"]
+        result = evaluate_composed(composed, data)
         _write_text(stage_dir / "metrics.jsonl", _jsonl(result["rows"]))
-        if dump_paths:
-            _write_text(stage_dir / "paths.jsonl", _jsonl(result["paths"]))
-            outputs.append("paths.jsonl")
-        else:
-            # the paths of an earlier run would not belong to these outputs
-            (stage_dir / "paths.jsonl").unlink(missing_ok=True)
-        return result, {"outputs": outputs, "report": {"sentence": result["summary"]}}
+        _write_text(stage_dir / "paths.jsonl", _jsonl(result["paths"]))
+        return result, {"outputs": ["metrics.jsonl", "report.json", "paths.jsonl"],
+                        "report": {"sentence": result["summary"]}}
 
     store.run("eval", config, compute)
     report = json.dumps(store.report(config, "eval"), sort_keys=True, indent=1)
     _write_text(store.root / "eval" / "report.json", report)
 
 
-def _steps(config: PipelineConfig, store: StageStore, dump_paths: bool):
+def _steps(config: PipelineConfig, store: StageStore):
     """Run the steps in stage order, yielding each stage after prepare's
     (synth, qc, trim and baseline) as it is done."""
     data = prepare_data(config, store)
@@ -881,27 +868,25 @@ def _steps(config: PipelineConfig, store: StageStore, dump_paths: bool):
     yield "inpaint"
     composed = compose_stage(config, store, data, gloss_model, sent_model, denoiser, schedule)
     yield "compose"
-    eval_stage(config, store, data, composed, dump_paths)
+    eval_stage(config, store, data, composed)
     yield "eval"
 
 
-def run_pipeline(config: PipelineConfig, until: str = "eval", dump_paths: bool = False) -> dict:
+def run_pipeline(config: PipelineConfig, until: str = "eval") -> dict:
     """Run the stages in order through `until` and return `StageStore.report`.
 
-    When every stage through `until` hits (see StageStore; with dump_paths,
-    the eval stage must also have written paths.jsonl), nothing is loaded
+    When every stage through `until` hits (see StageStore), nothing is loaded
     and the `timings` are {"cached": seconds}. Otherwise `StageStore.run`
     reuses or recomputes each stage through `until`, and the `timings` name
-    them. With dump_paths, eval also writes the DTW paths to paths.jsonl."""
+    them."""
     if until not in RUN_STAGES:
         raise ValueError(f"unknown stage {until!r}; expected one of {', '.join(RUN_STAGES)}")
     t0 = time.perf_counter()
     store = StageStore(config.work_dir)
-    if store.done_through(config, until) and not (
-            dump_paths and until == "eval" and "paths.jsonl" not in store.manifest("eval")["outputs"]):
+    if store.done_through(config, until):
         store.timings["cached"] = round(time.perf_counter() - t0, 2)
     else:
-        for stage in _steps(config, store, dump_paths):
+        for stage in _steps(config, store):
             if stage == until:
                 break
     return store.report(config, until)

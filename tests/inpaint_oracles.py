@@ -23,27 +23,34 @@ from signweave.inpaint import combined_loss, make_boundary_mask, min_snr_weight,
 def full_row_step_loss(item, denoiser, schedule, loss_cfg, t, radius, noise, part_weights):
     mask = make_boundary_mask(item.boundary_index, item.x0.shape[0] - item.boundary_index, radius)
     x_t = q_sample(item.x0, t, noise, schedule)
-    x0_hat = denoiser.forward(x_t, t, item.x_tilde, mask.values)
+    x0_hat = denoiser.forward(x_t, t, denoiser.condition(item.x_tilde, mask.values))
     w_t = min_snr_weight(t, schedule, loss_cfg.min_snr_gamma)
     return combined_loss(x0_hat, item.x0, mask.values, part_weights, w_t, loss_cfg)
 
 
 class ComposedDenoiser:
-    """`Denoiser.forward` from composed ops, over the parameters of `denoiser`."""
+    """`Denoiser.condition` and `Denoiser.forward` from composed ops, over the
+    parameters of `denoiser`. Its conditioning holds the projected memory;
+    each block projects the keys and values from it inside the forward."""
 
     def __init__(self, denoiser):
         self.denoiser = denoiser
         self.layout = denoiser.layout
 
-    def forward(self, x_t, t, cond, mask, rows=None, lengths=None):
+    def condition(self, cond, mask, lengths=None):
         d = self.denoiser
-        cfg, dtype, latent, heads = d.cfg, d.params.dtype, d.cfg.latent, d.cfg.heads
-        lengths = (x_t.shape[0],) if lengths is None else tuple(int(n) for n in lengths)
+        dtype = d.params.dtype
+        lengths = (len(cond),) if lengths is None else tuple(int(n) for n in lengths)
         offsets = nk.segment_offsets(lengths)
-        positions = nk.segment_positions(offsets)
         memory = nk.dense(nk.tensor(np.asarray(cond, dtype=dtype)), *d._cond_proj)
         mask_emb = d._mask_embed[(np.asarray(mask) > 0.5).astype(int)]
         residual = nk.Tensor(np.asarray(cond, dtype=dtype))
+        return lengths, offsets, nk.segment_positions(offsets), memory, mask_emb, residual
+
+    def forward(self, x_t, t, c, rows=None):
+        d = self.denoiser
+        dtype, latent, heads = d.params.dtype, d.cfg.latent, d.cfg.heads
+        lengths, offsets, positions, memory, mask_emb, residual = c
 
         tok = nk.dense(nk.tensor(np.asarray(x_t, dtype=dtype)), *d._in_proj)
         steps = np.atleast_1d(np.asarray(t, dtype=np.float64))

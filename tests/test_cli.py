@@ -216,7 +216,8 @@ def test_qc_dominant_split_flag(tmp_path, tiny_config_file, capsys):
 
 
 def test_eval_dump_paths(tmp_path, tiny_config_file, capsys):
-    assert main(["eval", "--config", str(tiny_config_file), "--dump-paths"]) == 0
+    """eval always writes the DTW alignment paths beside the metrics."""
+    assert main(["eval", "--config", str(tiny_config_file)]) == 0
     work = json.loads(tiny_config_file.read_text())["work_dir"]
     from pathlib import Path
 
@@ -307,6 +308,10 @@ def test_partial_config_section_keeps_pipeline_defaults(tmp_path, capsys):
     ("show-config", ["--config", "tempo_str.json"],
      "config key synth.sentence_tempo must be of type float, got '0.9'"),
     ("pipeline", ["--config", "qc_str.json"], "config key qc.max_duration_seconds must be of type float, got 'ten'"),
+    # --set values are checked by the same rule
+    ("show-config", ["--set", "ddim_steps=abc"], "config key ddim_steps must be of type int, got 'abc'"),
+    ("pipeline", ["--set", "synth.sentence_length=3"], "config key synth.sentence_length must be a list of 2 items"),
+    ("show-config", ["--set", "denoiser=1"], "config key denoiser names a nested config and needs an object"),
 ])
 def test_bad_config_key_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flags, message):
     monkeypatch.chdir(tmp_path)
@@ -350,6 +355,21 @@ def test_degenerate_synth_config_is_a_usage_error(tmp_path, monkeypatch, capsys,
     assert captured.out == ""
     assert captured.err.startswith("usage: signweave") and f"error: {message}" in captured.err
     assert not (tmp_path / "work").exists() and not (tmp_path / "corpus").exists()
+
+
+def test_overrides_reach_frozen_sections(tmp_path, tiny_config_file, capsys):
+    """--set takes a field of any section, frozen or not, as the config file
+    takes it: a model dtype by name and a tuple as comma-separated items."""
+    argv = ["show-config", "--config", str(tiny_config_file), "--set", "synth.vocab_size=5",
+            "--set", "denoiser.dtype=float64", "--set", "trim.margin=2", "--set", "qc.max_duration_seconds=9.5",
+            "--set", "dur_model.hidden=32", "--set", "synth.prep_frames=4,9"]
+    assert main(argv) == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert shown["synth"]["vocab_size"] == 5 and shown["synth"]["prep_frames"] == [4, 9]
+    assert shown["denoiser"]["dtype"] == "float64" and shown["trim"]["margin"] == 2
+    assert shown["qc"]["max_duration_seconds"] == 9.5 and shown["dur_model"]["hidden"] == 32
+    # the other fields of an overridden section keep the file's values
+    assert shown["synth"]["n_sentences"] == 6 and shown["denoiser"]["latent"] == 16
 
 
 def test_int_config_value_stands_for_a_float(tmp_path, capsys):
@@ -440,6 +460,18 @@ def test_ingest_export_reproduces_the_corpus(tmp_path, tiny_config_file, capsys)
                      "--export", str(again / name)]) == 0
         assert (again / name).read_bytes() == (corpus / name).read_bytes()
     assert sorted(p.name for p in again.iterdir()) == ["dialogues.json", "words.json"]
+
+
+@pytest.mark.parametrize("command", ["train-duration", "train-inpainter", "compose", "eval", "pipeline"])
+def test_unwritable_work_dir_is_a_one_line_error(tmp_path, tiny_config_file, capsys, command):
+    """A work directory that cannot be made, here below a regular file, ends
+    a stage command with exit status 73 and one line naming it."""
+    (tmp_path / "a-file").write_text("")
+    work = str(tmp_path / "a-file" / "w")
+    assert main([command, "--config", str(tiny_config_file), "--work-dir", work]) == 73
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith(f"signweave {command}: error: cannot write {work}: ")
 
 
 @pytest.mark.parametrize("command", ["ingest", "qc", "trim", "glossnorm", "stitch", "synth"])

@@ -32,7 +32,6 @@ from signweave.inpaint import (
 )
 from signweave.inpaint.train import packed_step_loss
 from signweave.motion import PartLayout
-from signweave.neuralkit import Tensor
 from signweave.neuralkit.gradcheck import check_directional
 
 
@@ -44,9 +43,6 @@ class OracleDenoiser:
 
     def predict_x0(self, x_t, t, cond, mask_values):
         return self.target.copy()
-
-    def forward(self, x_t, t, cond, mask_values):
-        return Tensor(self.target)
 
 
 class TestSchedule:
@@ -345,6 +341,12 @@ def fresh_copy(denoiser: Denoiser) -> Denoiser:
     return copy
 
 
+def predict_once(denoiser: Denoiser, x_t, t, cond, mask) -> np.ndarray:
+    """One DDIM step's prediction of the masked rows, from a sampler built
+    for this call alone."""
+    return denoiser.sampler(cond, mask)[1](x_t, t)
+
+
 def test_denoiser_checkpoint_round_trip_keeps_values_and_ema(tmp_path):
     """Save, load and restore into a placeholder denoiser: every value and
     EMA shadow comes back with its bytes, and the EMA weights predict alike."""
@@ -360,45 +362,72 @@ def test_denoiser_checkpoint_round_trip_keeps_values_and_ema(tmp_path):
         assert restored.params.ema_value(name).tobytes() == denoiser.params.ema_value(name).tobytes()
     rng = np.random.default_rng(13)
     x_t, cond = rng.normal(size=(18, 206)), rng.normal(size=(18, 206))
-    mask = make_boundary_mask(9, 9, 3).values
+    mask = make_boundary_mask(9, 9, 3)
     for model in (denoiser, restored):
         model.params.swap_in_ema()
-    assert np.array_equal(restored.predict_x0(x_t, 40, cond, mask), denoiser.predict_x0(x_t, 40, cond, mask))
+    assert np.array_equal(predict_once(restored, x_t, 40, cond, mask), predict_once(denoiser, x_t, 40, cond, mask))
 
 
 class TestPredictX0:
+    """Clean-motion predictions at inference. `Denoiser.sampler` conditions
+    the denoiser once for a DDIM run and predicts the masked rows through
+    `Denoiser.forward`; every sampler is built from the parameters and inputs
+    it is given, so none serves another's conditioning."""
+
     def setup_method(self):
         rng = np.random.default_rng(11)
         self.x_t = rng.normal(size=(18, 206))
         self.cond = rng.normal(size=(18, 206))
-        self.mask = make_boundary_mask(9, 9, 3).values
+        self.mask = make_boundary_mask(9, 9, 3)
 
     def test_masked_rows_match_full_forward(self):
         denoiser = perturbed_denoiser(1)
-        full = denoiser.forward(self.x_t, 40, self.cond, self.mask).data.astype(np.float64)
-        out = denoiser.predict_x0(self.x_t, 40, self.cond, self.mask)
-        inside = self.mask > 0.5
-        assert np.allclose(out[inside], full[inside], atol=1e-6, rtol=0.0)
-        assert np.array_equal(out[~inside], self.cond[~inside])
-        assert not np.allclose(out[inside], self.cond[inside], atol=1e-3)
+        full = denoiser.forward(self.x_t, 40, denoiser.condition(self.cond, self.mask.values)).data
+        rows, predict = denoiser.sampler(self.cond, self.mask)
+        out = predict(self.x_t, 40)
+        assert np.array_equal(rows, np.flatnonzero(self.mask.values > 0.5))
+        assert np.allclose(out, full[rows], atol=1e-6, rtol=0.0)
+        assert not np.allclose(out, self.cond[rows], atol=1e-3)
 
     def test_empty_mask_returns_cond(self):
         denoiser = perturbed_denoiser(1)
-        out = denoiser.predict_x0(self.x_t, 40, self.cond, np.zeros(18))
+        empty = PackedMask(np.zeros(18), (18,))
+        rows, predict = denoiser.sampler(self.cond, empty)
+        assert rows.size == 0 and predict(self.x_t, 40).shape == (0, 206)
+        out = ddim_refine(self.cond, empty, denoiser, DiffusionSchedule(), steps=3)
         assert np.array_equal(out, self.cond)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sampler_matches_per_step_condition_and_forward(self, dtype):
+        """Each step of one sampler gives the bits of a conditioning built
+        afresh for that step and one forward."""
+        denoiser = perturbed_denoiser(3, dtype)
+        split = PackedMask(self.mask.values, (9, 9))
+        rows, predict = denoiser.sampler(self.cond, split)
+        rng = np.random.default_rng(15)
+        for t in (900, 500, 70, 1):
+            x_t = rng.normal(size=self.x_t.shape)
+            got = predict(x_t, t)
+            with nk.no_grad():
+                c = denoiser.condition(self.cond, split.values, split.lengths)
+                want = denoiser.forward(x_t, t, c, rows=rows).data
+            assert want.dtype == dtype and got.dtype == np.float64
+            assert got.tobytes() == want.astype(np.float64).tobytes()
+
     def test_cache_is_rebuilt_after_parameter_changes(self, tmp_path):
+        """A sampler built after an optimizer step, an EMA swap or restore, or
+        `restore_into` predicts as a fresh copy of the denoiser does."""
         denoiser = perturbed_denoiser(2)
         schedule = DiffusionSchedule()
 
         def assert_fresh():
-            got = denoiser.predict_x0(self.x_t, 70, self.cond, self.mask)
-            want = fresh_copy(denoiser).predict_x0(self.x_t, 70, self.cond, self.mask)
+            got = predict_once(denoiser, self.x_t, 70, self.cond, self.mask)
+            want = predict_once(fresh_copy(denoiser), self.x_t, 70, self.cond, self.mask)
             assert np.array_equal(got, want)
 
         assert_fresh()
-        before = denoiser.predict_x0(self.x_t, 70, self.cond, self.mask)
-        # an optimizer step replaces every parameter array
+        before = predict_once(denoiser, self.x_t, 70, self.cond, self.mask)
+        # an optimizer step
         opt = nk.AdamW(denoiser.params, lr=1e-2)
         item = PairItem(self.cond, self.x_t, boundary_index=9)
         loss = batch_loss([item], denoiser, schedule, LossConfig(), np.random.default_rng(0))
@@ -406,7 +435,7 @@ class TestPredictX0:
         loss.backward()
         opt.step()
         assert_fresh()
-        assert not np.array_equal(before, denoiser.predict_x0(self.x_t, 70, self.cond, self.mask))
+        assert not np.array_equal(before, predict_once(denoiser, self.x_t, 70, self.cond, self.mask))
         # EMA swap and restore
         denoiser.params.ema_update(decay=0.5)
         saved = denoiser.params.swap_in_ema()
@@ -420,64 +449,76 @@ class TestPredictX0:
         assert_fresh()
 
     def test_other_cond_or_mask_never_served_from_cache(self):
+        """Samplers for other conditions and masks, alive at once and stepped
+        in turn, each predict as a fresh copy's sampler does."""
         denoiser = perturbed_denoiser(4)
-        rng = np.random.default_rng(12)
-        other = rng.normal(size=self.cond.shape)
-        narrow = make_boundary_mask(9, 9, 2).values
-        cond = self.cond.copy()
-        for mask in (self.mask, narrow):
-            got = denoiser.predict_x0(self.x_t, 70, cond, mask)
-            assert np.array_equal(got, fresh_copy(denoiser).predict_x0(self.x_t, 70, cond, mask))
-        # another array of the same shape, then the same array changed in place
-        got = denoiser.predict_x0(self.x_t, 70, other, narrow)
-        assert np.array_equal(got, fresh_copy(denoiser).predict_x0(self.x_t, 70, other, narrow))
-        denoiser.predict_x0(self.x_t, 70, cond, narrow)
-        cond[4:14] += 1.0
-        got = denoiser.predict_x0(self.x_t, 70, cond, narrow)
-        assert np.array_equal(got, fresh_copy(denoiser).predict_x0(self.x_t, 70, cond, narrow))
+        other = np.random.default_rng(12).normal(size=self.cond.shape)
+        narrow = make_boundary_mask(9, 9, 2)
+        runs = [(cond, mask) for cond in (self.cond, other) for mask in (self.mask, narrow)]
+        samplers = [denoiser.sampler(cond, mask) for cond, mask in runs]
+        for t in (70, 20):
+            for (cond, mask), (rows, predict) in zip(runs, samplers):
+                want_rows, want = fresh_copy(denoiser).sampler(cond, mask)
+                assert np.array_equal(rows, want_rows)
+                assert np.array_equal(predict(self.x_t, t), want(self.x_t, t))
 
     def test_rows_are_predict_x0_inside_the_mask(self):
         denoiser = perturbed_denoiser(5)
-        split = PackedMask(self.mask, (9, 9))
-        rows, pred = denoiser.predict_rows(self.x_t, 70, self.cond, split)
-        assert np.array_equal(rows, np.flatnonzero(self.mask > 0.5)) and pred.dtype == np.float64
-        assert np.array_equal(pred, denoiser.predict_x0(self.x_t, 70, self.cond, split)[rows])
+        split = PackedMask(self.mask.values, (9, 9))
+        rows, predict = denoiser.sampler(self.cond, split)
+        pred = predict(self.x_t, 70)
+        assert np.array_equal(rows, np.flatnonzero(self.mask.values > 0.5)) and pred.dtype == np.float64
+        assert pred.shape == (len(rows), 206)
 
     def test_ddim_on_rows_matches_ddim_on_full_predictions(self):
-        """`ddim_refine` asks a `Denoiser` for the masked rows only; a wrapper
-        that offers only `predict_x0` takes the full-array path, and both
-        return the same bits."""
+        """`ddim_refine` runs a `Denoiser` through its sampler; a wrapper that
+        offers only `predict_x0`, a prediction of every frame, is read at the
+        masked rows (here NaN outside them), and both return the same bits."""
         denoiser = perturbed_denoiser(6)
         masks = pack_masks([make_boundary_mask(9, 12, 4), make_boundary_mask(6, 6, 3)])
         x_tilde = np.random.default_rng(14).normal(size=(len(masks.values), 206)) * 0.5
 
         class FullArrayOnly:
             def predict_x0(self, x_t, t, cond, mask):
-                return denoiser.predict_x0(x_t, t, cond, mask)
+                out = np.full(cond.shape, np.nan)
+                rows, predict = denoiser.sampler(cond, mask)
+                out[rows] = predict(x_t, t)
+                return out
 
         schedule = DiffusionSchedule()
         rows = ddim_refine(x_tilde, masks, denoiser, schedule, steps=6, rng=np.random.default_rng(2))
         full = ddim_refine(x_tilde, masks, FullArrayOnly(), schedule, steps=6, rng=np.random.default_rng(2))
-        assert rows.tobytes() == full.tobytes()
+        assert np.all(np.isfinite(rows)) and rows.tobytes() == full.tobytes()
 
     def test_other_pair_lengths_never_served_from_cache(self):
         denoiser = perturbed_denoiser(4)
-        whole = denoiser.predict_x0(self.x_t, 70, self.cond, PackedMask(self.mask, (18,)))
-        assert np.array_equal(whole, denoiser.predict_x0(self.x_t, 70, self.cond, self.mask))
-        split = PackedMask(self.mask, (9, 9))
-        got = denoiser.predict_x0(self.x_t, 70, self.cond, split)
-        assert np.array_equal(got, fresh_copy(denoiser).predict_x0(self.x_t, 70, self.cond, split))
+        whole = predict_once(denoiser, self.x_t, 70, self.cond, PackedMask(self.mask.values, (18,)))
+        assert np.array_equal(whole, predict_once(denoiser, self.x_t, 70, self.cond, self.mask))
+        split = PackedMask(self.mask.values, (9, 9))
+        got = predict_once(denoiser, self.x_t, 70, self.cond, split)
+        assert np.array_equal(got, predict_once(fresh_copy(denoiser), self.x_t, 70, self.cond, split))
         assert not np.array_equal(got, whole)
 
     def test_inference_forward_equals_training_forward(self):
         denoiser = perturbed_denoiser(5)
-        graph = denoiser.forward(self.x_t, 10, self.cond, self.mask)
+        graph = denoiser.forward(self.x_t, 10, denoiser.condition(self.cond, self.mask.values))
         with nk.no_grad():
-            first = denoiser.forward(self.x_t, 10, self.cond, self.mask)
-            cached = denoiser.forward(self.x_t, 10, self.cond, self.mask)
+            c = denoiser.condition(self.cond, self.mask.values)
+            first = denoiser.forward(self.x_t, 10, c)
+            again = denoiser.forward(self.x_t, 10, c)
         assert graph.requires_grad and not first.requires_grad
         assert np.array_equal(first.data, graph.data)
-        assert np.array_equal(cached.data, graph.data)
+        assert np.array_equal(again.data, graph.data)
+
+    def test_lengths_must_cover_the_frames(self):
+        denoiser = perturbed_denoiser(5)
+        with pytest.raises(ValueError, match="do not add up"):
+            denoiser.condition(self.cond, self.mask.values, (9, 8))
+        c = denoiser.condition(self.cond, self.mask.values, (9, 9))
+        with pytest.raises(ValueError, match="do not add up"):
+            denoiser.forward(self.x_t[:17], 10, c)
+        with pytest.raises(ValueError, match="3 timesteps for 2 pairs"):
+            denoiser.forward(self.x_t, [1, 2, 3], c)
 
 
 class TestLinearBaseline:
@@ -553,10 +594,12 @@ class TestRowsOnlyTraining:
         cond = [rng.normal(size=(n, 206)) for n in lengths]
         masks = [make_boundary_mask(n // 2, n - n // 2, 6).values for n in lengths]
         rows = [np.flatnonzero(m > 0.5) for m in masks]
-        want = np.concatenate([denoiser.forward(*args).data for args in zip(x_t, ts, cond, masks, rows)])
+        want = np.concatenate([denoiser.forward(x, t, denoiser.condition(c, m), rows=r).data
+                               for x, t, c, m, r in zip(x_t, ts, cond, masks, rows)])
         starts = np.cumsum([0] + lengths[:-1])
-        got = denoiser.forward(np.concatenate(x_t), ts, np.concatenate(cond), np.concatenate(masks),
-                               rows=np.concatenate([r + s for r, s in zip(rows, starts)]), lengths=lengths)
+        packed = denoiser.condition(np.concatenate(cond), np.concatenate(masks), lengths)
+        packed_rows = np.concatenate([r + s for r, s in zip(rows, starts)])
+        got = denoiser.forward(np.concatenate(x_t), ts, packed, rows=packed_rows)
         assert got.dtype == np.float32
         np.testing.assert_allclose(got.data, want, rtol=1e-5, atol=1e-6 * np.abs(want).max())
 
@@ -605,9 +648,9 @@ class TestRowsOnlyTraining:
 class TestAgainstComposedForward:
     """`Denoiser.forward` runs each attention sublayer as one node in row
     layout. The forward composed from the ops it replaced (split heads,
-    `rope_apply`, head-major segment attention, merge heads) gives
-    `predict_rows` bit for bit, and through one `packed_step_loss` the same
-    loss and parameter gradients within the rounding of the dtype."""
+    `rope_apply`, head-major segment attention, merge heads) gives the
+    sampler's predictions bit for bit, and through one `packed_step_loss` the
+    same loss and parameter gradients within the rounding of the dtype."""
 
     RTOL = {np.float32: 1e-5, np.float64: 1e-10}
 
@@ -626,9 +669,11 @@ class TestAgainstComposedForward:
         denoiser = perturbed_denoiser(9, dtype)
         masks = pack_masks(self.pairs(rng)[0])
         x_t, cond = (rng.normal(size=(len(masks.values), 206)) for _ in range(2))
-        rows, got = denoiser.predict_rows(x_t, 70, cond, masks)
+        rows, predict = denoiser.sampler(cond, masks)
+        got = predict(x_t, 70)
+        composed = ComposedDenoiser(denoiser)
         with nk.no_grad():
-            want = ComposedDenoiser(denoiser).forward(x_t, 70, cond, masks.values, rows=rows, lengths=masks.lengths)
+            want = composed.forward(x_t, 70, composed.condition(cond, masks.values, masks.lengths), rows=rows)
         assert want.dtype == dtype and len(rows) < len(masks.values)
         assert got.tobytes() == want.data.astype(np.float64).tobytes()
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import shutil
 import struct
 from pathlib import Path
@@ -89,10 +90,24 @@ class TestConfig:
         assert config.inpaint_train.lr == 0.002
         assert config.holdout_fraction == 0.5
 
-    def test_frozen_field_override_rejected(self, tmp_path):
+    def test_frozen_section_fields_take_overrides(self, tmp_path):
+        """A field of a frozen section is set as a config file sets it: the
+        section is replaced by a checked copy, and a bad value names its key
+        and leaves the config as it was."""
         config = tiny_config(tmp_path)
-        with pytest.raises(ValueError):
-            apply_overrides(config, ["synth.vocab_size=3"])
+        synth = config.synth
+        apply_overrides(config, ["synth.vocab_size=3", "denoiser.dtype=float64", "trim.margin=2",
+                                 "qc.max_duration_seconds=9.5", "dur_model.window=3", "synth.prep_frames=4,9"])
+        assert config.synth == dataclasses.replace(synth, vocab_size=3, prep_frames=(4, 9)) and synth.vocab_size == 5
+        assert config.denoiser.dtype is np.float64 and config.trim.margin == 2
+        assert config.qc.max_duration_seconds == 9.5 and config.dur_model.window == 3
+        before = config_to_dict(config)
+        for override, message in (("ddim_steps=abc", "config key ddim_steps must be of type int, got 'abc'"),
+                                  ("synth.vocab_size=0", "synth.vocab_size must be at least 1, got 0"),
+                                  ("denoiser.dtype=float16", "config key denoiser.dtype must be one of")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                apply_overrides(config, [override])
+        assert config_to_dict(config) == before
 
 
 class TestDataPreparation:
@@ -393,7 +408,7 @@ class TestResume:
             manifest = json.loads((Path(config.work_dir) / stage / "manifest.json").read_text())
             assert manifest["config_hash"] == stage_hash(config, stage)
 
-    @pytest.mark.parametrize("victim", ["eval/metrics.jsonl", "compose/*.baseline.svmx"])
+    @pytest.mark.parametrize("victim", ["eval/metrics.jsonl", "compose/*.baseline.svmx", "eval/paths.jsonl"])
     def test_missing_output_recomputes_compose_and_eval(self, rerun, monkeypatch, victim):
         config, first = rerun
         path = sorted(Path(config.work_dir).glob(victim))[0]
@@ -428,17 +443,16 @@ class TestResume:
         assert _without_timings(report) | {"config_hash": None} == _without_timings(first) | {"config_hash": None}
 
     def test_dump_paths_on_a_finished_directory(self, rerun, monkeypatch):
+        """Eval always writes the DTW paths and lists them among its outputs:
+        a finished directory holds them, and an unchanged rerun hits."""
         config, _ = rerun
         eval_dir = Path(config.work_dir) / "eval"
-        assert not (eval_dir / "paths.jsonl").exists()
-        run_pipeline(config, dump_paths=True)
         entries = [json.loads(line) for line in (eval_dir / "paths.jsonl").read_text().splitlines()]
         assert entries and entries[0]["path"][0] == [0, 0]
         assert "paths.jsonl" in json.loads((eval_dir / "manifest.json").read_text())["outputs"]
-        # the paths are now listed, so both kinds of rerun hit
         _forbid(monkeypatch, "prepare_data")
-        run_pipeline(config, dump_paths=True)
         run_pipeline(config)
+        assert (eval_dir / "paths.jsonl").is_file()
 
     @pytest.mark.parametrize("stage,text", [("eval", "[]"), ("duration", "3"), ("inpaint", "{not json")])
     def test_corrupt_manifest_is_a_miss(self, rerun, monkeypatch, stage, text):
@@ -716,7 +730,7 @@ def composed_case(tmp_path_factory):
 class TestEvaluation:
     def test_rows_and_paths_match_loop_oracle(self, composed_case):
         _, data, _, composed = composed_case
-        result = evaluate_composed(composed, data, dump_paths=True)
+        result = evaluate_composed(composed, data)
         adapter = SyntheticSkeletonAdapter()
         joints = np.concatenate([adapter.body_joints, adapter.hand_joints])
         subsets = {"dtw_mpjpe_body": adapter.body_joints, "dtw_mpjpe_hands": adapter.hand_joints,
@@ -740,7 +754,7 @@ class TestEvaluation:
 
     def test_dumped_path_cost_is_overall_error(self, composed_case):
         _, data, _, composed = composed_case
-        result = evaluate_composed(composed, data, dump_paths=True)
+        result = evaluate_composed(composed, data)
         for row, dumped in zip(result["rows"], result["paths"]):
             assert dumped["total_cost"] / len(dumped["path"]) == row["dtw_mpjpe_overall"]
 
