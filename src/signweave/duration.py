@@ -14,7 +14,6 @@ from . import neuralkit as nk
 from .neuralkit import ParameterSet, Tensor
 
 SCALE_CLAMP = 3.0
-K_MAX = 32
 LOG_EPS = 1e-12
 
 
@@ -171,7 +170,6 @@ class DurationModelConfig:
     sent_heads: int = 4
     sent_ffn: int = 512
     window: int = 5
-    k_max: int = K_MAX
     dtype: type = np.float32
 
 
@@ -266,8 +264,6 @@ class SentenceDurationPredictor:
         allocation (B, K) with zeros on padded slots."""
         tokens = np.asarray(tokens, dtype=self.params.dtype)
         valid = np.asarray(valid, dtype=bool)
-        if tokens.shape[1] > self.cfg.k_max:
-            raise ValueError(f"at most {self.cfg.k_max} glosses supported, got {tokens.shape[1]}")
         x = self._encode(nk.tensor(tokens), valid)
         vmask = Tensor(valid.astype(tokens.dtype)[:, :, None])
         counts = valid.sum(axis=1, keepdims=True).astype(tokens.dtype)
@@ -280,8 +276,6 @@ class SentenceDurationPredictor:
 
     def predict(self, segments: list[np.ndarray]) -> DurationPrediction:
         k = len(segments)
-        if k > self.cfg.k_max:
-            raise ValueError(f"at most {self.cfg.k_max} glosses supported, got {k}")
         tokens = sentence_token_features(segments)[None]
         valid = np.ones((1, k), dtype=bool)
         scale, alloc = self.forward(tokens, valid)

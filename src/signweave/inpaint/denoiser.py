@@ -13,12 +13,11 @@ import numpy as np
 from .. import neuralkit as nk
 from ..neuralkit import ParameterSet, Tensor
 from ..motion import PartLayout
-from .masks import InpaintMask, PackedMask
+from .masks import BoundaryMask
 
 
 @dataclass(frozen=True)
 class DenoiserConfig:
-    motion_dim: int = 206
     latent: int = 64
     layers: int = 2
     heads: int = 4
@@ -29,14 +28,12 @@ class DenoiserConfig:
 
 @dataclass(frozen=True)
 class Conditioning:
-    """The pairs' share of a denoiser forward (`Denoiser.condition`): the
-    pair lengths, their row offsets and in-pair positions, the RoPE table of
-    those positions, each block's rotated cross-attention keys and values in
-    row layout, the mask embedding, and the residual."""
+    """The pairs' share of a denoiser forward (`Denoiser.condition`): their
+    mask, the RoPE table of its in-pair positions, each block's rotated
+    cross-attention keys and values in row layout, the mask embedding, and
+    the residual."""
 
-    lengths: tuple[int, ...]
-    offsets: np.ndarray
-    positions: np.ndarray
+    mask: BoundaryMask
     rope: nk.RopeTable
     cross_kv: list[tuple[Tensor, Tensor]]
     mask_emb: Tensor
@@ -65,15 +62,13 @@ class Denoiser:
                  seed: int | None = 0):
         self.cfg = cfg
         self.layout = layout if layout is not None else PartLayout.base()
-        if self.layout.dim != cfg.motion_dim:
-            raise ValueError("layout dim does not match motion_dim")
         self.group_slices = _group_slices(self.layout)
         self.params = ParameterSet(dtype=cfg.dtype)
         rng = None if seed is None else np.random.default_rng(seed)
         h = cfg.latent
         p = self.params
-        self._in_proj = nk.init_dense(p, "in_proj", cfg.motion_dim, h, rng)
-        self._cond_proj = nk.init_dense(p, "cond_proj", cfg.motion_dim, h, rng)
+        self._in_proj = nk.init_dense(p, "in_proj", self.layout.dim, h, rng)
+        self._cond_proj = nk.init_dense(p, "cond_proj", self.layout.dim, h, rng)
         self._mask_embed = p.add("mask_embed", np.zeros((2, h)) if rng is None
                                  else rng.normal(0.0, 0.02, size=(2, h)))
         self._t1 = nk.init_dense(p, "time.0", h, h, rng)
@@ -106,12 +101,10 @@ class Denoiser:
             layers.append(nk.init_dense(p, f"head.{group}.out", h, hi - lo, rng, zero=True))
             self._heads[group] = layers
 
-    def condition(self, cond: np.ndarray, mask: np.ndarray,
-                  lengths: list[int] | tuple[int, ...] | None = None) -> Conditioning:
-        """What the pairs of `cond` under `mask` (values > 0.5 inside) give
-        every forward, whatever the noise level. `cond` and `mask` may hold
-        several pairs laid end to end, of `lengths` frames each (one pair when
-        None); each pair's RoPE positions restart at 0.
+    def condition(self, cond: np.ndarray, mask: BoundaryMask) -> Conditioning:
+        """What the pairs of `cond`, laid end to end as `mask` lays them out,
+        give every forward, whatever the noise level; each pair's RoPE
+        positions restart at 0.
 
         It is built from the parameters as they are now, with autograd unless
         under `nk.no_grad`. Training builds one per step (`packed_step_loss`)
@@ -120,12 +113,9 @@ class Denoiser:
         cfg = self.cfg
         dtype = self.params.dtype
         cond = np.asarray(cond, dtype=dtype)
-        lengths = (cond.shape[0],) if lengths is None else tuple(int(n) for n in lengths)
-        offsets = nk.segment_offsets(lengths)
-        if offsets[-1] != cond.shape[0]:
-            raise ValueError(f"pair lengths {lengths} do not add up to {cond.shape[0]} frames")
-        positions = nk.segment_positions(offsets)
-        rope = nk.rope_table(positions, cfg.latent // cfg.heads, dtype, heads=cfg.heads)
+        if mask.offsets[-1] != cond.shape[0]:
+            raise ValueError(f"pair lengths {mask.lengths} do not add up to {cond.shape[0]} frames")
+        rope = nk.rope_table(mask.positions, cfg.latent // cfg.heads, dtype, heads=cfg.heads)
         memory = nk.dense(nk.tensor(cond), *self._cond_proj)
         cross_kv = []
         for blk in self._blocks:
@@ -133,8 +123,8 @@ class Denoiser:
             # the conditioning stream is duration-aligned with the target, so
             # rotary positions let cross-attention localize boundary frames
             cross_kv.append((nk.rope_rotate(kv[:, : cfg.latent], rope), kv[:, cfg.latent :]))
-        mask_emb = self._mask_embed[(np.asarray(mask) > 0.5).astype(int)]
-        return Conditioning(lengths, offsets, positions, rope, cross_kv, mask_emb, Tensor(cond))
+        mask_emb = self._mask_embed[(mask.values > 0.5).astype(int)]
+        return Conditioning(mask, rope, cross_kv, mask_emb, Tensor(cond))
 
     def forward(self, x_t: np.ndarray, t: int | list[int], c: Conditioning,
                 rows: np.ndarray | None = None) -> Tensor:
@@ -152,38 +142,38 @@ class Denoiser:
         With `rows` (ascending indices into the N frames), the last block's
         queries, its FFN, the final norm and the heads run on those rows only;
         keys and values still cover every frame. Training and `sampler` both
-        pass the rows inside the mask, the only ones the loss and DDIM
-        composition read.
+        pass `c.mask.rows`, the only rows the loss and DDIM composition read.
         """
         cfg = self.cfg
         dtype = self.params.dtype
-        if x_t.shape[0] != c.offsets[-1]:
-            raise ValueError(f"pair lengths {c.lengths} do not add up to {x_t.shape[0]} frames")
+        lengths, offsets, positions = c.mask.lengths, c.mask.offsets, c.mask.positions
+        if x_t.shape[0] != offsets[-1]:
+            raise ValueError(f"pair lengths {lengths} do not add up to {x_t.shape[0]} frames")
         tok = nk.dense(nk.tensor(np.asarray(x_t, dtype=dtype)), *self._in_proj)
         steps = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        if len(steps) not in (1, len(c.lengths)):
-            raise ValueError(f"{len(steps)} timesteps for {len(c.lengths)} pairs")
+        if len(steps) not in (1, len(lengths)):
+            raise ValueError(f"{len(steps)} timesteps for {len(lengths)} pairs")
         t_emb = nk.tensor(nk.sinusoidal_embedding(steps, cfg.latent).astype(dtype))
         t_emb = nk.dense(nk.gelu(nk.dense(t_emb, *self._t1)), *self._t2)
         if len(steps) > 1:
-            t_emb = t_emb[np.repeat(np.arange(len(steps)), c.lengths)]
+            t_emb = t_emb[np.repeat(np.arange(len(steps)), lengths)]
         x = tok + t_emb + c.mask_emb
 
-        q_offsets, q_rope, q_rows = c.offsets, c.rope, None
+        q_offsets, q_rope, q_rows = offsets, c.rope, None
         last = len(self._blocks) - 1
         for i, (blk, (cross_k, cross_v)) in enumerate(zip(self._blocks, c.cross_kv)):
             normed = nk.layer_norm(x, *blk["ln1"])
             qkv = nk.dense(normed, *blk["qkv"])
             if i == last and rows is not None:
                 x, q_rows = x[rows], rows
-                q_offsets = np.searchsorted(rows, c.offsets)
-                q_rope = nk.rope_table(c.positions[rows], cfg.latent // cfg.heads, dtype, heads=cfg.heads)
-            attn = nk.segment_attention(qkv, None, None, q_offsets, c.offsets, q_rope, key_rope=c.rope, rows=q_rows)
+                q_offsets = np.searchsorted(rows, offsets)
+                q_rope = nk.rope_table(positions[rows], cfg.latent // cfg.heads, dtype, heads=cfg.heads)
+            attn = nk.segment_attention(qkv, None, None, q_offsets, offsets, q_rope, key_rope=c.rope, rows=q_rows)
             x = x + nk.dense(attn, *blk["self_out"])
 
             normed = nk.layer_norm(x, *blk["ln_x"])
             query = nk.dense(normed, *blk["q"])
-            cross = nk.segment_attention(query, cross_k, cross_v, q_offsets, c.offsets, q_rope)
+            cross = nk.segment_attention(query, cross_k, cross_v, q_offsets, offsets, q_rope)
             x = x + nk.dense(cross, *blk["cross_out"])
 
             normed = nk.layer_norm(x, *blk["ln2"])
@@ -199,19 +189,18 @@ class Denoiser:
             outputs.append(nk.dense(h, *layers[-1]))
         return nk.concat(outputs, axis=-1) + (c.residual if rows is None else c.residual[rows])
 
-    def sampler(self, cond: np.ndarray, mask: InpaintMask | PackedMask):
+    def sampler(self, cond: np.ndarray, mask: BoundaryMask):
         """DDIM's view of the denoiser for one run over `cond` under `mask`:
-        the rows inside the mask, the only ones DDIM composition keeps, and
-        `predict(x_t, t)`, their clean-motion prediction in inference mode as
-        a float64 array. The conditioning is built here, once, from the
-        parameters as they are now; build a new sampler after they change.
+        `predict(x_t, t)`, the clean-motion prediction of `mask.rows`, the
+        only rows DDIM composition keeps, in inference mode as a float64
+        array. The conditioning is built here, once, from the parameters as
+        they are now; build a new sampler after they change.
         """
-        rows = np.flatnonzero(mask.values > 0.5)
         with nk.no_grad():
-            c = self.condition(cond, mask.values, mask.lengths)
+            c = self.condition(cond, mask)
 
         def predict(x_t: np.ndarray, t: int) -> np.ndarray:
             with nk.no_grad():
-                return self.forward(x_t, t, c, rows=rows).data.astype(np.float64, copy=False)
+                return self.forward(x_t, t, c, rows=mask.rows).data.astype(np.float64, copy=False)
 
-        return rows, predict
+        return predict

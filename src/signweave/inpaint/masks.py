@@ -5,53 +5,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import neuralkit as nk
+
 RADIUS_MIN = 10
 RADIUS_MAX = 30
-INFERENCE_RADIUS = 10
 
 
-@dataclass
-class InpaintMask:
-    values: np.ndarray      # binary, length T_a + T_b
-    boundary_index: int
-    radius: int
+@dataclass(frozen=True, eq=False)
+class BoundaryMask:
+    """The boundary masks of pairs laid end to end, and their layout.
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        expected = np.abs(np.arange(len(self.values)) - self.boundary_index) <= self.radius
-        if not np.array_equal(self.values > 0.5, expected):
-            raise ValueError("mask values do not match the boundary/radius definition")
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        """One segment: the whole pair."""
-        return (len(self.values),)
-
-
-@dataclass(frozen=True)
-class PackedMask:
-    """The boundary masks of several pairs laid end to end: `values` over all
-    their frames, and each pair's frame count in `lengths`."""
+    `values` is 1.0 on every frame within its pair's radius of its pair's
+    boundary and 0.0 elsewhere. Pair s holds frames offsets[s]:offsets[s + 1],
+    `lengths[s]` of them, with its boundary at in-pair frame `boundaries[s]`;
+    `positions` is each frame's index inside its pair, and `rows` the frames
+    inside the mask, ascending."""
 
     values: np.ndarray
     lengths: tuple[int, ...]
+    boundaries: tuple[int, ...]
+    offsets: np.ndarray
+    positions: np.ndarray
+    rows: np.ndarray
 
 
-def pack_masks(masks: list[InpaintMask]) -> PackedMask:
-    """The masks of pairs that are laid end to end in this order."""
-    return PackedMask(np.concatenate([m.values for m in masks]), tuple(len(m.values) for m in masks))
-
-
-def make_boundary_mask(t_a: int, t_b: int, radius: int) -> InpaintMask:
-    """Mask is set where |i - t_a| <= radius."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    total = t_a + t_b
-    if total == 0:
+def boundary_mask(lengths, boundaries, radii) -> BoundaryMask:
+    """The mask of pairs of `lengths` frames laid end to end in this order,
+    set where a frame is within its pair's radius of its pair's boundary.
+    `radii` is one radius for every pair or a sequence of one per pair."""
+    lengths = tuple(int(n) for n in lengths)
+    boundaries = tuple(int(b) for b in boundaries)
+    if len(boundaries) != len(lengths):
+        raise ValueError(f"{len(boundaries)} boundaries for {len(lengths)} pairs")
+    if any(n <= 0 for n in lengths):
         raise ValueError("empty pair")
-    idx = np.arange(total)
-    values = (np.abs(idx - t_a) <= radius).astype(np.float64)
-    return InpaintMask(values, t_a, radius)
+    radii = np.broadcast_to(np.asarray(radii, dtype=np.intp), (len(lengths),))
+    if np.any(radii < 0):
+        raise ValueError("radius must be >= 0")
+    offsets = nk.segment_offsets(lengths)
+    positions = nk.segment_positions(offsets)
+    inside = np.abs(positions - np.repeat(boundaries, lengths)) <= np.repeat(radii, lengths)
+    return BoundaryMask(inside.astype(np.float64), lengths, boundaries, offsets, positions, np.flatnonzero(inside))
+
+
+def make_boundary_mask(t_a: int, t_b: int, radius: int) -> BoundaryMask:
+    """One pair's mask: set where |i - t_a| <= radius."""
+    return boundary_mask((t_a + t_b,), (t_a,), radius)
 
 
 def sample_radius(rng: np.random.Generator, r_min: int = RADIUS_MIN, r_max: int = RADIUS_MAX) -> int:

@@ -3,32 +3,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from .masks import InpaintMask, PackedMask
+from .masks import BoundaryMask
 from .schedule import DiffusionSchedule
 
 
 def ddim_refine(
     x_tilde: np.ndarray,
-    mask: InpaintMask | PackedMask,
+    mask: BoundaryMask,
     denoiser,
     schedule: DiffusionSchedule,
     steps: int = 50,
     rng: np.random.Generator | None = None,
     noise: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Refine the boundary region of a duration-adjusted pair, or of several
-    pairs laid end to end under a `PackedMask`.
+    """Refine the boundary region of duration-adjusted pairs laid end to end
+    as `mask` lays them out (one pair or several).
 
     The reverse process starts from noise only inside the mask; unmasked frames
     stay pinned to x_tilde throughout and in the returned composition. Every
     update is row-wise, so packed pairs refine as they would one by one, up to
     the denoiser's rounding.
 
-    The denoiser exposes sampler(cond, mask), as `Denoiser` does: the masked
-    rows and predict(x_t, t), their clean-motion prediction, for one run, so
-    the run conditions the denoiser once and no step copies the unmasked
+    The denoiser exposes sampler(cond, mask), as `Denoiser` does:
+    predict(x_t, t), the clean-motion prediction of `mask.rows` for one run,
+    so the run conditions the denoiser once and no step copies the unmasked
     frames. A denoiser that exposes only predict_x0(x_t, t, cond, mask), a
-    prediction of every frame, is read at the masked rows.
+    prediction of every frame, is read at `mask.rows`.
     """
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
     m = mask.values[:, None]
@@ -43,22 +43,16 @@ def ddim_refine(
     x = m * noise + (1.0 - m) * x_tilde
     # temporal-context frames stay pinned to the duration-adjusted input
     x0_comp = x_tilde.copy()
-    rows, predict = (denoiser.sampler(x_tilde, mask) if hasattr(denoiser, "sampler")
-                     else _predict_x0_sampler(denoiser, x_tilde, mask))
+    predict = (denoiser.sampler(x_tilde, mask) if hasattr(denoiser, "sampler") else
+               lambda x_t, t: np.asarray(denoiser.predict_x0(x_t, t, x_tilde, mask), dtype=np.float64)[mask.rows])
     for i, t in enumerate(plan):
-        x0_comp[rows] = predict(x, t)
+        x0_comp[mask.rows] = predict(x, t)
         ab_t = schedule.alpha_bar[t]
         eps = (x - np.sqrt(ab_t) * x0_comp) / np.sqrt(1.0 - ab_t)
         t_prev = plan[i + 1] if i + 1 < len(plan) else 0
         ab_prev = schedule.alpha_bar[t_prev]
         x = np.sqrt(ab_prev) * x0_comp + np.sqrt(1.0 - ab_prev) * eps
     return x0_comp
-
-
-def _predict_x0_sampler(denoiser, cond: np.ndarray, mask: InpaintMask | PackedMask):
-    """`Denoiser.sampler` for a denoiser that predicts every frame."""
-    rows = np.flatnonzero(mask.values > 0.5)
-    return rows, lambda x_t, t: np.asarray(denoiser.predict_x0(x_t, t, cond, mask), dtype=np.float64)[rows]
 
 
 def linear_transition_baseline(a: np.ndarray, b: np.ndarray, transition_frames: int = 4) -> tuple[np.ndarray, int]:

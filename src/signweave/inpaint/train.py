@@ -9,7 +9,7 @@ from .. import neuralkit as nk
 from ..neuralkit import Tensor
 from .denoiser import Denoiser
 from .losses import LossConfig, packed_loss
-from .masks import RADIUS_MAX, RADIUS_MIN, make_boundary_mask, sample_radius
+from .masks import RADIUS_MAX, RADIUS_MIN, boundary_mask, sample_radius
 from .schedule import DiffusionSchedule, min_snr_weight, q_sample
 
 
@@ -58,23 +58,15 @@ def packed_step_loss(
     (the same frames and velocity pairs as on the full pairs). A step builds
     one graph, whatever the batch size.
     """
-    x_t, masks, rows, runs, weights_t = [], [], [], [], []
-    offset = 0
-    for item, (t, radius, noise) in zip(items, draws):
-        length = item.x0.shape[0]
-        mask = make_boundary_mask(item.boundary_index, length - item.boundary_index, radius).values
-        item_rows = np.flatnonzero(mask > 0.5)
-        x_t.append(q_sample(item.x0, t, noise, schedule))
-        masks.append(mask)
-        rows.append(item_rows + offset)
-        runs.append(len(item_rows))
-        weights_t.append(min_snr_weight(t, schedule, loss_cfg.min_snr_gamma))
-        offset += length
-    rows = np.concatenate(rows)
-    c = denoiser.condition(np.concatenate([item.x_tilde for item in items]), np.concatenate(masks),
-                           [item.x0.shape[0] for item in items])
-    x0_hat = denoiser.forward(np.concatenate(x_t), [t for t, _, _ in draws], c, rows=rows)
-    x0 = np.concatenate([item.x0 for item in items])[rows]
+    ts = [t for t, _, _ in draws]
+    mask = boundary_mask([item.x0.shape[0] for item in items], [item.boundary_index for item in items],
+                         [radius for _, radius, _ in draws])
+    x_t = np.concatenate([q_sample(item.x0, t, noise, schedule) for item, (t, _, noise) in zip(items, draws)])
+    c = denoiser.condition(np.concatenate([item.x_tilde for item in items]), mask)
+    x0_hat = denoiser.forward(x_t, ts, c, rows=mask.rows)
+    x0 = np.concatenate([item.x0 for item in items])[mask.rows]
+    runs = np.diff(np.searchsorted(mask.rows, mask.offsets))  # each item's masked rows, one contiguous run
+    weights_t = [min_snr_weight(t, schedule, loss_cfg.min_snr_gamma) for t in ts]
     return packed_loss(x0_hat, x0, runs, part_weights, weights_t, loss_cfg)
 
 

@@ -34,10 +34,22 @@ def _dtw_wavefront(costs: np.ndarray, subsequence: bool = False) -> list[tuple[n
     axis, breaks ties up, then diagonal, then left, and ends at the first
     column of least cost. Returns, per matrix, the path as an (n, 2) array of
     (i, j) and the cost accumulated along it.
+
+    Plain mode puts the shorter sequence on the row axis, which sizes the
+    accumulated costs: it aligns the transposed matrices with up and left
+    swapped in the tie order, so each cell sums and picks as it would
+    unswapped, and swaps the paths' columns back.
     """
+    if not subsequence and costs.shape[1] > costs.shape[2]:
+        found = _dtw_wavefront_rows(costs.transpose(0, 2, 1), (_DIAG, _LEFT, _UP), False)
+        return [(path[:, ::-1].copy(), total) for path, total in found]
+    return _dtw_wavefront_rows(costs, (_UP, _DIAG, _LEFT) if subsequence else (_DIAG, _UP, _LEFT), subsequence)
+
+
+def _dtw_wavefront_rows(costs: np.ndarray, order, subsequence: bool) -> list[tuple[np.ndarray, float]]:
+    """`_dtw_wavefront` with the matrices as given and ties broken in `order`."""
     n_sub, t_a, t_b = costs.shape
     n_diag = t_a + t_b - 1
-    order = (_UP, _DIAG, _LEFT) if subsequence else (_DIAG, _UP, _LEFT)
     # a skewed layout with one row per diagonal and the matrices last: cell
     # (i, j) of matrix s is acc[i + j + 2, i + 1, s], so the cell one step
     # (di, dj) back is di + dj rows up and di columns left. The first two rows

@@ -45,14 +45,13 @@ from .inpaint import (
     DiffusionSchedule,
     InpaintTrainConfig,
     PairItem,
+    boundary_mask,
     ddim_refine,
     linear_transition_baseline,
-    make_boundary_mask,
-    pack_masks,
     train_inpainter,
 )
 from .metrics import SyntheticSkeletonAdapter, dtw_alignments, fgd, length_ratio, procrustes_path_error
-from .motion import MotionSequence, resample_frames, write_motion
+from .motion import MotionSequence, PartLayout, resample_frames, write_motion
 from .neuralkit import load_checkpoint, restore_into, save_checkpoint
 from .qc import QcConfig, qc_filters
 from .records import export_canonical
@@ -78,6 +77,13 @@ class PipelineConfig:
     inpaint_train: InpaintTrainConfig = field(default_factory=lambda: InpaintTrainConfig(ema_decay=0.995))
     ddim_steps: int = 50
     inference_radius: int = 10
+
+    def __post_init__(self):
+        # the duration features are built from the motion frames, whose
+        # width the part layout fixes
+        dim = PartLayout.base().dim
+        if self.dur_model.motion_dim != dim:
+            raise ValueError(f"config key dur_model.motion_dim must be {dim}, got {self.dur_model.motion_dim!r}")
 
 
 # interpolated frames the linear baseline inserts at each gloss boundary
@@ -664,13 +670,13 @@ def compose_and_stitch(
             digest = int(hashlib.sha256(sid.encode("utf-8")).hexdigest()[:8], 16)
             rng = np.random.default_rng(config.seed + digest)
 
-            adjusted, masks, noise = [], [], []
+            adjusted, boundaries, noise = [], [], []
             if denoiser is not None:
                 for a, b in zip(segments, segments[1:]):
                     frames, plan = duration_adjust_pair(a, b, gloss_model,
                                                         config.dur_model.window, config.min_gloss_len)
                     adjusted.append(frames)
-                    masks.append(make_boundary_mask(plan.lengths[0], plan.lengths[1], config.inference_radius))
+                    boundaries.append(plan.lengths[0])
                     noise.append(rng.standard_normal(frames.shape))
 
             pred = sent_model.predict(segments)
@@ -682,11 +688,10 @@ def compose_and_stitch(
                 # one DDIM run over the sentence's pairs laid end to end; the
                 # noise is each pair's draw in pair order, as one run per pair
                 # would draw it
-                packed = pack_masks(masks)
-                refined = ddim_refine(np.concatenate(adjusted), packed, denoiser, schedule,
+                mask = boundary_mask([len(frames) for frames in adjusted], boundaries, config.inference_radius)
+                refined = ddim_refine(np.concatenate(adjusted), mask, denoiser, schedule,
                                       steps=config.ddim_steps, noise=np.concatenate(noise))
-                parts = np.split(refined, np.cumsum(packed.lengths)[:-1])
-                ours = assemble_sentence([(part, m.boundary_index) for part, m in zip(parts, masks)], plan)
+                ours = assemble_sentence(list(zip(np.split(refined, mask.offsets[1:-1]), mask.boundaries)), plan)
             else:
                 ours = assemble_sentence(_baseline_pairs(segments), plan)
             out.append(ComposedSentence(sid, ours, linear_baseline(segments), denoiser is None))

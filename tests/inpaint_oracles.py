@@ -23,7 +23,7 @@ from signweave.inpaint import combined_loss, make_boundary_mask, min_snr_weight,
 def full_row_step_loss(item, denoiser, schedule, loss_cfg, t, radius, noise, part_weights):
     mask = make_boundary_mask(item.boundary_index, item.x0.shape[0] - item.boundary_index, radius)
     x_t = q_sample(item.x0, t, noise, schedule)
-    x0_hat = denoiser.forward(x_t, t, denoiser.condition(item.x_tilde, mask.values))
+    x0_hat = denoiser.forward(x_t, t, denoiser.condition(item.x_tilde, mask))
     w_t = min_snr_weight(t, schedule, loss_cfg.min_snr_gamma)
     return combined_loss(x0_hat, item.x0, mask.values, part_weights, w_t, loss_cfg)
 
@@ -37,15 +37,13 @@ class ComposedDenoiser:
         self.denoiser = denoiser
         self.layout = denoiser.layout
 
-    def condition(self, cond, mask, lengths=None):
+    def condition(self, cond, mask):
         d = self.denoiser
         dtype = d.params.dtype
-        lengths = (len(cond),) if lengths is None else tuple(int(n) for n in lengths)
-        offsets = nk.segment_offsets(lengths)
         memory = nk.dense(nk.tensor(np.asarray(cond, dtype=dtype)), *d._cond_proj)
-        mask_emb = d._mask_embed[(np.asarray(mask) > 0.5).astype(int)]
+        mask_emb = d._mask_embed[(mask.values > 0.5).astype(int)]
         residual = nk.Tensor(np.asarray(cond, dtype=dtype))
-        return lengths, offsets, nk.segment_positions(offsets), memory, mask_emb, residual
+        return mask.lengths, mask.offsets, mask.positions, memory, mask_emb, residual
 
     def forward(self, x_t, t, c, rows=None):
         d = self.denoiser

@@ -312,6 +312,11 @@ def test_partial_config_section_keeps_pipeline_defaults(tmp_path, capsys):
     ("show-config", ["--set", "ddim_steps=abc"], "config key ddim_steps must be of type int, got 'abc'"),
     ("pipeline", ["--set", "synth.sentence_length=3"], "config key synth.sentence_length must be a list of 2 items"),
     ("show-config", ["--set", "denoiser=1"], "config key denoiser names a nested config and needs an object"),
+    # the part layout fixes the motion width, and sentences have no gloss limit
+    ("train-duration", ["--set", "dur_model.motion_dim=5"], "config key dur_model.motion_dim must be 206, got 5"),
+    ("pipeline", ["--config", "motion_dim.json"], "config key dur_model.motion_dim must be 206, got 34"),
+    ("train-inpainter", ["--set", "denoiser.motion_dim=206"], "unknown config key denoiser.motion_dim"),
+    ("train-duration", ["--set", "dur_model.k_max=2"], "unknown config key dur_model.k_max"),
 ])
 def test_bad_config_key_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flags, message):
     monkeypatch.chdir(tmp_path)
@@ -323,6 +328,7 @@ def test_bad_config_key_is_a_usage_error(tmp_path, monkeypatch, capsys, command,
     (tmp_path / "seed_bool.json").write_text(json.dumps({"seed": True}))
     (tmp_path / "length3.json").write_text(json.dumps({"synth": {"sentence_length": [3, 8, 9]}}))
     (tmp_path / "tempo_str.json").write_text(json.dumps({"synth": {"sentence_tempo": [0.7, "0.9"]}}))
+    (tmp_path / "motion_dim.json").write_text(json.dumps({"dur_model": {"motion_dim": 34}}))
     with pytest.raises(SystemExit) as exc:
         main([command, "--work-dir", "work"] + flags)
     assert exc.value.code == 2

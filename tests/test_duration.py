@@ -201,12 +201,20 @@ class TestPredictors:
         pred = model.predict(feats)
         assert -3.0 <= pred.scale <= 3.0
 
-    def test_too_many_glosses_rejected(self):
+    def test_forty_glosses_get_a_prediction(self):
+        """Rotary attention sets no limit on a sentence's gloss count: a
+        40-gloss sentence gets a scale and one allocation share per gloss."""
         cfg = DurationModelConfig(motion_dim=4, hidden=8, sent_layers=1, sent_heads=2, sent_ffn=16)
         model = SentenceDurationPredictor(cfg, seed=0)
-        segments = [np.zeros((5, 4)) for _ in range(33)]
-        with pytest.raises(ValueError):
-            model.predict(segments)
+        rng = np.random.default_rng(28)
+        for name in ("scale_head.weight", "alloc_head.weight"):
+            model.params[name].data += rng.normal(size=model.params[name].shape).astype(np.float32)
+        segments = [rng.normal(size=(int(rng.integers(5, 12)), 4)) for _ in range(40)]
+        pred = model.predict(segments)
+        assert abs(pred.scale) > 1e-3 and pred.allocation.shape == (40,)
+        assert np.all(pred.allocation > 0) and np.ptp(pred.allocation) > 1e-4
+        plan = integer_plan(sum(len(s) for s in segments), pred)
+        assert len(plan.lengths) == 40 and sum(plan.lengths) == plan.total
 
     def test_overfit_single_pair(self):
         cfg = DurationModelConfig(motion_dim=6, hidden=32, mlp_layers=2)

@@ -13,8 +13,12 @@ from dtw_oracles import (
     loop_subsequence,
 )
 from signweave.metrics import (
+    _DIAG,
+    _LEFT,
+    _UP,
     SyntheticSkeletonAdapter,
     _dtw_wavefront,
+    _dtw_wavefront_rows,
     _subset_costs,
     dtw_align,
     dtw_alignments,
@@ -222,6 +226,24 @@ class TestWavefrontKernel:
             expected_path, expected_total = oracle(np.ascontiguousarray(c))
             assert as_tuples(path) == expected_path
             assert total == expected_total
+
+    @pytest.mark.parametrize("quantized", [False, True], ids=["random", "ties"])
+    def test_shorter_sequence_on_the_row_axis(self, quantized):
+        """Plain mode aligns a stack of tall matrices transposed, with up and
+        left swapped in the tie order: each path and total is the one the
+        kernel finds on the matrices as given, bit for bit, in both
+        orientations."""
+        rng = np.random.default_rng(23 + quantized)
+        for _ in range(150):
+            shape = (int(rng.integers(1, 5)), *(int(v) for v in rng.integers(1, 30, size=2)))
+            # costs in {0, 1, 2}: most cells tie with a neighbour
+            costs = rng.integers(0, 3, size=shape).astype(np.float64) if quantized else rng.random(shape)
+            for c in (costs, costs.transpose(0, 2, 1)):
+                found = _dtw_wavefront(c)
+                want = _dtw_wavefront_rows(c, (_DIAG, _UP, _LEFT), False)
+                for (path, total), (want_path, want_total) in zip(found, want, strict=True):
+                    assert path.dtype == want_path.dtype and np.array_equal(path, want_path)
+                    assert np.float64(total).tobytes() == np.float64(want_total).tobytes()
 
     def test_subset_alignments_match_separate_runs(self, monkeypatch):
         rng = np.random.default_rng(22)

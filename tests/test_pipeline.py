@@ -70,17 +70,18 @@ class TestConfig:
         """A change to how the config is serialized must not invalidate
         existing work directories: the default config's hashes stay these
         (SCHEMA_VERSION 3; the qc and trim sections hold only the fields
-        their rules read). The baseline stage adds no field, so its hash is
-        trim's."""
+        their rules read; the dur_model and denoiser sections hold no gloss
+        limit and no denoiser motion width). The baseline stage adds no
+        field, so its hash is trim's."""
         assert {stage: stage_hash(PipelineConfig(), stage) for stage in STAGES} == {
             "synth": "2fbcafc31d6225f6",
             "qc": "26d31f017197e435",
             "trim": "7c77a5d98cd5d9ad",
             "baseline": "7c77a5d98cd5d9ad",
-            "duration": "d67d0b1efc13777a",
-            "inpaint": "6d4343c47b9eb1e3",
-            "compose": "2e3faef68a9ae67b",
-            "eval": "2e3faef68a9ae67b",
+            "duration": "2928ee21b30ac889",
+            "inpaint": "8aca4541d8eb5ca7",
+            "compose": "54c1fabcd2809453",
+            "eval": "54c1fabcd2809453",
         }
 
     def test_apply_overrides(self, tmp_path):
