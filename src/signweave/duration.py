@@ -177,8 +177,9 @@ class GlossDurationPredictor:
     """MLP over pair features predicting the scale and a two-way split.
 
     Output heads are zero-initialized so a fresh model produces identity
-    rescaling and a uniform allocation. seed=None builds zero parameters
-    without drawing them, for `restore_into` to fill from a checkpoint.
+    rescaling and a uniform allocation. seed=None builds read-only zero
+    placeholders without drawing them, for `restore_into` to replace from a
+    checkpoint.
     """
 
     def __init__(self, cfg: DurationModelConfig = DurationModelConfig(), seed: int | None = 0):
@@ -212,8 +213,8 @@ class GlossDurationPredictor:
 class SentenceDurationPredictor:
     """Token-based Transformer encoder over per-gloss tokens (padding-masked).
 
-    seed=None builds zero parameters without drawing them, for `restore_into`
-    to fill from a checkpoint."""
+    seed=None builds read-only zero placeholders without drawing them, for
+    `restore_into` to replace from a checkpoint."""
 
     def __init__(self, cfg: DurationModelConfig = DurationModelConfig(), seed: int | None = 0):
         self.cfg = cfg
@@ -224,15 +225,15 @@ class SentenceDurationPredictor:
         self._blocks = []
         for i in range(cfg.sent_layers):
             blk = {
-                "ln1": nk.init_layer_norm(self.params, f"blk{i}.ln1", h),
+                "ln1": nk.init_layer_norm(self.params, f"blk{i}.ln1", h, rng),
                 "qkv": nk.init_dense(self.params, f"blk{i}.qkv", h, 3 * h, rng),
                 "out": nk.init_dense(self.params, f"blk{i}.out", h, h, rng),
-                "ln2": nk.init_layer_norm(self.params, f"blk{i}.ln2", h),
+                "ln2": nk.init_layer_norm(self.params, f"blk{i}.ln2", h, rng),
                 "ff1": nk.init_dense(self.params, f"blk{i}.ff1", h, cfg.sent_ffn, rng),
                 "ff2": nk.init_dense(self.params, f"blk{i}.ff2", cfg.sent_ffn, h, rng),
             }
             self._blocks.append(blk)
-        self._ln_final = nk.init_layer_norm(self.params, "ln_final", h)
+        self._ln_final = nk.init_layer_norm(self.params, "ln_final", h, rng)
         self._scale_head = nk.init_dense(self.params, "scale_head", h, 1, rng, zero=True)
         self._alloc_head = nk.init_dense(self.params, "alloc_head", h, 1, rng, zero=True)
 

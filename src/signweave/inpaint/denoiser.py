@@ -55,8 +55,8 @@ def _group_slices(layout: PartLayout) -> dict[str, tuple[int, int]]:
 
 
 class Denoiser:
-    """seed=None builds zero parameters without drawing them, for
-    `restore_into` to fill from a checkpoint."""
+    """seed=None builds read-only zero placeholders without drawing them,
+    for `restore_into` to replace from a checkpoint."""
 
     def __init__(self, cfg: DenoiserConfig = DenoiserConfig(), layout: PartLayout | None = None,
                  seed: int | None = 0):
@@ -69,26 +69,26 @@ class Denoiser:
         p = self.params
         self._in_proj = nk.init_dense(p, "in_proj", self.layout.dim, h, rng)
         self._cond_proj = nk.init_dense(p, "cond_proj", self.layout.dim, h, rng)
-        self._mask_embed = p.add("mask_embed", np.zeros((2, h)) if rng is None
+        self._mask_embed = p.add("mask_embed", nk.placeholder((2, h), p.dtype) if rng is None
                                  else rng.normal(0.0, 0.02, size=(2, h)))
         self._t1 = nk.init_dense(p, "time.0", h, h, rng)
         self._t2 = nk.init_dense(p, "time.1", h, h, rng)
         self._blocks = []
         for i in range(cfg.layers):
             blk = {
-                "ln1": nk.init_layer_norm(p, f"blk{i}.ln1", h),
+                "ln1": nk.init_layer_norm(p, f"blk{i}.ln1", h, rng),
                 "qkv": nk.init_dense(p, f"blk{i}.qkv", h, 3 * h, rng),
                 "self_out": nk.init_dense(p, f"blk{i}.self_out", h, h, rng),
-                "ln_x": nk.init_layer_norm(p, f"blk{i}.ln_x", h),
+                "ln_x": nk.init_layer_norm(p, f"blk{i}.ln_x", h, rng),
                 "q": nk.init_dense(p, f"blk{i}.q", h, h, rng),
                 "kv": nk.init_dense(p, f"blk{i}.kv", h, 2 * h, rng),
                 "cross_out": nk.init_dense(p, f"blk{i}.cross_out", h, h, rng),
-                "ln2": nk.init_layer_norm(p, f"blk{i}.ln2", h),
+                "ln2": nk.init_layer_norm(p, f"blk{i}.ln2", h, rng),
                 "ff1": nk.init_dense(p, f"blk{i}.ff1", h, cfg.ffn, rng),
                 "ff2": nk.init_dense(p, f"blk{i}.ff2", cfg.ffn, h, rng),
             }
             self._blocks.append(blk)
-        self._ln_final = nk.init_layer_norm(p, "ln_final", h)
+        self._ln_final = nk.init_layer_norm(p, "ln_final", h, rng)
         self._heads = {}
         for group, (lo, hi) in self.group_slices.items():
             depth = cfg.hand_head_depth if group == "hand" else 1

@@ -100,6 +100,17 @@ class PartLayout:
         return w
 
 
+def checked_frames(frames: np.ndarray) -> np.ndarray:
+    """`frames` as a float64 T x D matrix; a ValueError unless T >= 1 and
+    every value is finite."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[0] < 1:
+        raise ValueError(f"frames must be a T x D matrix with T >= 1, got {frames.shape}")
+    if not np.all(np.isfinite(frames)):
+        raise ValueError("frames contain non-finite values")
+    return frames
+
+
 @dataclass
 class MotionSequence:
     """A T x D matrix of frame-wise motion features at a fixed frame rate."""
@@ -108,11 +119,7 @@ class MotionSequence:
     fps: int = DEFAULT_FPS
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2 or self.frames.shape[0] < 1:
-            raise ValueError(f"frames must be a T x D matrix with T >= 1, got {self.frames.shape}")
-        if not np.all(np.isfinite(self.frames)):
-            raise ValueError("frames contain non-finite values")
+        self.frames = checked_frames(self.frames)
 
     @property
     def num_frames(self) -> int:

@@ -53,11 +53,14 @@ def load_checkpoint(path: str | Path) -> dict[str, tuple[np.ndarray, np.ndarray 
     a ValueError naming the path."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
+        pos = 0  # the file offset, counted here rather than asked of the file per field
 
         def need(n: int) -> None:
-            if n > size - fh.tell():
+            nonlocal pos
+            if n > size - pos:
                 raise ValueError(f"{path}: truncated checkpoint (needs {n} bytes at offset "
-                                 f"{fh.tell()}, file has {size})")
+                                 f"{pos}, file has {size})")
+            pos += n
 
         def take(n: int) -> bytes:
             need(n)
@@ -91,8 +94,8 @@ def load_checkpoint(path: str | Path) -> dict[str, tuple[np.ndarray, np.ndarray 
                 raise ValueError(f"{path}: parameter {name} has unknown dtype code {code}")
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
             out[name] = (take_array(shape, DTYPES[code]), take_array(shape, DTYPES[code]) if has_ema else None)
-        if fh.tell() != size:
-            raise ValueError(f"{path}: {size - fh.tell()} trailing bytes after the last "
+        if pos != size:
+            raise ValueError(f"{path}: {size - pos} trailing bytes after the last "
                              "checkpoint record")
     return out
 

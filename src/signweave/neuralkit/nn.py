@@ -318,7 +318,9 @@ class ParameterSet:
         t.name = name
         self._params[name] = t
         if self.keeps_ema:
-            self._ema[name] = t.data.copy()
+            # a `placeholder` is its own shadow until `restore_into` replaces both
+            is_placeholder = not t.data.flags.writeable and not any(t.data.strides)
+            self._ema[name] = t.data if is_placeholder else t.data.copy()
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -385,27 +387,43 @@ class ParameterSet:
         return norm
 
 
+def placeholder(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Read-only zeros of `shape` that own no memory: the value of a
+    parameter that a checkpoint restore (`restore_into`) is about to replace.
+    Every element is the one zero of an immutable buffer (all strides 0),
+    which is a few times cheaper to make than `np.broadcast_to`."""
+    dtype = np.dtype(dtype)
+    return np.ndarray(shape, dtype, buffer=bytes(dtype.itemsize), strides=(0,) * len(shape))
+
+
 def init_dense(params: ParameterSet, name: str, fan_in: int, fan_out: int,
                rng: np.random.Generator | None, scale: float | None = None,
                zero: bool = False) -> tuple[Tensor, Tensor]:
     """Weight + bias pair; zero=True gives an identity-output head.
 
-    rng=None draws nothing and gives a zero weight, for a model whose
-    parameters a checkpoint restore is about to overwrite."""
-    if zero or rng is None:
-        w = np.zeros((fan_in, fan_out), dtype=params.dtype)
+    rng=None draws nothing and gives placeholders, for a model whose
+    parameters a checkpoint restore is about to replace."""
+    if rng is None:
+        w, b = placeholder((fan_in, fan_out), params.dtype), placeholder((fan_out,), params.dtype)
     else:
-        std = scale if scale is not None else 1.0 / np.sqrt(fan_in)
-        w = rng.normal(0.0, std, size=(fan_in, fan_out))
-    weight = params.add(f"{name}.weight", w)
-    bias = params.add(f"{name}.bias", np.zeros(fan_out))
-    return weight, bias
+        if zero:
+            w = np.zeros((fan_in, fan_out), dtype=params.dtype)
+        else:
+            std = scale if scale is not None else 1.0 / np.sqrt(fan_in)
+            w = rng.normal(0.0, std, size=(fan_in, fan_out))
+        b = np.zeros(fan_out)
+    return params.add(f"{name}.weight", w), params.add(f"{name}.bias", b)
 
 
-def init_layer_norm(params: ParameterSet, name: str, dim: int) -> tuple[Tensor, Tensor]:
-    gamma = params.add(f"{name}.gamma", np.ones(dim))
-    beta = params.add(f"{name}.beta", np.zeros(dim))
-    return gamma, beta
+def init_layer_norm(params: ParameterSet, name: str, dim: int,
+                    rng: np.random.Generator | None) -> tuple[Tensor, Tensor]:
+    """Gain and shift, ones and zeros. A layer norm draws nothing; rng=None
+    marks a model built for a checkpoint restore, as in `init_dense`, and
+    gives placeholders."""
+    if rng is None:
+        return (params.add(f"{name}.gamma", placeholder((dim,), params.dtype)),
+                params.add(f"{name}.beta", placeholder((dim,), params.dtype)))
+    return params.add(f"{name}.gamma", np.ones(dim)), params.add(f"{name}.beta", np.zeros(dim))
 
 
 def sinusoidal_embedding(values: np.ndarray, dim: int, max_period: float = 10000.0) -> np.ndarray:

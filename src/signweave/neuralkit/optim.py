@@ -13,8 +13,9 @@ class AdamW:
 
     The moments of each tensor live in that tensor's dtype and are updated in
     place, so fp32 parameters train in fp32 throughout. Each step assigns a
-    new array to every parameter it updates, which is how the denoiser's
-    inference cache sees that its parameters changed.
+    new array to every parameter it updates. Nothing built from the old
+    values sees the step: `Denoiser.sampler` conditions once per DDIM run,
+    so a sampler must be built again after a step.
     """
 
     def __init__(

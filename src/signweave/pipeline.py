@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import time
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,7 +52,7 @@ from .inpaint import (
     train_inpainter,
 )
 from .metrics import SyntheticSkeletonAdapter, dtw_alignments, fgd, length_ratio, procrustes_path_error
-from .motion import MotionSequence, PartLayout, resample_frames, write_motion
+from .motion import GlossClip, MotionSequence, PartLayout, resample_frames, write_motion
 from .neuralkit import load_checkpoint, restore_into, save_checkpoint
 from .qc import QcConfig, qc_filters
 from .records import export_canonical
@@ -353,10 +354,37 @@ class StageStore:
 # stage implementations
 
 
+class TrimmedCores(Mapping):
+    """Clip id -> trimmed core frames, over the kept clips in corpus order. A
+    core is sliced from its clip's frames on its first read, so a clip that
+    nothing reads is never built."""
+
+    def __init__(self, clips: dict[str, GlossClip], spans: dict[str, list[int]]):
+        self._clips, self._spans = clips, spans
+        self._cores: dict[str, np.ndarray] = {}
+
+    def __getitem__(self, cid: str) -> np.ndarray:
+        core = self._cores.get(cid)
+        if core is None:
+            clip = self._clips[cid]
+            s, e = self._spans[cid]
+            core = self._cores[cid] = clip.motion.frames[s : e + 1]
+        return core
+
+    def __contains__(self, cid) -> bool:
+        return cid in self._clips
+
+    def __iter__(self):
+        return iter(self._clips)
+
+    def __len__(self) -> int:
+        return len(self._clips)
+
+
 @dataclass
 class PreparedData:
     corpus: SynthCorpus
-    cores: dict[str, np.ndarray]          # clip id -> trimmed core frames
+    cores: TrimmedCores
     train_ids: list[str]
     eval_ids: list[str]
     # the linear baseline's scores on the held-out sentences (`baseline_stage`)
@@ -405,14 +433,15 @@ def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
     """Stages synth, qc, trim and baseline. Synth and qc regenerate the corpus
     and filter its clips on a hit too, as both are deterministic and cheap;
     their hits skip only the writes, and a trim or baseline hit reads its
-    stored output back. Generating draws the clips and each sentence's gloss
-    spans, and builds a sentence's frames on their first read only. The
-    synth stage's export reads every sentence, inpaint training the training
-    sentences, and baseline and eval scoring the held-out ones; so a reload
-    of a finished work directory builds none. Generating takes about 8 ms at
-    6 glosses x 3 variants x 24 sentences (25 ms with every sentence's
-    frames) and 0.17 s for the default corpus (0.55 s), on one core of a
-    2-core machine."""
+    stored output back. Generating draws each clip's variation and each
+    sentence's gloss spans, and builds a clip's or a sentence's frames on
+    their first read only; qc reads clip lengths alone. The synth stage's
+    export reads every clip and sentence, trimming every kept clip, inpaint
+    training the training sentences and their clips' cores, and baseline and
+    eval scoring the held-out ones; so a reload of a finished work directory
+    builds none. Generating takes about 4 ms at 6 glosses x 3 variants x 24
+    sentences (30 ms with every clip's and sentence's frames) and 0.09 s for
+    the default corpus (0.34 s), on one core of a 2-core machine."""
     def generate(stage_dir=None):
         corpus = synth_generate(config.synth, rounds=config.pair_rounds)
         return corpus, *_split_sentences(corpus, config.holdout_fraction, config.seed)
@@ -443,16 +472,9 @@ def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
         _write_text(stage_dir / "spans.json", json.dumps(spans, sort_keys=True))
         return spans, {"outputs": ["spans.json"], "report": {"trim_fallbacks": fallbacks}}
 
-    clip_ids = [clip.source["id"] for clips in corpus.clips.values() for clip in clips]
-    spans = store.run("trim", config, write_trim, lambda d: _read_spans(d / "spans.json", clip_ids))
-
-    cores = {}
-    for gloss, clips in corpus.clips.items():
-        for clip in clips:
-            cid = clip.source["id"]
-            s, e = spans[cid]
-            cores[cid] = clip.motion.frames[s : e + 1]
-    data = PreparedData(corpus, cores, train_ids, eval_ids)
+    by_id = {clip.source["id"]: clip for clips in corpus.clips.values() for clip in clips}
+    spans = store.run("trim", config, write_trim, lambda d: _read_spans(d / "spans.json", list(by_id)))
+    data = PreparedData(corpus, TrimmedCores(by_id, spans), train_ids, eval_ids)
     data.baseline = baseline_stage(config, store, data)
     return data
 

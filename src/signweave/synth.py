@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .motion import DEFAULT_FPS, GlossClip, MotionSequence, PartLayout
+from .motion import DEFAULT_FPS, GlossClip, MotionSequence, PartLayout, checked_frames
 from .records import DialogueRecord, DialogueTurn, Sentence, WordRecord, parts_from_frames
 
 
@@ -186,26 +186,52 @@ class SynthCorpus:
         return out
 
 
+class ClipMotion(MotionSequence):
+    """A variant clip's motion: its preparation ramp, core and retraction
+    ramp. The length is known from the draws, so the clip's span check and
+    qc read no frame; the frames are built from the draws on the first read
+    of `frames`, since a pipeline rerun that hits its caches reads few or
+    none of them."""
+
+    def __init__(self, model: GlossModel, core_len: int, warp: float, amp_scale: np.ndarray,
+                 offset_shift: np.ndarray, style: np.ndarray, prep_len: int, retract_len: int, fps: int):
+        self.model, self.core_len, self.warp = model, core_len, warp
+        self.amp_scale, self.offset_shift, self.style = amp_scale, offset_shift, style
+        self.prep_len, self.retract_len = prep_len, retract_len
+        self.fps = fps
+
+    @cached_property
+    def frames(self) -> np.ndarray:
+        u = np.linspace(0.0, 1.0, self.core_len)
+        u = (1.0 - self.warp) * u + self.warp * smoothstep(u)
+        core = self.model.evaluate(u, self.amp_scale, self.offset_shift)
+        core += self.style[None, :] * np.sin(np.pi * u)[:, None]
+        ramp_in = smoothstep(np.arange(self.prep_len) / self.prep_len)[:, None] * core[0][None, :]
+        ramp_out = (smoothstep(1.0 - (np.arange(self.retract_len) + 1) / self.retract_len)[:, None]
+                    * core[-1][None, :])
+        return checked_frames(np.concatenate([ramp_in, core, ramp_out], axis=0))
+
+    @property
+    def num_frames(self) -> int:
+        return self.prep_len + self.core_len + self.retract_len
+
+
 def _variant_clip(model: GlossModel, variant: int, rng: np.random.Generator,
                   spec: SynthSpec, fps: int) -> GlossClip:
+    """One isolated variant of a gloss. Its draws come in a fixed order:
+    stretch, warp, amplitude scale, offset shift, style noise, then the prep
+    and retract lengths."""
     d = model.offset.shape[0]
     stretch = rng.uniform(*spec.variant_stretch)
     core_len = max(int(round(model.duration * stretch)), 8)
-    u = np.linspace(0.0, 1.0, core_len)
     warp = rng.uniform(-spec.timing_warp, spec.timing_warp)
-    u = (1.0 - warp) * u + warp * smoothstep(u)
     amp_scale = 1.0 + rng.normal(0.0, spec.amplitude_jitter, size=d)
     offset_shift = rng.normal(0.0, 0.02, size=d)
-    core = model.evaluate(u, amp_scale, offset_shift)
-    core += rng.normal(0.0, spec.style_noise, size=d)[None, :] * np.sin(np.pi * u)[:, None]
-
+    style = rng.normal(0.0, spec.style_noise, size=d)
     prep_len = int(rng.integers(spec.prep_frames[0], spec.prep_frames[1] + 1))
     retract_len = int(rng.integers(spec.retract_frames[0], spec.retract_frames[1] + 1))
-    ramp_in = smoothstep(np.arange(prep_len) / prep_len)[:, None] * core[0][None, :]
-    ramp_out = smoothstep(1.0 - (np.arange(retract_len) + 1) / retract_len)[:, None] * core[-1][None, :]
-    frames = np.concatenate([ramp_in, core, ramp_out], axis=0)
-    span = (prep_len, prep_len + core_len - 1)
-    return GlossClip(model.name, MotionSequence(frames, fps), span,
+    motion = ClipMotion(model, core_len, warp, amp_scale, offset_shift, style, prep_len, retract_len, fps)
+    return GlossClip(model.name, motion, (prep_len, prep_len + core_len - 1),
                      {"id": f"{model.name}.v{variant}", "variant": variant})
 
 
@@ -263,8 +289,10 @@ def synth_generate(spec: SynthSpec, rounds: int = 2) -> SynthCorpus:
     """Deterministic corpus: lexicon clips, blended continuous sentences, and
     decomposed pseudo gloss pairs (rounds compositions per sentence).
 
-    A sentence's frames draw no random number, so they are left for the
-    first read of `SentenceSample.frames` to build."""
+    Generating draws every random number; building frames draws none. So a
+    clip's frames are left for the first read of its `motion.frames`
+    (`ClipMotion`), and a sentence's for the first read of
+    `SentenceSample.frames`."""
     rng = np.random.default_rng(spec.seed)
     layout = PartLayout.base()
     names = [f"V{i:02d}" for i in range(spec.vocab_size)]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -606,6 +608,10 @@ class TestCheckpoint:
                 with pytest.raises(ValueError, match="truncated checkpoint") as exc:
                     load_checkpoint(cut)
                 assert str(cut) in str(exc.value), (dtype, length)
+                # the field the error names starts at or before the cut and ends after it
+                needs, offset, size = map(int, re.search(r"needs (\d+) bytes at offset (\d+), file has (\d+)",
+                                                         str(exc.value)).groups())
+                assert size == length and offset <= length < offset + needs, (dtype, length)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_arrays_keep_their_parameter_dtype(self, tmp_path, dtype):

@@ -38,7 +38,8 @@ from signweave.pipeline import (
     train_inpaint_stage,
 )
 from signweave.metrics import SyntheticSkeletonAdapter
-from signweave.neuralkit import load_checkpoint
+from signweave.neuralkit import AdamW, load_checkpoint, restore_into, save_checkpoint
+from signweave.qc import qc_filters
 from signweave.synth import SynthSpec
 
 
@@ -583,15 +584,6 @@ class TestLazySentenceFrames:
         corpus = synth_module.synth_generate(config.synth, rounds=config.pair_rounds)
         assert calls == [_lengths(s) for s in corpus.sentences]
 
-    def test_reload_builds_no_sentence(self, rerun, monkeypatch):
-        config, _ = rerun
-        calls = _count_sentence_frames(monkeypatch)
-        store = StageStore(config.work_dir)
-        data = prepare_data(config, store)
-        gloss_model, _ = train_duration_stage(config, store, data)
-        train_inpaint_stage(config, store, data, gloss_model)
-        assert calls == []
-
     def test_compose_and_eval_build_the_held_out_sentences(self, rerun, monkeypatch):
         config, first = rerun
         work = Path(config.work_dir)
@@ -604,6 +596,75 @@ class TestLazySentenceFrames:
         eval_ids = [row["sentence_id"] for row in map(json.loads, (work / "eval" / "metrics.jsonl").read_text()
                                                       .splitlines()) if row.get("method") == "ours"]
         assert eval_ids and calls == [_lengths(by_id[sid]) for sid in eval_ids]
+
+
+def _built_clips(data) -> set[str]:
+    return {clip.source["id"] for clips in data.corpus.clips.values() for clip in clips
+            if "frames" in vars(clip.motion)}
+
+
+class TestLazyClipFrames:
+    """A clip's frames are built on their first read too, and `data.cores`
+    slices a core on its first read: a reload of a finished work directory
+    evaluates no gloss model, and compose and eval build the held-out
+    sentences' clips alone."""
+
+    def test_reload_builds_nothing(self, rerun, monkeypatch):
+        config, _ = rerun
+        calls = []
+        evaluate = synth_module.GlossModel.evaluate
+
+        def counted(model, *args, **kwargs):
+            calls.append(model.name)
+            return evaluate(model, *args, **kwargs)
+
+        monkeypatch.setattr(synth_module.GlossModel, "evaluate", counted)
+        store = StageStore(config.work_dir)
+        data = prepare_data(config, store)
+        gloss_model, _ = train_duration_stage(config, store, data)
+        train_inpaint_stage(config, store, data, gloss_model)
+        assert calls == []
+
+    def test_compose_and_eval_build_the_held_out_clips(self, rerun):
+        config, _ = rerun
+        work = Path(config.work_dir)
+        metrics = (work / "eval" / "metrics.jsonl").read_bytes()
+        for stage in ("compose", "eval"):
+            shutil.rmtree(work / stage)
+        store = StageStore(config.work_dir)
+        data = prepare_data(config, store)
+        gloss_model, sent_model = train_duration_stage(config, store, data)
+        denoiser, schedule = train_inpaint_stage(config, store, data, gloss_model)
+        composed = pipeline.compose_stage(config, store, data, gloss_model, sent_model, denoiser, schedule)
+        pipeline.eval_stage(config, store, data, composed)
+        assert (work / "eval" / "metrics.jsonl").read_bytes() == metrics
+        # a held-out sentence is composed from the clip variants of its first round
+        held_out = set()
+        for sid in data.eval_ids:
+            variants = data.round_variants.get(f"{sid}.r0", {})
+            held_out |= {f"{g}.v{variants.get(i, 0)}" for i, g in enumerate(data.by_id[sid].glosses)}
+        assert _built_clips(data) == held_out and len(held_out) < len(data.cores)
+
+    def test_cores_match_an_eager_build(self, rerun):
+        config, _ = rerun
+        data = prepare_data(config, StageStore(config.work_dir))
+        assert _built_clips(data) == set()
+        corpus = synth_module.synth_generate(config.synth, rounds=config.pair_rounds)
+        spans = json.loads((Path(config.work_dir) / "trim" / "spans.json").read_text())
+        eager = {}
+        for clip in (clip for clips in corpus.clips.values() for clip in clips):
+            if qc_filters(clip, config.qc).keep:
+                s, e = spans[clip.source["id"]]
+                eager[clip.source["id"]] = clip.motion.frames[s : e + 1]
+        assert list(data.cores) == list(data.cores.keys()) == list(eager) and len(data.cores) == len(eager)
+        assert all(cid in data.cores for cid in eager) and "V00.v99" not in data.cores
+        with pytest.raises(KeyError):
+            data.cores["V00.v99"]
+        assert _built_clips(data) == set()
+        for cid, core in eager.items():
+            got = data.cores[cid]
+            assert got is data.cores[cid]
+            assert got.strides == core.strides and got.tobytes() == core.tobytes()
 
 
 def _as_version_2(path: Path) -> None:
@@ -676,29 +737,63 @@ class TestStageProtocol:
         assert set(run_pipeline(config, until="compose")["timings"]) == set(STAGES[: STAGES.index("compose") + 1])
 
 
-class TestPlaceholderModels:
-    """seed=None builds the parameters a checkpoint restore fills, without
-    drawing them; a seeded build draws as before."""
+MODEL_BUILDS = [
+    (lambda seed: GlossDurationPredictor(DurationModelConfig(hidden=16), seed=seed), "mlp.0.weight"),
+    (lambda seed: SentenceDurationPredictor(DurationModelConfig(hidden=16, sent_ffn=32), seed=seed),
+     "proj.weight"),
+    (lambda seed: Denoiser(DenoiserConfig(latent=16, layers=1, heads=2, ffn=32), seed=seed),
+     "in_proj.weight"),
+]
+MODEL_IDS = ["gloss", "sentence", "denoiser"]
 
-    @pytest.mark.parametrize("build,first", [
-        (lambda seed: GlossDurationPredictor(DurationModelConfig(hidden=16), seed=seed), "mlp.0.weight"),
-        (lambda seed: SentenceDurationPredictor(DurationModelConfig(hidden=16, sent_ffn=32), seed=seed),
-         "proj.weight"),
-        (lambda seed: Denoiser(DenoiserConfig(latent=16, layers=1, heads=2, ffn=32), seed=seed),
-         "in_proj.weight"),
-    ], ids=["gloss", "sentence", "denoiser"])
+
+class TestPlaceholderModels:
+    """seed=None builds the parameters a checkpoint restore replaces, without
+    drawing them: read-only zero placeholders that own no memory. A seeded
+    build draws as before and owns writable arrays, zero heads included."""
+
+    @pytest.mark.parametrize("build,first", MODEL_BUILDS, ids=MODEL_IDS)
     def test_placeholder_matches_seeded_layout(self, build, first):
         seeded, placeholder = build(3), build(None)
         assert seeded.params.names() == placeholder.params.names()
         for name in seeded.params.names():
             a, b = seeded.params[name].data, placeholder.params[name].data
-            assert a.shape == b.shape and a.dtype == b.dtype
-            # drawn parameters are left zero; constant ones (biases, norms) match
-            assert np.array_equal(a, b) or not b.any()
+            assert a.shape == b.shape and a.dtype == b.dtype and a.flags.writeable
+            assert not b.flags.writeable and not any(b.strides) and not b.any()
+            if placeholder.params.keeps_ema:
+                assert placeholder.params.ema_value(name) is b
         # the first draw of a seeded build is the generator's first normal block
         w = seeded.params[first].data
         expected = np.random.default_rng(3).normal(0.0, 1.0 / np.sqrt(w.shape[0]), size=w.shape)
         assert np.array_equal(w, expected.astype(w.dtype))
+
+    @pytest.mark.parametrize("build", [build for build, _ in MODEL_BUILDS], ids=MODEL_IDS)
+    def test_restored_model_steps_like_the_saved_one(self, build, tmp_path):
+        saved, restored = build(3), build(None)
+        rng = np.random.default_rng(4)
+        for name in saved.params.names():
+            data = saved.params[name].data
+            saved.params[name].data = data + rng.normal(size=data.shape).astype(data.dtype)
+        if saved.params.keeps_ema:
+            saved.params.ema_update(decay=0.5)
+        save_checkpoint(tmp_path / "model.ckpt", saved.params)
+        restore_into(restored.params, load_checkpoint(tmp_path / "model.ckpt"))
+
+        def same() -> bool:
+            return all(saved.params[name].data.tobytes() == restored.params[name].data.tobytes()
+                       and (not saved.params.keeps_ema or saved.params.ema_value(name).tobytes()
+                            == restored.params.ema_value(name).tobytes())
+                       for name in saved.params.names())
+
+        assert same() and all(restored.params[name].data.flags.writeable for name in restored.params.names())
+        grads = {name: rng.normal(size=saved.params[name].data.shape) for name in saved.params.names()}
+        for model in (saved, restored):
+            for name, grad in grads.items():
+                model.params[name].grad = grad.astype(model.params.dtype)
+            AdamW(model.params, lr=1e-2, weight_decay=0.01).step()
+            if model.params.keeps_ema:
+                model.params.ema_update(decay=0.5)
+        assert same()
 
 
 def test_atomic_path_keeps_the_old_file_on_failure(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from signweave.motion import GlossClip, MotionSequence
 from dtw_oracles import full_feature_costs, loop_subsequence_distance
 from synth_oracles import loop_evaluate, loop_synth_generate
 from signweave.qc import (
+    QcConfig,
     dominant_split,
     pairwise_similarity,
     qc_filters,
@@ -377,6 +379,40 @@ def test_sentence_frames_are_built_on_first_read_only():
     assert sample.frames is first
     assert first.shape == (sample.gloss_spans[-1][1] + 1, corpus.layout.dim)
     assert all("frames" not in vars(s) for s in corpus.sentences if s is not sample)
+
+
+def test_clip_lengths_are_known_before_any_build():
+    spec = SynthSpec(vocab_size=4, variants_per_gloss=3, n_sentences=5, seed=3)
+    corpus = synth_generate(spec)
+    oracle = loop_synth_generate(spec)
+    clips = [clip for clips in corpus.clips.values() for clip in clips]
+    expected = [frames.shape[0] for clips in oracle["clips"].values() for frames, _ in clips]
+    # a limit at the median length keeps some clips and discards others
+    cfg = QcConfig(max_duration_seconds=sorted(expected)[len(expected) // 2] / spec.fps)
+    kept = [qc_filters(clip, cfg).keep for clip in clips]
+    assert [clip.motion.num_frames for clip in clips] == expected
+    assert [clip.motion.duration_seconds for clip in clips] == [n / spec.fps for n in expected]
+    assert kept == [n / spec.fps <= cfg.max_duration_seconds for n in expected] and 0 < sum(kept) < len(kept)
+    assert all("frames" not in vars(clip.motion) for clip in clips)
+    first = clips[4].motion.frames
+    assert clips[4].motion.frames is first and first.shape == (expected[4], corpus.layout.dim)
+    assert sum("frames" in vars(clip.motion) for clip in clips) == 1
+
+
+@pytest.mark.parametrize("order", ["reversed", "interleaved"])
+def test_clip_frames_match_the_oracle_in_any_read_order(order):
+    spec = SynthSpec(vocab_size=5, variants_per_gloss=3, n_sentences=8, seed=9)
+    corpus = synth_generate(spec)
+    oracle = loop_synth_generate(spec)
+    clip_reads = [(clip.motion, "frames", frames) for name, clips in corpus.clips.items()
+                  for clip, (frames, _) in zip(clips, oracle["clips"][name])]
+    sentence_reads = [(sample, "frames", ref[1]) for sample, ref in zip(corpus.sentences, oracle["sentences"])]
+    # the clips last to first, after a sentence each while the sentences last
+    reads = clip_reads[::-1]
+    if order == "interleaved":
+        reads = [read for pair in zip_longest(sentence_reads, reads) for read in pair if read is not None]
+    for owner, attr, expected in reads:
+        assert _bytes_equal(getattr(owner, attr), expected)
 
 
 def test_evaluate_matches_all_columns_oracle():
