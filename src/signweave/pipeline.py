@@ -399,12 +399,16 @@ class PreparedData:
     def round_variants(self) -> dict[str, dict[int, int]]:
         """Round id (sentence id + ".r<n>") -> {gloss index: clip variant},
         for the rounds that have pair specs, in pair-spec order."""
-        variants: dict[str, dict[int, int]] = {}
-        for spec in self.corpus.pair_specs:
-            by_index = variants.setdefault(spec.sentence_id, {})
-            by_index[spec.pair_index] = spec.variant_a
-            by_index[spec.pair_index + 1] = spec.variant_b
-        return variants
+        return _round_variants(self.corpus.pair_specs)
+
+
+def _round_variants(pair_specs) -> dict[str, dict[int, int]]:
+    variants: dict[str, dict[int, int]] = {}
+    for spec in pair_specs:
+        by_index = variants.setdefault(spec.sentence_id, {})
+        by_index[spec.pair_index] = spec.variant_a
+        by_index[spec.pair_index + 1] = spec.variant_b
+    return variants
 
 
 def _split_sentences(corpus: SynthCorpus, holdout: float, seed: int) -> tuple[list[str], list[str]]:
@@ -420,13 +424,13 @@ def _split_sentences(corpus: SynthCorpus, holdout: float, seed: int) -> tuple[li
 
 def write_corpus(corpus: SynthCorpus, directory: Path) -> int:
     """Write the corpus as canonical `words.json` (W) and `dialogues.json`
-    (U) records, each file atomically; return the number of word records."""
-    words = corpus.word_records()
-    for name, records, schema in (("words.json", words, "W"),
+    (U) records, each file atomically and one record at a time; return the
+    number of word records, one per clip."""
+    for name, records, schema in (("words.json", corpus.word_records(), "W"),
                                   ("dialogues.json", corpus.dialogue_records(), "U")):
         with atomic_path(directory / name) as tmp:
             export_canonical(records, tmp, schema)
-    return len(words)
+    return sum(len(clips) for clips in corpus.clips.values())
 
 
 def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
@@ -454,9 +458,12 @@ def prepare_data(config: PipelineConfig, store: StageStore) -> PreparedData:
 
     corpus, train_ids, eval_ids = store.run("synth", config, write_synth, generate)
 
+    total = sum(len(clips) for clips in corpus.clips.values())
     for gloss, clips in corpus.clips.items():
         corpus.clips[gloss] = [clip for clip in clips if qc_filters(clip, config.qc).keep]
     kept = sum(len(clips) for clips in corpus.clips.values())
+    if kept < total:
+        _check_composed_clips_kept(corpus, eval_ids, config.qc)
     store.run("qc", config, lambda d: (kept, {"outputs": [], "kept_clips": kept}), lambda d: kept)
 
     def write_trim(stage_dir):
@@ -744,11 +751,34 @@ def compose_stage(config: PipelineConfig, store: StageStore, data: PreparedData,
     return store.run("compose", config, compute)
 
 
+def _sentence_clip_ids(round_variants: dict[str, dict[int, int]], sample) -> list[str]:
+    """The clips a held-out sentence is composed from: its glosses in the
+    clip variants of its first round (variant 0 where it has no pair spec)."""
+    variants = round_variants.get(f"{sample.sentence_id}.r0", {})
+    return [f"{g}.v{variants.get(i, 0)}" for i, g in enumerate(sample.glosses)]
+
+
 def _sentence_segments(data: PreparedData, sample) -> list[np.ndarray]:
-    """The trimmed cores of a held-out sentence's glosses, in the clip
-    variants of its first round (variant 0 where it has no pair spec)."""
-    variants = data.round_variants.get(f"{sample.sentence_id}.r0", {})
-    return [data.cores[f"{g}.v{variants.get(i, 0)}"] for i, g in enumerate(sample.glosses)]
+    """The trimmed cores of a held-out sentence's glosses (`_sentence_clip_ids`)."""
+    return [data.cores[cid] for cid in _sentence_clip_ids(data.round_variants, sample)]
+
+
+def _check_composed_clips_kept(corpus: SynthCorpus, eval_ids: list[str], qc: QcConfig) -> None:
+    """Raise a ValueError when qc discarded a clip that a pair spec or a
+    held-out sentence is composed from. Both pick their clip variants when
+    the corpus is generated, before qc runs, so no stage could build them."""
+    kept = {clip.source["id"] for clips in corpus.clips.values() for clip in clips}
+    users = [(f"{gloss}.v{variant}", f"pair {spec.pair_index} of {spec.sentence_id}")
+             for spec in corpus.pair_specs
+             for gloss, variant in ((spec.gloss_a, spec.variant_a), (spec.gloss_b, spec.variant_b))]
+    by_id = {s.sentence_id: s for s in corpus.sentences}
+    round_variants = _round_variants(corpus.pair_specs)
+    users += [(cid, f"held-out sentence {sid}")
+              for sid in eval_ids for cid in _sentence_clip_ids(round_variants, by_id[sid])]
+    for cid, user in users:
+        if cid not in kept:
+            raise ValueError(f"qc discarded clip {cid}, which {user} is composed from: it is longer than "
+                             f"qc.max_duration_seconds ({qc.max_duration_seconds} s)")
 
 
 def _baseline_pairs(segments: list[np.ndarray]) -> list[tuple[np.ndarray, int]]:

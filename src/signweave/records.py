@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -28,16 +30,19 @@ class IngestError(ValueError):
 
 @dataclass
 class WordRecord:
+    """One W record. Its four motion parts are flat float64 arrays, as are
+    a `Sentence`'s `frames`: 8 B a value, where a list of floats takes 32."""
+
     gloss: str
     source_info: dict
     segment: dict
     enrichment: dict
     is_dominant: bool
     core_span: tuple[int, int]
-    facial_expression: list[float]
-    body: list[float]
-    rhands: list[float]
-    lhands: list[float]
+    facial_expression: np.ndarray
+    body: np.ndarray
+    rhands: np.ndarray
+    lhands: np.ndarray
 
     @property
     def num_frames(self) -> int:
@@ -48,7 +53,7 @@ class WordRecord:
 class Sentence:
     text: str
     glosses: list[str]
-    frames: dict[str, list[float]]
+    frames: dict[str, np.ndarray]
     gloss_spans: list[tuple[int, int]] | None = None
 
 
@@ -82,6 +87,18 @@ def _check_flat_arrays(arrays: dict, where: str) -> int:
     if t == 0:
         raise IngestError(where, "empty motion arrays")
     return t
+
+
+def _part_arrays(raw: dict, where: str) -> dict[str, np.ndarray]:
+    """The four checked motion lists of `raw` as flat float64 arrays; an int
+    becomes the float nearest to it."""
+    parts = {}
+    for key in PART_FRAME_DIMS:
+        try:
+            parts[key] = np.array(raw[key], dtype=np.float64)
+        except OverflowError:
+            raise IngestError(where, f"{key} holds a number outside the float64 range") from None
+    return parts
 
 
 def _span(value, t: int, name: str, where: str) -> tuple[int, int]:
@@ -131,10 +148,7 @@ def _parse_word_record(raw: dict, where: str, strict: bool) -> WordRecord:
         enrichment=_typed(raw, "enrichment", dict, where),
         is_dominant=_scalar(raw, "is_dominant", bool, where, default=True),
         core_span=_span(raw["core_span"], t, "core_span", where),
-        facial_expression=raw["facial_expression"],
-        body=raw["body"],
-        rhands=raw["rhands"],
-        lhands=raw["lhands"],
+        **_part_arrays(raw, where),
     )
 
 
@@ -152,7 +166,7 @@ def _parse_sentence(raw: dict, where: str, strict: bool) -> Sentence:
     return Sentence(
         text=_scalar(raw, "text", str, where),
         glosses=glosses,
-        frames={k: raw[k] for k in PART_FRAME_DIMS},
+        frames=_part_arrays(raw, where),
         gloss_spans=spans,
     )
 
@@ -174,23 +188,63 @@ def _parse_dialogue(raw: dict, where: str, strict: bool) -> DialogueRecord:
     return DialogueRecord(turns)
 
 
+# JSON's whitespace: space, tab, line feed and carriage return
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _array_items(text: str, path) -> Iterator:
+    """The values of the JSON array `text`, parsed one at a time, so that a
+    caller can shrink each before the next is parsed. Text that is not JSON
+    raises a ValueError `<path>: not valid JSON (<reason>)`, with the reason
+    `json.loads` would give; JSON that is not an array raises `<path>:
+    expected a JSON array of records`."""
+    def invalid(msg: str) -> ValueError:
+        return ValueError(f"{path}: not valid JSON ({msg})")
+
+    skip = _WHITESPACE.match
+    decode = json.JSONDecoder().raw_decode
+    pos = skip(text).end()
+    if not text.startswith("[", pos):
+        try:
+            json.loads(text)
+        except json.JSONDecodeError as err:
+            raise invalid(err.msg) from None
+        raise ValueError(f"{path}: expected a JSON array of records")
+    pos = skip(text, pos + 1).end()
+    if not text.startswith("]", pos):
+        while True:
+            try:
+                item, pos = decode(text, pos)
+            except json.JSONDecodeError as err:
+                raise invalid(err.msg) from None
+            yield item
+            pos = skip(text, pos).end()
+            if not text.startswith(",", pos):
+                break
+            pos = skip(text, pos + 1).end()
+        if not text.startswith("]", pos):
+            raise invalid("Expecting ',' delimiter")
+    if skip(text, pos + 1).end() != len(text):
+        raise invalid("Extra data")
+
+
 def ingest(path: str | Path, schema: str, strict: bool = True):
     """Load and validate a word-level ('W') or dialogue-level ('U') JSON file.
 
-    A record that does not match the schema raises an IngestError (a
-    ValueError) naming the path and the record."""
+    The file's text is read once and its records are parsed one at a time:
+    each is validated on its parsed lists, then its motion parts become
+    float64 arrays before the next record is parsed, so the file's values
+    are never all held as Python floats. A record that does not match the
+    schema raises an IngestError (a ValueError) naming the path and the
+    record; text that is not a JSON array of records raises a ValueError
+    naming the path, at the point where the parse reaches it."""
     parse = {"W": _parse_word_record, "U": _parse_dialogue}.get(schema)
     if parse is None:
         raise ValueError(f"unknown schema {schema!r}")
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: not valid JSON ({err.msg})") from None
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: expected a JSON array of records")
+        text = fh.read()
     records = []
-    for i, raw in enumerate(data):
+    for i, raw in enumerate(_array_items(text, path)):
         source = raw.get("source_info") if isinstance(raw, dict) else None
         record_id = source.get("id", i) if isinstance(source, dict) else i
         records.append(parse(raw, f"{path}, record {record_id}", strict))
@@ -225,7 +279,7 @@ def read_json_lines(path: str | Path, fields: tuple[str, ...]) -> list[tuple[int
 # conversions to the motion model
 
 
-def frames_from_parts(parts: dict[str, list[float]]) -> np.ndarray:
+def frames_from_parts(parts: dict[str, np.ndarray]) -> np.ndarray:
     """Assemble the 206-dim feature matrix from the four flat arrays.
 
     facial_expression carries the 50 expression coefficients followed by the
@@ -239,7 +293,8 @@ def frames_from_parts(parts: dict[str, list[float]]) -> np.ndarray:
     return np.concatenate([body, fe[:, :50], fe[:, 50:], rh, lh], axis=1)
 
 
-def parts_from_frames(frames: np.ndarray) -> dict[str, list[float]]:
+def parts_from_frames(frames: np.ndarray) -> dict[str, np.ndarray]:
+    """The four flat float64 part arrays of (T, 206) feature frames."""
     layout = PartLayout.base()
     frames = np.asarray(frames, dtype=np.float64)
     body = frames[:, layout.indices("body")]
@@ -249,10 +304,10 @@ def parts_from_frames(frames: np.ndarray) -> dict[str, list[float]]:
     lh = frames[:, layout.indices("lhand")]
     fe = np.concatenate([expr, jaw], axis=1)
     return {
-        "body": body.reshape(-1).tolist(),
-        "facial_expression": fe.reshape(-1).tolist(),
-        "rhands": rh.reshape(-1).tolist(),
-        "lhands": lh.reshape(-1).tolist(),
+        "body": body.reshape(-1),
+        "facial_expression": fe.reshape(-1),
+        "rhands": rh.reshape(-1),
+        "lhands": lh.reshape(-1),
     }
 
 
@@ -300,10 +355,14 @@ def dialogue_to_dict(record: DialogueRecord) -> dict:
     }
 
 
-def export_canonical(records, path: str | Path, schema: str) -> None:
+def export_canonical(records: Iterable, path: str | Path, schema: str) -> None:
     """Deterministic export: sorted keys, compact separators, one array.
 
-    Records are serialized one at a time to keep peak memory bounded.
+    Records are taken from `records` and written one at a time, so an
+    iterator that builds each record on demand keeps peak memory bounded: the
+    next record is asked for only after this one's bytes are in the file. A
+    motion array becomes a list of Python floats only while its record is
+    written (the `default=` hook), so the bytes are those of the list.
     """
     if schema == "W":
         to_dict = word_record_to_dict
@@ -316,5 +375,6 @@ def export_canonical(records, path: str | Path, schema: str) -> None:
         for i, record in enumerate(records):
             if i:
                 fh.write(",")
-            fh.write(json.dumps(to_dict(record), sort_keys=True, separators=(",", ":")))
+            fh.write(json.dumps(to_dict(record), sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist))
+            fh.flush()
         fh.write("]")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -148,28 +149,23 @@ class SynthCorpus:
     pair_specs: list[PairSpec]
     layout: PartLayout = field(default_factory=PartLayout.base)
 
-    def word_records(self) -> list[WordRecord]:
-        out = []
+    def word_records(self) -> Iterator[WordRecord]:
+        """One W record per clip, by gloss, each built when it is asked for."""
         for gloss in sorted(self.clips):
             for clip in self.clips[gloss]:
-                parts = parts_from_frames(clip.motion.frames)
-                out.append(WordRecord(
+                yield WordRecord(
                     gloss=gloss,
                     source_info={"id": clip.source["id"], "origin": "synthetic"},
                     segment={"crop_interval": [0, clip.motion.num_frames - 1], "bbox": [0, 0, 1, 1]},
                     enrichment={"meaning": gloss.lower()},
                     is_dominant=True,
                     core_span=clip.core_span,
-                    facial_expression=parts["facial_expression"],
-                    body=parts["body"],
-                    rhands=parts["rhands"],
-                    lhands=parts["lhands"],
-                ))
-        return out
+                    **parts_from_frames(clip.motion.frames),
+                )
 
-    def dialogue_records(self) -> list[DialogueRecord]:
-        """Pack consecutive sentences into user/assistant turn pairs."""
-        out = []
+    def dialogue_records(self) -> Iterator[DialogueRecord]:
+        """Pack consecutive sentences into user/assistant turn pairs, one
+        dialogue record at a time, each built when it is asked for."""
         for i in range(0, len(self.sentences), 2):
             turns = []
             for j, role in zip((i, i + 1), ("user", "assistant")):
@@ -182,8 +178,7 @@ class SynthCorpus:
                     frames=parts_from_frames(s.frames),
                     gloss_spans=list(s.gloss_spans),
                 )]))
-            out.append(DialogueRecord(turns))
-        return out
+            yield DialogueRecord(turns)
 
 
 class ClipMotion(MotionSequence):

@@ -121,6 +121,27 @@ class TestDataPreparation:
         assert set(data.train_ids).isdisjoint(data.eval_ids)
         assert len(data.cores) == 5 * 3
 
+    @pytest.mark.parametrize("rounds, user", [(1, r"pair \d+ of s\d{4}\.r0"), (0, r"held-out sentence s\d{4}")])
+    def test_qc_discarding_a_composed_clip_is_an_error(self, tmp_path, rounds, user):
+        """Pairs and held-out sentences pick their clip variants before qc
+        runs: qc that discards one of them is a ValueError naming the clip,
+        a user of it and the qc limit, raised before the qc manifest. With no
+        pair rounds, a held-out sentence takes each gloss's variant 0."""
+        config = tiny_config(tmp_path)
+        config.pair_rounds = rounds
+        config.qc = dataclasses.replace(config.qc, max_duration_seconds=2.0)
+        store = StageStore(config.work_dir)
+        with pytest.raises(ValueError) as err:
+            prepare_data(config, store)
+        message = str(err.value)
+        match = re.fullmatch(rf"qc discarded clip (V\d\d\.v\d), which {user} is composed from: it is "
+                             r"longer than qc\.max_duration_seconds \(2\.0 s\)", message)
+        assert match, message
+        corpus = synth_module.synth_generate(config.synth, rounds=config.pair_rounds)
+        clip = next(c for clips in corpus.clips.values() for c in clips if c.source["id"] == match[1])
+        assert clip.motion.duration_seconds > 2.0
+        assert store.manifest_path("synth").is_file() and not store.manifest_path("qc").exists()
+
     def test_duration_examples_cover_pairs(self, tmp_path):
         config = tiny_config(tmp_path)
         data = prepare_data(config, StageStore(config.work_dir))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from itertools import zip_longest
 
 import numpy as np
@@ -19,19 +20,26 @@ from signweave.qc import (
 )
 from signweave.records import (
     IngestError,
+    dialogue_to_dict,
     export_canonical,
     frames_from_parts,
     ingest,
     parts_from_frames,
     word_record_to_clip,
+    word_record_to_dict,
 )
 from signweave.synth import GlossModel, SynthSpec, smoothstep, synth_generate
+
+
+def part_lists(frames):
+    """The four motion parts of `frames` as JSON lists."""
+    return {key: values.tolist() for key, values in parts_from_frames(frames).items()}
 
 
 def make_word_dict(t=12, gloss="HELLO", seed=0):
     rng = np.random.default_rng(seed)
     frames = rng.normal(size=(t, 206))
-    parts = parts_from_frames(frames)
+    parts = part_lists(frames)
     return {
         "gloss": gloss,
         "source_info": {"id": f"{gloss}.v0"},
@@ -111,7 +119,7 @@ class TestDialogueRecords:
             "text": "hello there",
             "glosses": ["HELLO", "THERE"],
             "gloss_spans": [[0, 4], [5, 9]],
-            **parts_from_frames(rng.normal(size=(10, 206))),
+            **part_lists(rng.normal(size=(10, 206))),
         }
         record = {"conversation": [
             {"role": "user", "sentences": [sent]},
@@ -134,7 +142,7 @@ class TestDialogueRecords:
 
 def _sentence_dict(t=6, **changes):
     sent = {"text": "hi there", "glosses": ["HI", "THERE"], "gloss_spans": [[0, 2], [3, t - 1]],
-            **parts_from_frames(np.zeros((t, 206)))}
+            **part_lists(np.zeros((t, 206)))}
     return {k: v for k, v in (sent | changes).items() if v is not None}
 
 
@@ -185,6 +193,164 @@ def test_malformed_record_is_a_clear_error(tmp_path, capsys, schema, record, str
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"{path}, record {record_id}" in captured.err
+
+
+def _dialogue_dict(seed=0):
+    rng = np.random.default_rng(seed)
+    sent = {"text": "hi there", "glosses": ["HI", "THERE"], "gloss_spans": [[0, 2], [3, 5]],
+            **part_lists(rng.normal(size=(6, 206)))}
+    return {"conversation": [{"role": "user", "sentences": [sent]}, {"role": "assistant", "sentences": [sent]}]}
+
+
+def _as_json(record, schema):
+    """An ingested record as the JSON value it was parsed from."""
+    to_dict = word_record_to_dict if schema == "W" else dialogue_to_dict
+    return json.loads(json.dumps(to_dict(record), default=np.ndarray.tolist))
+
+
+def _spaced(text):
+    """`text` with JSON whitespace around every delimiter and the whole value
+    (the records' strings hold no delimiter)."""
+    return " \n" + re.sub(r"([][{},:])", "\r\n \\1\t ", text) + "\n\t"
+
+
+class TestRecordParser:
+    """`ingest` parses the top-level array record by record; it reads the
+    records `json.load` reads, and rejects what `json.load` rejects with the
+    same reason."""
+
+    @pytest.mark.parametrize("schema", ["W", "U"])
+    @pytest.mark.parametrize("layout", ["compact", "indented", "spaced", "empty", "empty-spaced"])
+    def test_layouts_give_json_load_records(self, tmp_path, schema, layout):
+        raws = [make_word_dict(seed=s)[0] if schema == "W" else _dialogue_dict(seed=s) for s in range(3)]
+        text = {
+            "compact": json.dumps(raws, separators=(",", ":")),
+            "indented": json.dumps(raws, indent=2),
+            "spaced": _spaced(json.dumps(raws)),
+            "empty": "[]",
+            "empty-spaced": " \n[ \t\r\n]\n",
+        }[layout]
+        path = tmp_path / "records.json"
+        path.write_text(text)
+        expected = json.loads(text)
+        records = ingest(path, schema)
+        assert [_as_json(r, schema) for r in records] == expected
+        assert len(records) == (0 if layout.startswith("empty") else 3)
+
+    @pytest.mark.parametrize("case", ["object", "number", "number-spaced", "data-after-array",
+                                      "array-after-array", "truncated-in-record", "truncated-after-record",
+                                      "missing-comma", "empty-file", "bare-open"])
+    def test_errors_keep_their_messages(self, tmp_path, case):
+        raws = [make_word_dict(seed=s)[0] for s in range(2)]
+        records = json.dumps(raws, separators=(",", ":"))
+        text = {
+            "object": '{"gloss": "HELLO"}',
+            "number": "5",
+            "number-spaced": " 5 \n",
+            "data-after-array": records + " x",
+            "array-after-array": records + " []",
+            "truncated-in-record": records[: len(records) // 2],
+            "truncated-after-record": records[:-1],
+            "missing-comma": "[" + json.dumps(raws[0]) + " " + json.dumps(raws[1]) + "]",
+            "empty-file": "",
+            "bare-open": "[",
+        }[case]
+        path = tmp_path / "records.json"
+        path.write_text(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as err:
+            expected = f"{path}: not valid JSON ({err.msg})"
+        else:
+            assert not isinstance(data, list)
+            expected = f"{path}: expected a JSON array of records"
+        with pytest.raises(ValueError) as err:
+            ingest(path, "W")
+        assert str(err.value) == expected
+
+    def test_ints_become_float64_and_export_as_floats(self, tmp_path):
+        raw, _ = make_word_dict(t=6)
+        raw["body"] = [0] * 63 * 6
+        raw["rhands"] = [i - 135 for i in range(45 * 6)]
+        path = tmp_path / "words.json"
+        path.write_text(json.dumps([raw]))
+        (record,) = ingest(path, "W")
+        for key in ("body", "facial_expression", "rhands", "lhands"):
+            values = getattr(record, key)
+            assert values.dtype == np.float64 and values.ndim == 1
+            assert values.tolist() == [float(v) for v in raw[key]]
+        out = tmp_path / "export.json"
+        export_canonical([record], out, "W")
+        exported = json.loads(out.read_text())[0]
+        assert all(type(v) is float for v in exported["body"] + exported["rhands"])
+        assert '"body":[0.0,0.0,' in out.read_text()
+        again = tmp_path / "again.json"
+        export_canonical(ingest(out, "W"), again, "W")
+        assert again.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "body must be an array of numbers"),
+        (10**400, "body holds a number outside the float64 range"),
+    ], ids=["bool", "huge-int"])
+    def test_non_float_values_rejected(self, tmp_path, value, message):
+        raw, _ = make_word_dict(t=6)
+        raw["body"] = [value] + raw["body"][1:]
+        path = tmp_path / "words.json"
+        path.write_text(json.dumps([raw]))
+        with pytest.raises(IngestError, match=f"^{re.escape(f'{path}, record HELLO.v0: {message}')}$"):
+            ingest(path, "W")
+
+
+class TestStreamingExport:
+    def test_records_are_iterators_of_float64_arrays(self):
+        corpus = synth_generate(SynthSpec(vocab_size=2, variants_per_gloss=2, n_sentences=3, seed=4))
+        words, dialogues = corpus.word_records(), corpus.dialogue_records()
+        assert iter(words) is words and iter(dialogues) is dialogues
+        word, dialogue = next(words), next(dialogues)
+        parts = [word.body, word.facial_expression, word.rhands, word.lhands,
+                 *dialogue.conversation[0].sentences[0].frames.values()]
+        assert all(isinstance(p, np.ndarray) and p.dtype == np.float64 and p.ndim == 1 for p in parts)
+
+    @pytest.mark.parametrize("schema, source", [("W", "synth"), ("U", "synth"), ("W", "one-frame")])
+    def test_each_record_is_written_before_the_next_is_asked_for(self, tmp_path, schema, source):
+        """Also for records far smaller than a file buffer (one frame, 4 KB)."""
+        if source == "synth":
+            corpus = synth_generate(SynthSpec(vocab_size=3, variants_per_gloss=2, n_sentences=5, seed=4))
+            records = list(corpus.word_records() if schema == "W" else corpus.dialogue_records())
+        else:
+            raws = [make_word_dict(t=1, seed=s)[0] | {"core_span": [0, 0]} for s in range(4)]
+            (tmp_path / "small.json").write_text(json.dumps(raws))
+            records = ingest(tmp_path / "small.json", "W")
+        reference = tmp_path / "reference.json"
+        export_canonical(records, reference, schema)
+        text = reference.read_text()
+        # where each record's text ends in the file, found by a plain JSON parse
+        ends, pos = [], 1
+        for _ in records:
+            _, pos = json.JSONDecoder().raw_decode(text, pos)
+            ends.append(pos)
+            pos += 1
+        assert text[pos - 1 :] == "]"
+
+        path = tmp_path / "streamed.json"
+        sizes = []
+
+        def checked():
+            for k, record in enumerate(records):
+                if k:
+                    sizes.append(path.stat().st_size)
+                    assert sizes[-1] == ends[k - 1]
+                yield record
+
+        export_canonical(checked(), path, schema)
+        assert len(sizes) == len(records) - 1 and path.read_bytes() == reference.read_bytes()
+
+    def test_write_corpus_counts_word_records(self, tmp_path):
+        from signweave.pipeline import write_corpus
+
+        corpus = synth_generate(SynthSpec(vocab_size=3, variants_per_gloss=2, n_sentences=5, seed=4))
+        assert write_corpus(corpus, tmp_path) == 6 == len(ingest(tmp_path / "words.json", "W"))
+        assert len(ingest(tmp_path / "dialogues.json", "U")) == 3
 
 
 class TestQc:
@@ -313,7 +479,8 @@ class TestSynth:
         spec = SynthSpec(vocab_size=2, variants_per_gloss=2, n_sentences=2, seed=14)
         corpus = synth_generate(spec)
         path = tmp_path / "lexicon.json"
-        path.write_text(_json.dumps([word_record_to_dict(r) for r in corpus.word_records()]))
+        path.write_text(_json.dumps([word_record_to_dict(r) for r in corpus.word_records()],
+                                    default=np.ndarray.tolist))
         records = ingest(path, "W")
         assert len(records) == 4
 
