@@ -21,6 +21,8 @@ from .synth import synth_generate
 from .trimming import TrimConfig, trim
 
 
+# argparse's status for a usage error: here also a config a stage rejects
+EXIT_USAGE = 2
 # sysexits.h EX_CANTCREAT: an output file the user named cannot be written
 EXIT_CANNOT_WRITE = 73
 
@@ -362,11 +364,16 @@ def main(argv: list[str] | None = None) -> int:
             args.pipeline_config = _load_config(args)
     except (OSError, ValueError) as err:
         parser.error(str(err))
+    # a stage that rejects its inputs, or an unwritable output, ends the
+    # command with one line
     try:
         return args.func(args)
     except OutputError as err:
         print(f"signweave {args.command}: error: {err}", file=sys.stderr)
         return EXIT_CANNOT_WRITE
+    except ValueError as err:
+        print(f"signweave {args.command}: error: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -398,13 +398,15 @@ def _fit(model, cfg: DurationTrainConfig, n: int, batch) -> list[float]:
 
     `batch(idx)` returns the model inputs of the examples idx, their scale and
     allocation targets cast to the parameter dtype, and the valid mask or None.
-    A non-finite loss raises a ValueError naming the step and the batch.
+    A non-finite loss raises a ValueError naming the step and the batch. The
+    parameters are left without gradients.
     """
     rng = np.random.default_rng(cfg.seed)
     opt = nk.AdamW(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     steps_total = cfg.epochs * max(1, n // cfg.batch_size)
     history = []
     step = 0
+    model.params.zero_grad()
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_losses = []
@@ -414,10 +416,10 @@ def _fit(model, cfg: DurationTrainConfig, n: int, batch) -> list[float]:
             scale, alloc = model.forward(*inputs)
             loss = duration_loss(scale, alloc, s_target, w_target, cfg.tau, cfg.lambda_split, valid)
             nk.check_finite_loss(loss, step, idx)
-            model.params.zero_grad()
             loss.backward()
             model.params.clip_grad_norm(cfg.grad_clip)
             opt.step(lr=nk.cosine_lr(step, steps_total, cfg.lr))
+            model.params.zero_grad()  # the step has used them: no gradient outlives it
             step += 1
             epoch_losses.append(loss.item())
         history.append(float(np.mean(epoch_losses)))

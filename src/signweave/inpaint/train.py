@@ -112,7 +112,8 @@ def train_inpainter(
 ) -> list[float]:
     """Seeded single-coordinator training; returns the per-step loss history.
 
-    A non-finite loss raises a ValueError naming the step and the batch."""
+    A non-finite loss raises a ValueError naming the step and the batch.
+    The parameters are left without gradients."""
     if schedule is None:
         schedule = DiffusionSchedule()
     rng = np.random.default_rng(cfg.seed)
@@ -120,15 +121,16 @@ def train_inpainter(
     opt = nk.AdamW(denoiser.params, lr=cfg.lr, betas=cfg.betas, weight_decay=cfg.weight_decay)
     history = []
     n = len(pairs)
+    denoiser.params.zero_grad()
     for step in range(cfg.steps):
         idx = rng.integers(0, n, size=min(cfg.batch_size, n))
         batch = [pairs[i] for i in idx]
         loss = batch_loss(batch, denoiser, schedule, loss_cfg, rng, (cfg.radius_min, cfg.radius_max))
         nk.check_finite_loss(loss, step, idx)
-        denoiser.params.zero_grad()
         loss.backward()
         denoiser.params.clip_grad_norm(cfg.grad_clip)
         opt.step(lr=nk.cosine_lr(step, cfg.steps, cfg.lr))
+        denoiser.params.zero_grad()  # the step has used them: no gradient outlives it
         denoiser.params.ema_update()
         history.append(loss.item())
     return history

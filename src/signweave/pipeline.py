@@ -630,6 +630,9 @@ def duration_adjust_pair(a: np.ndarray, b: np.ndarray, gloss_model: GlossDuratio
 
 def build_inpaint_items(config: PipelineConfig, data: PreparedData,
                         gloss_model: GlossDurationPredictor) -> list[PairItem]:
+    """The training pairs of the inpainting stage. Each duration-adjusted
+    input is kept in the denoiser's dtype, which `Denoiser.condition` casts
+    it to anyway; the target stays float64 for `q_sample`."""
     items = []
     for spec, sample, a, b in _pairs(data, held_out=False):
         adjusted, plan = duration_adjust_pair(a, b, gloss_model, config.dur_model.window,
@@ -640,7 +643,7 @@ def build_inpaint_items(config: PipelineConfig, data: PreparedData,
             resample_frames(sample.frames[sa : ea + 1], plan.lengths[0]),
             resample_frames(sample.frames[sb : eb + 1], plan.lengths[1]),
         ])
-        items.append(PairItem(adjusted, target, plan.lengths[0]))
+        items.append(PairItem(adjusted.astype(config.denoiser.dtype), target, plan.lengths[0]))
     return items
 
 

@@ -190,64 +190,166 @@ def _parse_dialogue(raw: dict, where: str, strict: bool) -> DialogueRecord:
 
 # JSON's whitespace: space, tab, line feed and carriage return
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
+# characters of the file read at a time
+_WINDOW = 1 << 20
 
 
-def _array_items(text: str, path) -> Iterator:
-    """The values of the JSON array `text`, parsed one at a time, so that a
-    caller can shrink each before the next is parsed. Text that is not JSON
-    raises a ValueError `<path>: not valid JSON (<reason>)`, with the reason
-    `json.loads` would give; JSON that is not an array raises `<path>:
-    expected a JSON array of records`."""
+def _string_end(text: str, i: int) -> int:
+    """The index just past the JSON string that opens at text[i], or -1 when
+    text ends first. A quote after an odd run of backslashes is text."""
+    end = text.find('"', i + 1)
+    while end >= 0:
+        start = end
+        while text[start - 1] == "\\":
+            start -= 1
+        if (end - start) % 2 == 0:
+            return end + 1
+        end = text.find('"', end + 1)
+    return -1
+
+
+def _bracket_end(text: str, i: int, depth: int, open_: str, close: str) -> tuple[int, int]:
+    """Scan the array or object whose `open_` brackets are open to `depth`
+    at text[i], outside any string. Returns (the index just past the bracket
+    that closes it, 0), or, when text ends first, (where to scan on from,
+    the depth there). Only the record's own kind of bracket is counted."""
+    n = len(text)
+
+    def after(char: str, j: int) -> int:
+        k = text.find(char, j)
+        return n if k < 0 else k
+
+    quote, opening, closing = after('"', i), after(open_, i), after(close, i)
+    while True:
+        k = min(quote, opening, closing)
+        if k == n:
+            return n, depth
+        if k == closing:
+            depth -= 1
+            if depth == 0:
+                return k + 1, 0
+            closing = after(close, k + 1)
+        elif k == opening:
+            depth += 1
+            opening = after(open_, k + 1)
+        else:
+            end = _string_end(text, k)
+            if end < 0:
+                return k, depth
+            if opening < end:
+                opening = after(open_, end)
+            if closing < end:
+                closing = after(close, end)
+            quote = after('"', end)
+
+
+def _array_items(fh, path) -> Iterator:
+    """The values of the JSON array in the text file `fh`, parsed one at a
+    time, so that a caller can shrink each before the next is parsed.
+
+    The file is read `_WINDOW` characters at a time. An object or array
+    value is parsed once the scan of its strings and its own brackets
+    (`_bracket_end`) finds its end, and the text before it is dropped as the
+    next window is read: the text held is one value and one window. Any
+    other value, which no record schema accepts, is parsed from the rest of
+    the file. Text that is not JSON raises a ValueError `<path>: not valid
+    JSON (<reason>)`, with the reason `json.loads` would give; JSON that is
+    not an array raises `<path>: expected a JSON array of records`."""
     def invalid(msg: str) -> ValueError:
         return ValueError(f"{path}: not valid JSON ({msg})")
 
-    skip = _WHITESPACE.match
     decode = json.JSONDecoder().raw_decode
-    pos = skip(text).end()
+    text, pos = "", 0
+
+    def more() -> bool:
+        """Drop the text before pos and read the next window; False at the
+        end of the file."""
+        nonlocal text, pos
+        chunk = fh.read(_WINDOW)
+        if not chunk:
+            return False
+        text, pos = text[pos:] + chunk, 0
+        return True
+
+    def skip() -> None:
+        """Move pos past whitespace, to a character or to the end of the file."""
+        nonlocal pos
+        pos = _WHITESPACE.match(text, pos).end()
+        while pos == len(text) and more():
+            pos = _WHITESPACE.match(text, pos).end()
+
+    def read_value() -> None:
+        """Read windows until the value at pos ends in text, or the file ends."""
+        first = text[pos : pos + 1]
+        if first not in ("[", "{"):
+            while more():
+                pass
+            return
+        close = "]" if first == "[" else "}"
+        resume, depth = pos + 1, 1  # where the bracket scan goes on, and its depth there
+        while True:
+            resume, depth = _bracket_end(text, resume, depth, first, close)
+            if depth == 0:
+                return
+            resume -= pos  # more() moves the text so that pos is 0
+            if not more():
+                return
+
+    skip()
     if not text.startswith("[", pos):
         try:
-            json.loads(text)
+            json.loads(text[pos:] + fh.read())
         except json.JSONDecodeError as err:
             raise invalid(err.msg) from None
         raise ValueError(f"{path}: expected a JSON array of records")
-    pos = skip(text, pos + 1).end()
+    pos += 1
+    skip()
     if not text.startswith("]", pos):
         while True:
+            read_value()
             try:
                 item, pos = decode(text, pos)
             except json.JSONDecodeError as err:
                 raise invalid(err.msg) from None
             yield item
-            pos = skip(text, pos).end()
+            skip()
             if not text.startswith(",", pos):
                 break
-            pos = skip(text, pos + 1).end()
+            pos += 1
+            skip()
         if not text.startswith("]", pos):
             raise invalid("Expecting ',' delimiter")
-    if skip(text, pos + 1).end() != len(text):
+    pos += 1
+    skip()
+    if pos != len(text):
         raise invalid("Extra data")
 
 
 def ingest(path: str | Path, schema: str, strict: bool = True):
     """Load and validate a word-level ('W') or dialogue-level ('U') JSON file.
 
-    The file's text is read once and its records are parsed one at a time:
-    each is validated on its parsed lists, then its motion parts become
-    float64 arrays before the next record is parsed, so the file's values
-    are never all held as Python floats. A record that does not match the
-    schema raises an IngestError (a ValueError) naming the path and the
-    record; text that is not a JSON array of records raises a ValueError
-    naming the path, at the point where the parse reaches it."""
+    The file is read about a megabyte at a time and its records are parsed
+    one at a time (`_array_items`): each is validated on its parsed lists,
+    then its motion parts become float64 arrays before the next record is
+    parsed. So the text held is one record and one window, and the file's
+    values are never all held as Python floats. A record that does not
+    match the schema raises an IngestError (a ValueError) naming the path
+    and the record; a file that is not UTF-8 text, or text that is not a
+    JSON array of records, raises a ValueError naming the path, at the
+    point where the parse reaches it."""
     parse = {"W": _parse_word_record, "U": _parse_dialogue}.get(schema)
     if parse is None:
         raise ValueError(f"unknown schema {schema!r}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     records = []
-    for i, raw in enumerate(_array_items(text, path)):
-        source = raw.get("source_info") if isinstance(raw, dict) else None
-        record_id = source.get("id", i) if isinstance(source, dict) else i
-        records.append(parse(raw, f"{path}, record {record_id}", strict))
+    # newline="": the parse sees the file's own line ends, as json.loads would
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            for i, raw in enumerate(_array_items(fh, path)):
+                source = raw.get("source_info") if isinstance(raw, dict) else None
+                record_id = source.get("id", i) if isinstance(source, dict) else i
+                records.append(parse(raw, f"{path}, record {record_id}", strict))
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: not UTF-8 text (byte 0x{err.object[err.start]:02x}: {err.reason})") from None
     return records
 
 

@@ -480,6 +480,21 @@ def test_unwritable_work_dir_is_a_one_line_error(tmp_path, tiny_config_file, cap
     assert captured.err.startswith(f"signweave {command}: error: cannot write {work}: ")
 
 
+def test_stage_value_error_is_a_one_line_usage_error(tmp_path, capsys):
+    """A config that a stage rejects once it runs, here a qc limit that
+    discards a clip a training sentence is composed from, ends the command
+    with exit status 2 and one line, not a traceback."""
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"synth": {"vocab_size": 5, "variants_per_gloss": 3, "n_sentences": 12, "seed": 7}}))
+    argv = ["train-duration", "--config", str(config), "--set", "qc.max_duration_seconds=2.0",
+            "--work-dir", str(tmp_path / "work")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith("signweave train-duration: error: qc discarded clip ")
+    assert captured.err.endswith("it is longer than qc.max_duration_seconds (2.0 s)\n")
+
+
 @pytest.mark.parametrize("command", ["ingest", "qc", "trim", "glossnorm", "stitch", "synth"])
 def test_unwritable_output_is_a_one_line_error(tmp_path, tiny_config_file, capsys, command):
     """An output path that cannot be written ends the command with exit

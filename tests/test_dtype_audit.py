@@ -29,9 +29,20 @@ def recorded(monkeypatch):
     seen = {"optimizers": [], "losses": []}
 
     class RecordingAdamW(nk.AdamW):
+        """Also records the dtype of each gradient a step reads: the trainers
+        clear the gradients once the step has used them."""
+
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.grad_dtypes = {}
             seen["optimizers"].append(self)
+
+        def step(self, lr=None):
+            for name in self.params.names():
+                grad = self.params[name].grad
+                assert grad is not None, name
+                self.grad_dtypes[name] = grad.dtype
+            super().step(lr)
 
     def recording(fn):
         def wrapped(*args, **kwargs):
@@ -67,14 +78,14 @@ def assert_float32_throughout(params, recorded, outputs):
     assert recorded["losses"] and all(loss.dtype == np.float32 for loss in recorded["losses"])
     for name in params.names():
         p = params[name]
-        assert p.grad is not None, name
-        arrays = {"parameter": p.data, "gradient": p.grad,
-                  "first moment": opt._m[name], "second moment": opt._v[name]}
+        assert p.grad is None, name
+        dtypes = {"parameter": p.data.dtype, "gradient": opt.grad_dtypes[name],
+                  "first moment": opt._m[name].dtype, "second moment": opt._v[name].dtype}
         # only a set trained with an EMA keeps shadows
         if params.keeps_ema:
-            arrays["EMA shadow"] = params.ema_value(name)
-        for what, array in arrays.items():
-            assert array.dtype == np.float32, f"{name} {what} is {array.dtype}"
+            dtypes["EMA shadow"] = params.ema_value(name).dtype
+        for what, dtype in dtypes.items():
+            assert dtype == np.float32, f"{name} {what} is {dtype}"
 
 
 def test_gloss_predictor_step(recorded):

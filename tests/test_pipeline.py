@@ -163,6 +163,8 @@ class TestDataPreparation:
         assert items
         for item in items:
             assert item.x_tilde.shape == item.x0.shape
+            # the conditioning reads x_tilde in the denoiser's dtype, q_sample x0 in float64
+            assert item.x_tilde.dtype == config.denoiser.dtype and item.x0.dtype == np.float64
             assert 0 < item.boundary_index < item.x0.shape[0]
 
 

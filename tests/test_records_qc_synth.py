@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import io
 import json
 import re
+import tracemalloc
 from itertools import zip_longest
 
 import numpy as np
 import pytest
 
 import signweave.qc as qc
+import signweave.records as records_module
 from signweave.motion import GlossClip, MotionSequence
 from dtw_oracles import full_feature_costs, loop_subsequence_distance
 from synth_oracles import loop_evaluate, loop_synth_generate
@@ -299,6 +302,124 @@ class TestRecordParser:
         path.write_text(json.dumps([raw]))
         with pytest.raises(IngestError, match=f"^{re.escape(f'{path}, record HELLO.v0: {message}')}$"):
             ingest(path, "W")
+
+
+class TestRecordParserSmallWindow(TestRecordParser):
+    """The same parses and messages when `ingest` reads the file 16 bytes at
+    a time, so that every record crosses a window edge."""
+
+    @pytest.fixture(autouse=True)
+    def small_window(self, monkeypatch):
+        monkeypatch.setattr(records_module, "_WINDOW", 16)
+
+
+# strings that end a record's scan early if quotes, backslashes or brackets
+# inside them were miscounted; the non-ASCII ones are split across windows
+TRICKY_STRINGS = ['say \\"hi\\"', "a\\", "\\\\\\", '"', "}]", "{[", "{{[[\"]}", "é€𝄞 ü", "\\u00e9\\\\\""]
+
+
+def _tricky_words():
+    """Two one-frame W records whose strings hold TRICKY_STRINGS."""
+    parts = part_lists(np.zeros((1, 206)))
+    return [{"gloss": gloss, "source_info": {"id": f"{gloss}.v{i}", "notes": TRICKY_STRINGS},
+             "segment": {}, "is_dominant": True, "enrichment": {"}": "]", "[": {"{": [gloss, "\\"]}}, "core_span": [0, 0], **parts}
+            for i, gloss in enumerate(TRICKY_STRINGS[-2:])]
+
+
+class TestRecordWindow:
+    """`ingest` reads the file a window at a time and finds each record's end
+    by a scan over its strings and brackets; what it parses and the messages
+    it gives do not depend on where the windows fall."""
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 5, 16, 1 << 20])
+    @pytest.mark.parametrize("ascii_only", [True, False])
+    def test_strings_with_quotes_brackets_and_non_ascii(self, tmp_path, monkeypatch, window, ascii_only):
+        monkeypatch.setattr(records_module, "_WINDOW", window)
+        text = json.dumps(_tricky_words(), ensure_ascii=ascii_only)
+        path = tmp_path / "words.json"
+        path.write_text(text, encoding="utf-8")
+        records = ingest(path, "W")
+        assert [_as_json(r, "W") for r in records] == json.loads(text)
+        assert [r.gloss for r in records] == TRICKY_STRINGS[-2:]
+
+    @pytest.mark.parametrize("window", [1, 16])
+    def test_each_record_is_parsed_by_the_window_that_ends_it(self, monkeypatch, window):
+        """The scan finds each record's end where it is: a record is parsed
+        before the window after its last character is read."""
+        monkeypatch.setattr(records_module, "_WINDOW", window)
+        words = _tricky_words()
+        text = json.dumps(words, ensure_ascii=False)
+        ends, pos = [], 1
+        for _ in words:
+            _, pos = json.JSONDecoder().raw_decode(text, pos)
+            ends.append(pos)
+            pos += 2
+        fh = io.StringIO(text)
+        for k, word in enumerate(records_module._array_items(fh, "P")):
+            assert word == words[k]
+            assert fh.tell() < ends[k] + window
+
+    @pytest.mark.parametrize("window", [3, 16])
+    def test_cut_anywhere_gives_the_json_loads_message(self, tmp_path, monkeypatch, window):
+        """The file cut short at each character that is not part of a motion
+        value: inside strings, between escapes, at brackets."""
+        monkeypatch.setattr(records_module, "_WINDOW", window)
+        text = json.dumps(_tricky_words(), ensure_ascii=False)
+        path = tmp_path / "words.json"
+        cuts = [i for i in range(len(text)) if text[i] not in "0.," or text[i - 1] not in "0.,"]
+        for cut in cuts:
+            path.write_text(text[:cut], encoding="utf-8")
+            with pytest.raises(json.JSONDecodeError) as want:
+                json.loads(text[:cut])
+            with pytest.raises(ValueError) as got:
+                ingest(path, "W")
+            assert str(got.value) == f"{path}: not valid JSON ({want.value.msg})", cut
+
+    @pytest.mark.parametrize("window", [1, 3, 1 << 20])
+    @pytest.mark.parametrize("prefix, bad, reason", [
+        ('[{"gloss": "A', b"\xff", "invalid start byte"),
+        ('[{"gloss": "é€', b"\xe2\x82(", "invalid continuation byte"),
+        ('[{"gloss": "𝄞', b"\xf0\x9d", "unexpected end of data"),
+    ], ids=["start-byte", "continuation", "end-of-file"])
+    def test_non_utf8_names_the_path(self, tmp_path, monkeypatch, capsys, window, prefix, bad, reason):
+        """A file that is not UTF-8 is an error naming the path, wherever the
+        windows fall, and `signweave ingest` reports it as a usage error."""
+        monkeypatch.setattr(records_module, "_WINDOW", window)
+        path = tmp_path / "words.json"
+        path.write_bytes(prefix.encode("utf-8") + bad + (b'"}]' if reason != "unexpected end of data" else b""))
+        message = f"{path}: not UTF-8 text (byte 0x{bad[0]:02x}: {reason})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ingest(path, "W")
+
+        from signweave.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--schema", "W", "--path", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"signweave: error: {message}\n" in err and "Traceback" not in err
+
+    def test_peak_memory_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
+        """The memory an ingest holds beyond the records it returns is one
+        record's parse and one window, not the file: 16 records take at most
+        1.3 times what 4 records of the same size take. The window is cut to
+        64 K characters so that 4 records already span several."""
+        monkeypatch.setattr(records_module, "_WINDOW", 1 << 16)
+        raws = [make_word_dict(t=100, seed=s)[0] for s in range(16)]
+        transient = {}
+        for n in (4, 16):
+            path = tmp_path / f"words{n}.json"
+            path.write_text(json.dumps(raws[:n]))
+            assert path.stat().st_size > 16 * records_module._WINDOW
+            tracemalloc.start()
+            try:
+                records = ingest(path, "W")
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(records) == n
+            transient[n] = peak - kept
+        assert transient[16] <= 1.3 * transient[4], transient
 
 
 class TestStreamingExport:
