@@ -52,9 +52,35 @@ def _write_text_output(path: str, text: str) -> None:
         tmp.write_text(text, encoding="utf-8")
 
 
+@contextmanager
+def _reading():
+    """Turn an OSError raised while reading an input file into a ValueError,
+    which `main` reports as a usage error. Its text names the path."""
+    try:
+        yield
+    except OSError as err:
+        raise ValueError(str(err)) from None
+
+
+def _read_json(path: str | Path):
+    """The JSON value in file `path`; a missing file or text that is not
+    JSON raises a ValueError naming the path."""
+    with _reading():
+        text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: not valid JSON ({err.msg})") from None
+
+
+def _read_records(args, schema: str = "W"):
+    with _reading():
+        return ingest(args.path, schema, strict=not args.lenient)
+
+
 def _load_config(args) -> PipelineConfig:
     """The config of a command with the --config, --set and --work-dir flags."""
-    config = config_from_dict(json.loads(Path(args.config).read_text())) if args.config else PipelineConfig()
+    config = config_from_dict(_read_json(args.config)) if args.config else PipelineConfig()
     apply_overrides(config, args.set or [])
     if args.work_dir:
         config.work_dir = args.work_dir
@@ -62,7 +88,7 @@ def _load_config(args) -> PipelineConfig:
 
 
 def cmd_synth(args) -> int:
-    config = args.pipeline_config
+    config = _load_config(args)
     corpus = synth_generate(config.synth, rounds=config.pair_rounds)
     out = Path(args.out)
     with _writing(out):
@@ -73,7 +99,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    records = args.records
+    records = _read_records(args, args.schema)
     print(f"{args.path}: {len(records)} valid {args.schema} records")
     if args.export:
         with _output_file(args.export) as tmp:
@@ -83,7 +109,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_qc(args) -> int:
-    records = args.records
+    records = _read_records(args)
     cfg = QcConfig()
     kept = 0
     # labels by record position: an id need not be there, nor be unique
@@ -132,9 +158,10 @@ def _span_keys(records, path: str) -> list[str]:
 
 
 def cmd_trim(args) -> int:
+    records = _read_records(args)
     cfg = TrimConfig()
     spans = {}
-    for key, record in zip(args.span_keys, args.records):
+    for key, record in zip(_span_keys(records, args.path), records):
         result = trim(word_record_to_clip(record), cfg)
         spans[key] = {
             "span": list(result.span),
@@ -148,10 +175,7 @@ def cmd_trim(args) -> int:
 def _read_json_object(path: str | Path, key: str) -> dict:
     """A JSON file holding an object with a list under `key`; anything else
     raises a ValueError naming the path."""
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path}: not valid JSON ({err.msg})") from None
+    obj = _read_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get(key), list):
         raise ValueError(f"{path}: expected a JSON object with a {key} list")
     return obj
@@ -171,8 +195,9 @@ def _load_stitch_inputs(manifest_path: str, plan_path: str) -> tuple[list, Gloss
 
 
 def cmd_stitch(args) -> int:
-    pairs = args.stitch_pairs
-    out = assemble_sentence(pairs, args.gloss_plan)
+    with _reading():
+        pairs, plan = _load_stitch_inputs(args.pairs_manifest, args.plan)
+    out = assemble_sentence(pairs, plan)
     with _output_file(args.out) as tmp:
         write_motion(tmp, out)
     print(f"stitched {len(pairs)} pairs into {out.num_frames} frames at {args.out}")
@@ -180,30 +205,28 @@ def cmd_stitch(args) -> int:
 
 
 def cmd_glossnorm(args) -> int:
+    out_lines = []
     if args.pairs:
         # filter mode: JSONL of {english, gloss}; emits one report per line
-        reports = []
-        for rec in args.pair_records:
+        with _reading():
+            records = read_json_lines(args.pairs, ("english", "gloss"))
+        for _, rec in records:
             tokens = gn.normalize(gn.tokenize(rec["gloss"]))
             report = gn.filter_pair(rec["english"], tokens)
-            reports.append(json.dumps({
+            out_lines.append(json.dumps({
                 "english": rec["english"],
                 "gloss": gn.detokenize(tokens),
                 "decision": report.decision,
                 "reasons": report.reasons,
             }, sort_keys=True))
-        text = "\n".join(reports) + ("\n" if reports else "")
-        if args.out:
-            _write_text_output(args.out, text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    out_lines = []
-    for line in args.lines:
-        tokens = gn.normalize(gn.tokenize(line))
-        if args.collapse_fingerspell:
-            tokens = gn.collapse_fingerspell(tokens)
-        out_lines.append(gn.detokenize(tokens))
+    else:
+        with _reading():
+            lines = (Path(args.input).read_text() if args.input else sys.stdin.read()).splitlines()
+        for line in lines:
+            tokens = gn.normalize(gn.tokenize(line))
+            if args.collapse_fingerspell:
+                tokens = gn.collapse_fingerspell(tokens)
+            out_lines.append(gn.detokenize(tokens))
     text = "\n".join(out_lines) + ("\n" if out_lines else "")
     if args.out:
         _write_text_output(args.out, text)
@@ -213,10 +236,13 @@ def cmd_glossnorm(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    corpus = args.memory
+    with _reading():
+        corpus = load_corpus(args.corpus)
     if args.eval_queries:
+        with _reading():
+            queries = read_json_lines(args.eval_queries, ("query",))
         rank_lists, refs = [], []
-        for rec in args.queries:
+        for _, rec in queries:
             result = retrieve(rec["query"], corpus, k_out=args.k)
             rank_lists.append([c.document.doc_id for c in result.candidates])
             refs.append(rec.get("reference_id"))
@@ -237,7 +263,7 @@ def cmd_retrieve(args) -> int:
 
 def cmd_run(args) -> int:
     """The stage commands: run the pipeline through `args.until`."""
-    config = args.pipeline_config
+    config = _load_config(args)
     with _writing(config.work_dir):
         Path(config.work_dir).mkdir(parents=True, exist_ok=True)
     report = run_pipeline(config, until=args.until)
@@ -246,8 +272,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_show_config(args) -> int:
-    config = args.pipeline_config
-    print(json.dumps(config_to_dict(config), indent=1, sort_keys=True))
+    print(json.dumps(config_to_dict(_load_config(args)), indent=1, sort_keys=True))
     return 0
 
 
@@ -343,29 +368,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "retrieve" and not args.query and not args.eval_queries:
         parser.error("retrieve requires --query or --eval-queries")
-    # input files are read before dispatch: a missing or malformed one is a
-    # usage error, with the path and the line
-    try:
-        if args.command == "retrieve":
-            args.memory = load_corpus(args.corpus)
-            if args.eval_queries:
-                args.queries = [rec for _, rec in read_json_lines(args.eval_queries, ("query",))]
-        if args.command == "glossnorm" and args.pairs:
-            args.pair_records = [rec for _, rec in read_json_lines(args.pairs, ("english", "gloss"))]
-        elif args.command == "glossnorm":
-            args.lines = (Path(args.input).read_text() if args.input else sys.stdin.read()).splitlines()
-        if args.command in ("ingest", "qc", "trim"):
-            args.records = ingest(args.path, getattr(args, "schema", "W"), strict=not args.lenient)
-        if args.command == "trim":
-            args.span_keys = _span_keys(args.records, args.path)
-        if args.command == "stitch":
-            args.stitch_pairs, args.gloss_plan = _load_stitch_inputs(args.pairs_manifest, args.plan)
-        if hasattr(args, "set"):
-            args.pipeline_config = _load_config(args)
-    except (OSError, ValueError) as err:
-        parser.error(str(err))
-    # a stage that rejects its inputs, or an unwritable output, ends the
-    # command with one line
+    # an input file or config value that the command or a stage rejects, or
+    # an unwritable output, ends the command with one line
     try:
         return args.func(args)
     except OutputError as err:

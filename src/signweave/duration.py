@@ -393,34 +393,26 @@ def train_sentence_predictor(
 
 
 def _fit(model, cfg: DurationTrainConfig, n: int, batch) -> list[float]:
-    """AdamW with a cosine learning rate and gradient clipping over shuffled
-    minibatches of n examples; returns the per-epoch mean losses.
+    """`nk.fit` over shuffled minibatches of n examples, each epoch a new
+    permutation; returns the per-epoch mean losses.
 
     `batch(idx)` returns the model inputs of the examples idx, their scale and
     allocation targets cast to the parameter dtype, and the valid mask or None.
-    A non-finite loss raises a ValueError naming the step and the batch. The
-    parameters are left without gradients.
     """
     rng = np.random.default_rng(cfg.seed)
-    opt = nk.AdamW(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    steps_total = cfg.epochs * max(1, n // cfg.batch_size)
-    history = []
-    step = 0
-    model.params.zero_grad()
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            inputs, s_target, w_target, valid = batch(idx)
-            scale, alloc = model.forward(*inputs)
-            loss = duration_loss(scale, alloc, s_target, w_target, cfg.tau, cfg.lambda_split, valid)
-            nk.check_finite_loss(loss, step, idx)
-            loss.backward()
-            model.params.clip_grad_norm(cfg.grad_clip)
-            opt.step(lr=nk.cosine_lr(step, steps_total, cfg.lr))
-            model.params.zero_grad()  # the step has used them: no gradient outlives it
-            step += 1
-            epoch_losses.append(loss.item())
-        history.append(float(np.mean(epoch_losses)))
-    return history
+
+    def batches():
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            for lo in range(0, n, cfg.batch_size):
+                yield order[lo : lo + cfg.batch_size]
+
+    def loss_of(idx):
+        inputs, s_target, w_target, valid = batch(idx)
+        scale, alloc = model.forward(*inputs)
+        return duration_loss(scale, alloc, s_target, w_target, cfg.tau, cfg.lambda_split, valid)
+
+    losses = nk.fit(model.params, batches(), loss_of, cfg.epochs * max(1, n // cfg.batch_size), cfg.lr,
+                    cfg.weight_decay, cfg.grad_clip)
+    per_epoch = -(-n // cfg.batch_size)
+    return [float(np.mean(losses[e * per_epoch : (e + 1) * per_epoch])) for e in range(cfg.epochs)]

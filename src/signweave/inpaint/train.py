@@ -110,27 +110,16 @@ def train_inpainter(
     cfg: InpaintTrainConfig = InpaintTrainConfig(),
     loss_cfg: LossConfig = LossConfig(),
 ) -> list[float]:
-    """Seeded single-coordinator training; returns the per-step loss history.
-
-    A non-finite loss raises a ValueError naming the step and the batch.
-    The parameters are left without gradients."""
+    """Seeded single-coordinator training (`nk.fit`) over batches drawn with
+    replacement; returns the per-step loss history."""
     if schedule is None:
         schedule = DiffusionSchedule()
     rng = np.random.default_rng(cfg.seed)
-    denoiser.params.ema_decay = cfg.ema_decay
-    opt = nk.AdamW(denoiser.params, lr=cfg.lr, betas=cfg.betas, weight_decay=cfg.weight_decay)
-    history = []
     n = len(pairs)
-    denoiser.params.zero_grad()
-    for step in range(cfg.steps):
-        idx = rng.integers(0, n, size=min(cfg.batch_size, n))
-        batch = [pairs[i] for i in idx]
-        loss = batch_loss(batch, denoiser, schedule, loss_cfg, rng, (cfg.radius_min, cfg.radius_max))
-        nk.check_finite_loss(loss, step, idx)
-        loss.backward()
-        denoiser.params.clip_grad_norm(cfg.grad_clip)
-        opt.step(lr=nk.cosine_lr(step, cfg.steps, cfg.lr))
-        denoiser.params.zero_grad()  # the step has used them: no gradient outlives it
-        denoiser.params.ema_update()
-        history.append(loss.item())
-    return history
+    draws = (rng.integers(0, n, size=min(cfg.batch_size, n)) for _ in range(cfg.steps))
+
+    def loss_of(idx):
+        return batch_loss([pairs[i] for i in idx], denoiser, schedule, loss_cfg, rng, (cfg.radius_min, cfg.radius_max))
+
+    return nk.fit(denoiser.params, draws, loss_of, cfg.steps, cfg.lr, cfg.weight_decay, cfg.grad_clip, cfg.betas,
+                  cfg.ema_decay)

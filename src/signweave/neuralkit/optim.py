@@ -1,11 +1,10 @@
-"""AdamW optimizer with decoupled weight decay, a cosine LR schedule, and a
-guard that stops training on a non-finite loss."""
+"""AdamW optimizer with decoupled weight decay, a cosine LR schedule, and the
+one training loop built from them, which stops on a non-finite loss."""
 from __future__ import annotations
 
 import numpy as np
 
 from .nn import ParameterSet
-from .tensor import Tensor
 
 
 class AdamW:
@@ -75,9 +74,27 @@ def cosine_lr(step: int, total_steps: int, base_lr: float, min_lr: float = 0.0) 
     return float(min_lr + 0.5 * (base_lr - min_lr) * (1.0 + np.cos(np.pi * frac)))
 
 
-def check_finite_loss(loss: Tensor, step: int, batch: np.ndarray) -> None:
-    """Raise a ValueError naming the step and the example indices of the
-    batch when the loss is NaN or infinite."""
-    if not np.all(np.isfinite(loss.data)):
-        raise ValueError(f"non-finite loss {loss.item()} at step {step} "
-                         f"(batch indices {np.asarray(batch).tolist()})")
+def fit(params: ParameterSet, batches, loss_of, total_steps: int, lr: float, weight_decay: float, grad_clip: float,
+        betas: tuple[float, float] = (0.9, 0.999), ema_decay: float | None = None) -> list[float]:
+    """AdamW over `batches`, the example indices of each step; returns the
+    per-step losses. A step scores `loss_of(batch)`, backpropagates, clips
+    the gradient norm, steps at `cosine_lr(step, total_steps, lr)`, clears
+    the gradients and, given `ema_decay`, updates the EMA. A NaN or infinite
+    loss raises a ValueError naming the step and the batch before its step.
+    """
+    opt = AdamW(params, lr=lr, betas=betas, weight_decay=weight_decay)
+    losses = []
+    params.zero_grad()
+    for step, batch in enumerate(batches):
+        loss = loss_of(batch)
+        if not np.all(np.isfinite(loss.data)):
+            raise ValueError(f"non-finite loss {loss.item()} at step {step} "
+                             f"(batch indices {np.asarray(batch).tolist()})")
+        loss.backward()
+        params.clip_grad_norm(grad_clip)
+        opt.step(lr=cosine_lr(step, total_steps, lr))
+        params.zero_grad()  # the step has used them: no gradient outlives it
+        if ema_decay is not None:
+            params.ema_update(ema_decay)
+        losses.append(loss.item())
+    return losses

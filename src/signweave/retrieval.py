@@ -17,6 +17,7 @@ from .glossnorm import char_trigrams, trigram_counts_cosine
 from .records import read_json_lines
 
 FUSE_ALPHA = 0.35
+K_FIRST = 30
 RERANK_WEIGHT = 0.85
 FIRST_STAGE_WEIGHT = 0.15
 
@@ -81,10 +82,6 @@ class SparseScorer(Protocol):
     def score(self, query: str, corpus: Corpus) -> np.ndarray: ...
 
 
-class Reranker(Protocol):
-    def score(self, query: str, candidates: list[Document]) -> np.ndarray: ...
-
-
 class TrigramSparseScorer:
     """Character-trigram TF-IDF stub standing in for a learned sparse encoder."""
 
@@ -142,22 +139,18 @@ def retrieve(
     query: str,
     corpus: Corpus,
     sparse: SparseScorer | None = None,
-    reranker: Reranker | None = None,
-    k_first: int = 30,
     k_out: int = 6,
-    alpha: float = FUSE_ALPHA,
 ) -> RetrievalResult:
     """Two-stage retrieval: fused BM25+sparse, rerank fusion, dedup, top-k."""
     sparse = sparse if sparse is not None else TrigramSparseScorer()
-    reranker = reranker if reranker is not None else OverlapReranker()
     q_tokens = word_tokens(query)
     bm25 = np.array([bm25_score(q_tokens, corpus, i) for i in range(len(corpus))])
     sp = np.asarray(sparse.score(query, corpus), dtype=np.float64)
-    s_first = alpha * min_max_normalize(bm25) + (1.0 - alpha) * min_max_normalize(sp)
+    s_first = FUSE_ALPHA * min_max_normalize(bm25) + (1.0 - FUSE_ALPHA) * min_max_normalize(sp)
 
-    order = np.argsort(-s_first, kind="stable")[:k_first]
+    order = np.argsort(-s_first, kind="stable")[:K_FIRST]
     pool = [corpus.documents[i] for i in order]
-    s_rerank = np.asarray(reranker.score(query, pool), dtype=np.float64)
+    s_rerank = np.asarray(OverlapReranker().score(query, pool), dtype=np.float64)
     candidates = []
     for rank, idx in enumerate(order):
         cand = RetrievalCandidate(

@@ -10,6 +10,10 @@ from composed ops: heads split and merged by copies, `rope_apply` per call and
 head-major segment attention (`nn_oracles.composed_segment_attention`), with
 the keys and values cut out of the packed projections as slices.
 `Denoiser.forward` runs each attention sublayer as one node in row layout.
+
+`loop_train_inpainter` is `signweave.inpaint.train_inpainter` as it was
+before it ran on `neuralkit.fit`: its own AdamW step loop, with the
+non-finite loss check it called inlined.
 """
 from __future__ import annotations
 
@@ -17,7 +21,8 @@ import numpy as np
 
 from nn_oracles import composed_segment_attention
 from signweave import neuralkit as nk
-from signweave.inpaint import combined_loss, make_boundary_mask, min_snr_weight, q_sample
+from signweave.inpaint import (DiffusionSchedule, InpaintTrainConfig, LossConfig, batch_loss, combined_loss,
+                               make_boundary_mask, min_snr_weight, q_sample)
 
 
 def full_row_step_loss(item, denoiser, schedule, loss_cfg, t, radius, noise, part_weights):
@@ -26,6 +31,35 @@ def full_row_step_loss(item, denoiser, schedule, loss_cfg, t, radius, noise, par
     x0_hat = denoiser.forward(x_t, t, denoiser.condition(item.x_tilde, mask))
     w_t = min_snr_weight(t, schedule, loss_cfg.min_snr_gamma)
     return combined_loss(x0_hat, item.x0, mask.values, part_weights, w_t, loss_cfg)
+
+
+def loop_train_inpainter(pairs, denoiser, schedule=None, cfg=InpaintTrainConfig(), loss_cfg=LossConfig()):
+    """Seeded single-coordinator training; returns the per-step loss history.
+
+    A non-finite loss raises a ValueError naming the step and the batch.
+    The parameters are left without gradients."""
+    if schedule is None:
+        schedule = DiffusionSchedule()
+    rng = np.random.default_rng(cfg.seed)
+    denoiser.params.ema_decay = cfg.ema_decay
+    opt = nk.AdamW(denoiser.params, lr=cfg.lr, betas=cfg.betas, weight_decay=cfg.weight_decay)
+    history = []
+    n = len(pairs)
+    denoiser.params.zero_grad()
+    for step in range(cfg.steps):
+        idx = rng.integers(0, n, size=min(cfg.batch_size, n))
+        batch = [pairs[i] for i in idx]
+        loss = batch_loss(batch, denoiser, schedule, loss_cfg, rng, (cfg.radius_min, cfg.radius_max))
+        if not np.all(np.isfinite(loss.data)):
+            raise ValueError(f"non-finite loss {loss.item()} at step {step} "
+                             f"(batch indices {np.asarray(idx).tolist()})")
+        loss.backward()
+        denoiser.params.clip_grad_norm(cfg.grad_clip)
+        opt.step(lr=nk.cosine_lr(step, cfg.steps, cfg.lr))
+        denoiser.params.zero_grad()  # the step has used them: no gradient outlives it
+        denoiser.params.ema_update()
+        history.append(loss.item())
+    return history
 
 
 class ComposedDenoiser:

@@ -78,21 +78,17 @@ def test_retrieve_command(tmp_path, capsys):
 def test_retrieve_malformed_corpus_is_a_usage_error(tmp_path, capsys):
     corpus_path = tmp_path / "bad.jsonl"
     corpus_path.write_text(json.dumps({"gloss": "TEA", "id": "a"}) + "\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["retrieve", "--corpus", str(corpus_path), "--query", "hi"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage: signweave")
-    assert f"error: {corpus_path}, line 1: expected a JSON object with english" in captured.err
+    assert main(["retrieve", "--corpus", str(corpus_path), "--query", "hi"]) == 2
+    assert capsys.readouterr() == ("", f"signweave retrieve: error: {corpus_path}, line 1: "
+                                       "expected a JSON object with english and gloss fields\n")
 
 
 @pytest.mark.parametrize("command, lines, message", [
     ("eval-queries", [{"query": "drink coffee", "reference_id": "b"}, {"reference_id": "a"}],
-     "line 2: expected a JSON object with query field"),
-    ("pairs", ["", {"english": "hello"}], "line 2: expected a JSON object with english and gloss fields"),
-    ("pairs", ['{"english": "hello", "gloss"'], "line 1: not valid JSON"),
-    ("missing-corpus", [], "No such file or directory"),
+     "{path}, line 2: expected a JSON object with query field"),
+    ("pairs", ["", {"english": "hello"}], "{path}, line 2: expected a JSON object with english and gloss fields"),
+    ("pairs", ['{"english": "hello", "gloss"'], "{path}, line 1: not valid JSON (Expecting ':' delimiter)"),
+    ("missing-corpus", [], "[Errno 2] No such file or directory: '{missing}'"),
 ])
 def test_jsonl_input_errors_are_usage_errors(tmp_path, capsys, command, lines, message):
     corpus_path = tmp_path / "memory.jsonl"
@@ -104,27 +100,25 @@ def test_jsonl_input_errors_are_usage_errors(tmp_path, capsys, command, lines, m
         "pairs": ["glossnorm", "--pairs", str(path)],
         "missing-corpus": ["retrieve", "--corpus", str(tmp_path / "missing.jsonl"), "--query", "hi"],
     }[command]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage: signweave")
-    where = tmp_path / "missing.jsonl" if command == "missing-corpus" else f"{path}, "
-    assert str(where) in captured.err and message in captured.err
+    assert main(argv) == 2
+    message = message.format(path=path, missing=tmp_path / "missing.jsonl")
+    assert capsys.readouterr() == ("", f"signweave {argv[0]}: error: {message}\n")
+
+
+MISSING = "[Errno 2] No such file or directory: '{}'"
 
 
 @pytest.mark.parametrize("case, culprit, message", [
-    ("glossnorm-input", "missing.txt", "No such file or directory"),
-    ("ingest-path", "missing.json", "No such file or directory"),
-    ("qc-path", "missing.json", "No such file or directory"),
-    ("trim-path", "missing.json", "No such file or directory"),
-    ("stitch-manifest", "missing.json", "No such file or directory"),
-    ("stitch-plan", "missing.json", "No such file or directory"),
-    ("stitch-motion-file", "gone.svmx", "No such file or directory"),
-    ("manifest-without-pairs", "pairs.json", "expected a JSON object with a pairs list"),
-    ("plan-without-lengths", "plan.json", "expected a JSON object with a lengths list"),
-    ("pair-without-boundary", "pairs.json", "pair 0 is not an object with a file and an integer boundary"),
+    ("glossnorm-input", "missing.txt", MISSING),
+    ("ingest-path", "missing.json", MISSING),
+    ("qc-path", "missing.json", MISSING),
+    ("trim-path", "missing.json", MISSING),
+    ("stitch-manifest", "missing.json", MISSING),
+    ("stitch-plan", "missing.json", MISSING),
+    ("stitch-motion-file", "gone.svmx", MISSING),
+    ("manifest-without-pairs", "pairs.json", "{}: expected a JSON object with a pairs list"),
+    ("plan-without-lengths", "plan.json", "{}: expected a JSON object with a lengths list"),
+    ("pair-without-boundary", "pairs.json", "{}: pair 0 is not an object with a file and an integer boundary"),
 ])
 def test_input_file_errors_are_usage_errors(tmp_path, capsys, case, culprit, message):
     write_motion(tmp_path / "p0.svmx", MotionSequence(np.zeros((10, 206))))
@@ -148,13 +142,8 @@ def test_input_file_errors_are_usage_errors(tmp_path, capsys, case, culprit, mes
         "plan-without-lengths": stitch,
         "pair-without-boundary": stitch,
     }[case]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage: signweave")
-    assert str(tmp_path / culprit) in captured.err and message in captured.err
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"signweave {argv[0]}: error: {message.format(tmp_path / culprit)}\n")
     assert not (tmp_path / "qc.jsonl").exists() and not (tmp_path / "s.svmx").exists()
 
 
@@ -292,7 +281,7 @@ def test_partial_config_section_keeps_pipeline_defaults(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, flags, message", [
-    ("show-config", ["--set", "synth=3"], "config key synth names a nested config"),
+    ("show-config", ["--set", "synth=3"], "config key synth names a nested config and needs an object"),
     ("pipeline", ["--set", "ddim_step=3"], "unknown config key ddim_step"),
     ("train-duration", ["--config", "bad.json"], "unknown config key dur_gloss.stepz"),
     ("train-duration", ["--config", "hook.json"], "unknown config key qc.identity_hook"),
@@ -310,13 +299,17 @@ def test_partial_config_section_keeps_pipeline_defaults(tmp_path, capsys):
     ("pipeline", ["--config", "qc_str.json"], "config key qc.max_duration_seconds must be of type float, got 'ten'"),
     # --set values are checked by the same rule
     ("show-config", ["--set", "ddim_steps=abc"], "config key ddim_steps must be of type int, got 'abc'"),
-    ("pipeline", ["--set", "synth.sentence_length=3"], "config key synth.sentence_length must be a list of 2 items"),
+    ("pipeline", ["--set", "synth.sentence_length=3"],
+     "config key synth.sentence_length must be a list of 2 items, got [3]"),
     ("show-config", ["--set", "denoiser=1"], "config key denoiser names a nested config and needs an object"),
     # the part layout fixes the motion width, and sentences have no gloss limit
     ("train-duration", ["--set", "dur_model.motion_dim=5"], "config key dur_model.motion_dim must be 206, got 5"),
     ("pipeline", ["--config", "motion_dim.json"], "config key dur_model.motion_dim must be 206, got 34"),
     ("train-inpainter", ["--set", "denoiser.motion_dim=206"], "unknown config key denoiser.motion_dim"),
     ("train-duration", ["--set", "dur_model.k_max=2"], "unknown config key dur_model.k_max"),
+    # a config file that cannot be read, or that is not JSON, is named
+    ("show-config", ["--config", "missing.json"], "[Errno 2] No such file or directory: 'missing.json'"),
+    ("pipeline", ["--config", "not_json.json"], "not_json.json: not valid JSON (Expecting value)"),
 ])
 def test_bad_config_key_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flags, message):
     monkeypatch.chdir(tmp_path)
@@ -329,12 +322,9 @@ def test_bad_config_key_is_a_usage_error(tmp_path, monkeypatch, capsys, command,
     (tmp_path / "length3.json").write_text(json.dumps({"synth": {"sentence_length": [3, 8, 9]}}))
     (tmp_path / "tempo_str.json").write_text(json.dumps({"synth": {"sentence_tempo": [0.7, "0.9"]}}))
     (tmp_path / "motion_dim.json").write_text(json.dumps({"dur_model": {"motion_dim": 34}}))
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--work-dir", "work"] + flags)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage: signweave") and f"error: {message}" in captured.err
+    (tmp_path / "not_json.json").write_text("qc.max_duration_seconds = 10\n")
+    assert main([command, "--work-dir", "work"] + flags) == 2
+    assert capsys.readouterr() == ("", f"signweave {command}: error: {message}\n")
     assert not (tmp_path / "work").exists()
 
 
@@ -354,12 +344,8 @@ def test_degenerate_synth_config_is_a_usage_error(tmp_path, monkeypatch, capsys,
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.json").write_text(json.dumps({"synth": synth}))
     out = ["--out", "corpus"] if command == "synth" else []
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--work-dir", "work", "--config", "bad.json"] + out)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage: signweave") and f"error: {message}" in captured.err
+    assert main([command, "--work-dir", "work", "--config", "bad.json"] + out) == 2
+    assert capsys.readouterr() == ("", f"signweave {command}: error: {message}\n")
     assert not (tmp_path / "work").exists() and not (tmp_path / "corpus").exists()
 
 
@@ -436,10 +422,9 @@ def test_trim_repeated_id_is_a_usage_error(tmp_path, words_without_ids, capsys):
     for record in records[2:4]:
         record["source_info"]["id"] = "take-1"
     path.write_text(json.dumps(records))
-    with pytest.raises(SystemExit) as exit_info:
-        main(["trim", "--path", str(path), "--out", str(tmp_path / "spans.json")])
-    assert exit_info.value.code == 2
-    assert "record 3 has the span key 'take-1' of record 2" in capsys.readouterr().err
+    assert main(["trim", "--path", str(path), "--out", str(tmp_path / "spans.json")]) == 2
+    message = f"{path}: record 3 has the span key 'take-1' of record 2"
+    assert capsys.readouterr() == ("", f"signweave trim: error: {message}\n")
     assert not (tmp_path / "spans.json").exists()
 
 

@@ -19,6 +19,7 @@ from signweave.duration import (
 )
 from signweave.inpaint import Denoiser, DenoiserConfig, DiffusionSchedule, InpaintTrainConfig, PairItem
 from signweave.inpaint import train as inpaint_train
+from signweave.neuralkit import optim
 
 MOTION_DIM = 5
 
@@ -51,7 +52,7 @@ def recorded(monkeypatch):
             return loss
         return wrapped
 
-    monkeypatch.setattr(nk, "AdamW", RecordingAdamW)
+    monkeypatch.setattr(optim, "AdamW", RecordingAdamW)  # the name `nk.fit` builds its optimizer from
     monkeypatch.setattr(duration, "duration_loss", recording(duration.duration_loss))
     monkeypatch.setattr(inpaint_train, "batch_loss", recording(inpaint_train.batch_loss))
     return seen

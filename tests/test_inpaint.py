@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from inpaint_oracles import ComposedDenoiser, full_row_step_loss
+from inpaint_oracles import ComposedDenoiser, full_row_step_loss, loop_train_inpainter
 from signweave import neuralkit as nk
 from signweave.inpaint import (
     Denoiser,
@@ -294,6 +294,29 @@ class TestCombinedLoss:
         for name in denoiser.params.names():
             assert np.all(np.isfinite(denoiser.params[name].data)), name
             assert np.all(np.isfinite(denoiser.params.ema_value(name))), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_training_matches_oracle_loop(dtype):
+    """`train_inpainter` on `nk.fit` against the step loop it replaced: five
+    pairs of three lengths at batch 3, so each draw repeats pairs, and an EMA
+    decay other than the one the denoiser was built with."""
+    rng = np.random.default_rng(14)
+    items = []
+    for length in (16, 20, 24, 20, 16):
+        x_tilde = rng.normal(size=(length, 206)) * 0.3
+        items.append(PairItem(x_tilde, x_tilde + rng.normal(size=x_tilde.shape) * 0.05, length // 2))
+    cfg = DenoiserConfig(latent=8, layers=1, heads=2, ffn=16, hand_head_depth=1, dtype=dtype)
+    model, reference = Denoiser(cfg, seed=2), Denoiser(cfg, seed=2)
+    train_cfg = InpaintTrainConfig(steps=6, batch_size=3, lr=1e-2, ema_decay=0.9, radius_min=3, radius_max=6, seed=4)
+    history = train_inpainter(items, model, DiffusionSchedule(), train_cfg)
+    assert history == loop_train_inpainter(items, reference, DiffusionSchedule(), train_cfg)
+    assert len(history) == 6 and model.params.names() == reference.params.names()
+    for name in model.params.names():
+        got, want = model.params[name].data, reference.params[name].data
+        assert got.dtype == want.dtype == dtype and np.array_equal(got, want), name
+        assert np.array_equal(model.params.ema_value(name), reference.params.ema_value(name)), name
+        assert model.params[name].grad is None, name
 
 
 class TestDdim:

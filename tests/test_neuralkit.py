@@ -16,6 +16,7 @@ from signweave.neuralkit import (
     concat,
     cosine_lr,
     dense,
+    fit,
     gelu,
     is_grad_enabled,
     layer_norm,
@@ -512,6 +513,51 @@ class TestAdamWAgainstFp64Oracle:
         for name in params.names():
             assert params[name].data is not before[name]
             assert not np.shares_memory(params[name].data, before[name])
+
+
+class TestFit:
+    """`fit`, the one training loop: a least-squares fit of three weights to
+    five target rows, two rows a batch, over four steps."""
+
+    batches = [np.array([0, 1]), np.array([2, 3]), np.array([4, 0]), np.array([1, 2])]
+
+    @staticmethod
+    def _params(ema_decay=None):
+        params = ParameterSet(dtype=np.float64, ema_decay=ema_decay)
+        params.add("w", np.array([1.0, -2.0, 0.5]))
+        return params
+
+    def _fit(self, params, targets, batches):
+        def loss_of(idx):
+            d = params["w"] - Tensor(targets[idx])
+            return (d * d).mean()
+
+        return fit(params, batches, loss_of, total_steps=len(self.batches), lr=0.1, weight_decay=0.01,
+                   grad_clip=1.0, ema_decay=params.ema_decay)
+
+    def test_returns_per_step_losses_and_updates_the_ema(self):
+        params = self._params(ema_decay=0.5)
+        targets = np.random.default_rng(0).normal(size=(5, 3))
+        losses = self._fit(params, targets, self.batches)
+        assert len(losses) == 4 and all(type(loss) is float for loss in losses)
+        # each loss is scored before its step
+        assert losses[0] == np.mean((np.array([1.0, -2.0, 0.5]) - targets[[0, 1]]) ** 2)
+        assert params["w"].grad is None
+        assert not np.array_equal(params.ema_value("w"), params["w"].data)
+        assert not np.array_equal(params.ema_value("w"), [1.0, -2.0, 0.5])
+
+    def test_non_finite_loss_stops_before_its_step(self):
+        """A NaN loss at step 2 raises, naming the step and the batch, and
+        leaves the parameters as the first two steps left them."""
+        targets = np.random.default_rng(0).normal(size=(5, 3))
+        expected = self._params()
+        self._fit(expected, targets, self.batches[:2])
+        targets[4, 1] = np.nan
+        params = self._params()
+        with pytest.raises(ValueError) as exc:
+            self._fit(params, targets, self.batches)
+        assert str(exc.value) == "non-finite loss nan at step 2 (batch indices [4, 0])"
+        assert np.array_equal(params["w"].data, expected["w"].data)
 
 
 class TestCosineLr:
