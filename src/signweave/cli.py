@@ -14,7 +14,7 @@ from .motion import read_motion, write_motion
 from .pipeline import (PipelineConfig, apply_overrides, atomic_path, config_from_dict, config_to_dict, run_pipeline,
                        write_corpus)
 from .qc import QcConfig, qc_filters
-from .records import export_canonical, ingest, read_json_lines, word_record_to_clip
+from .records import export_canonical, ingest, read_json_lines, utf8_input, word_record_to_clip
 from .retrieval import load_corpus, retrieve
 from .stitch import assemble_sentence
 from .synth import synth_generate
@@ -63,10 +63,10 @@ def _reading():
 
 
 def _read_json(path: str | Path):
-    """The JSON value in file `path`; a missing file or text that is not
-    JSON raises a ValueError naming the path."""
-    with _reading():
-        text = Path(path).read_text()
+    """The JSON value in file `path`; a missing file, or one that is not
+    UTF-8 JSON text, raises a ValueError naming the path."""
+    with _reading(), utf8_input(path):
+        text = Path(path).read_text(encoding="utf-8")
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
@@ -220,8 +220,8 @@ def cmd_glossnorm(args) -> int:
                 "reasons": report.reasons,
             }, sort_keys=True))
     else:
-        with _reading():
-            lines = (Path(args.input).read_text() if args.input else sys.stdin.read()).splitlines()
+        with _reading(), utf8_input(args.input or "stdin"):
+            lines = (Path(args.input).read_text(encoding="utf-8") if args.input else sys.stdin.read()).splitlines()
         for line in lines:
             tokens = gn.normalize(gn.tokenize(line))
             if args.collapse_fingerspell:

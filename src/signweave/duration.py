@@ -11,10 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neuralkit as nk
+from .motion import BASE_DIM
 from .neuralkit import ParameterSet, Tensor
 
 SCALE_CLAMP = 3.0
 LOG_EPS = 1e-12
+LAMBDA_SPLIT = 1.0  # weight of the allocation cross-entropy against the scale pinball loss
 
 
 @dataclass
@@ -91,11 +93,11 @@ def duration_loss(
     s_target: float | np.ndarray,
     w_target: np.ndarray,
     tau: float,
-    lambda_split: float = 1.0,
+    *,
     valid: np.ndarray | None = None,
 ) -> Tensor:
-    """Pinball on the scale residual plus cross-entropy on the allocation, each
-    averaged over the batch.
+    """Pinball on the scale residual plus LAMBDA_SPLIT times the cross-entropy
+    on the allocation, each averaged over the batch.
 
     Takes one example (scalar scale, (K,) allocation) or a batch ((B, 1)
     scales, (B, K) allocations); `valid` (B, K) drops padded slots from the
@@ -109,7 +111,7 @@ def duration_loss(
     if valid is not None:
         terms = nk.where(valid, terms, Tensor(np.zeros(terms.shape, dtype=terms.dtype)))
     ce = -terms.sum(axis=-1).mean()
-    return pin + ce * lambda_split
+    return pin + ce * LAMBDA_SPLIT
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +165,7 @@ def token_feature_dim(motion_dim: int) -> int:
 
 @dataclass(frozen=True)
 class DurationModelConfig:
-    motion_dim: int = 206
+    motion_dim: int = BASE_DIM
     hidden: int = 256
     mlp_layers: int = 4
     sent_layers: int = 3
@@ -184,7 +186,7 @@ class GlossDurationPredictor:
 
     def __init__(self, cfg: DurationModelConfig = DurationModelConfig(), seed: int | None = 0):
         self.cfg = cfg
-        self.params = ParameterSet(dtype=cfg.dtype, ema_decay=None)  # trained without an EMA
+        self.params = ParameterSet(dtype=cfg.dtype, keeps_ema=False)  # trained without an EMA
         rng = None if seed is None else np.random.default_rng(seed)
         in_dim = pair_feature_dim(cfg.motion_dim)
         dims = [in_dim] + [cfg.hidden] * cfg.mlp_layers
@@ -218,7 +220,7 @@ class SentenceDurationPredictor:
 
     def __init__(self, cfg: DurationModelConfig = DurationModelConfig(), seed: int | None = 0):
         self.cfg = cfg
-        self.params = ParameterSet(dtype=cfg.dtype, ema_decay=None)  # trained without an EMA
+        self.params = ParameterSet(dtype=cfg.dtype, keeps_ema=False)  # trained without an EMA
         rng = None if seed is None else np.random.default_rng(seed)
         h = cfg.hidden
         self._proj = nk.init_dense(self.params, "proj", token_feature_dim(cfg.motion_dim), h, rng)
@@ -329,12 +331,10 @@ def integer_plan(t_src: int, pred: DurationPrediction, min_len: int = 4) -> Glos
 @dataclass
 class DurationTrainConfig:
     tau: float = 0.55
-    lambda_split: float = 1.0
     lr: float = 1e-3
     weight_decay: float = 1e-4
     batch_size: int = 64
     epochs: int = 50
-    grad_clip: float = 1.0
     seed: int = 0
 
 
@@ -410,9 +410,9 @@ def _fit(model, cfg: DurationTrainConfig, n: int, batch) -> list[float]:
     def loss_of(idx):
         inputs, s_target, w_target, valid = batch(idx)
         scale, alloc = model.forward(*inputs)
-        return duration_loss(scale, alloc, s_target, w_target, cfg.tau, cfg.lambda_split, valid)
+        return duration_loss(scale, alloc, s_target, w_target, cfg.tau, valid=valid)
 
     losses = nk.fit(model.params, batches(), loss_of, cfg.epochs * max(1, n // cfg.batch_size), cfg.lr,
-                    cfg.weight_decay, cfg.grad_clip)
+                    cfg.weight_decay)
     per_epoch = -(-n // cfg.batch_size)
     return [float(np.mean(losses[e * per_epoch : (e + 1) * per_epoch])) for e in range(cfg.epochs)]

@@ -21,9 +21,7 @@ CLASSIFIER_FAMILIES = ("DCL", "TCL", "PCL", "SCL", "BCL")
 META_TOKENS = {"NEXT-TOPIC", "CURRENT-TOPIC"}
 PERSON_CODES = ("1p", "2p", "3p", "loc", "honorific")
 
-_INDEXED_RE = re.compile(
-    r"^(?P<head>(IX|POSS|SELF)-(?:1p|2p|3p|loc|honorific))(?::(?P<locus>\S+))?$"
-)
+_INDEXED_RE = re.compile(rf"^(?P<head>(IX|POSS|SELF)-(?:{'|'.join(PERSON_CODES)}))(?::(?P<locus>\S+))?$")
 
 
 @dataclass(frozen=True)

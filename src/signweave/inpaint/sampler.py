@@ -55,7 +55,7 @@ def ddim_refine(
     return x0_comp
 
 
-def linear_transition_baseline(a: np.ndarray, b: np.ndarray, transition_frames: int = 4) -> tuple[np.ndarray, int]:
+def linear_transition_baseline(a: np.ndarray, b: np.ndarray, transition_frames: int) -> tuple[np.ndarray, int]:
     """Concatenation with linearly interpolated transition frames at the boundary.
 
     Returns the composed pair and the boundary index (the midpoint of the

@@ -32,14 +32,17 @@ class PairItem:
 class InpaintTrainConfig:
     lr: float = 3e-4
     weight_decay: float = 1e-4
-    betas: tuple[float, float] = (0.9, 0.999)
-    grad_clip: float = 1.0
     ema_decay: float = 0.9999
     batch_size: int = 16
     steps: int = 1500
     radius_min: int = RADIUS_MIN
     radius_max: int = RADIUS_MAX
     seed: int = 0
+
+    def __post_init__(self):
+        # a decay of 1 would leave the shadows, which compose samples with, untrained
+        if not 0.0 <= self.ema_decay < 1.0:
+            raise ValueError(f"inpaint_train.ema_decay must lie in [0, 1), got {self.ema_decay}")
 
 
 def packed_step_loss(
@@ -121,5 +124,4 @@ def train_inpainter(
     def loss_of(idx):
         return batch_loss([pairs[i] for i in idx], denoiser, schedule, loss_cfg, rng, (cfg.radius_min, cfg.radius_max))
 
-    return nk.fit(denoiser.params, draws, loss_of, cfg.steps, cfg.lr, cfg.weight_decay, cfg.grad_clip, cfg.betas,
-                  cfg.ema_decay)
+    return nk.fit(denoiser.params, draws, loss_of, cfg.steps, cfg.lr, cfg.weight_decay, cfg.ema_decay)

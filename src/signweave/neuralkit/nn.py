@@ -298,16 +298,13 @@ def segment_attention(q: Tensor, k: Tensor | None, v: Tensor | None, q_offsets: 
 
 
 class ParameterSet:
-    """Named parameter tensors with gradient slots and, unless `ema_decay` is
-    None, EMA shadow copies. A set without shadows has no `ema_update`,
-    `ema_value` or `swap_in_ema`, and its checkpoint holds no EMA records."""
+    """Named parameter tensors with gradient slots and, if `keeps_ema`, EMA
+    shadow copies. A set without shadows has no `ema_update`, `ema_value` or
+    `swap_in_ema`, and its checkpoint holds no EMA records."""
 
-    def __init__(self, dtype=np.float32, ema_decay: float | None = 0.9999):
-        if ema_decay is not None and not 0.0 <= ema_decay < 1.0:
-            raise ValueError("ema decay must lie in [0, 1)")
+    def __init__(self, dtype=np.float32, keeps_ema: bool = True):
         self.dtype = dtype
-        self.ema_decay = ema_decay
-        self.keeps_ema = ema_decay is not None
+        self.keeps_ema = keeps_ema
         self._params: dict[str, Tensor] = {}
         self._ema: dict[str, np.ndarray] = {}
 
@@ -341,15 +338,14 @@ class ParameterSet:
 
     def _need_ema(self) -> None:
         if not self.keeps_ema:
-            raise ValueError("this parameter set keeps no EMA shadows (ema_decay=None)")
+            raise ValueError("this parameter set keeps no EMA shadows (keeps_ema=False)")
 
-    def ema_update(self, decay: float | None = None) -> None:
+    def ema_update(self, decay: float) -> None:
         self._need_ema()
-        d = self.ema_decay if decay is None else decay
         for name, t in self._params.items():
             shadow = self._ema[name]
-            shadow *= d
-            shadow += (1.0 - d) * t.data
+            shadow *= decay
+            shadow += (1.0 - decay) * t.data
 
     def ema_value(self, name: str) -> np.ndarray:
         self._need_ema()

@@ -6,6 +6,8 @@ import numpy as np
 
 from .nn import ParameterSet
 
+GRAD_CLIP = 1.0  # the global gradient norm `fit` clips to
+
 
 class AdamW:
     """AdamW (Loshchilov & Hutter, arXiv:1711.05101).
@@ -74,15 +76,14 @@ def cosine_lr(step: int, total_steps: int, base_lr: float, min_lr: float = 0.0) 
     return float(min_lr + 0.5 * (base_lr - min_lr) * (1.0 + np.cos(np.pi * frac)))
 
 
-def fit(params: ParameterSet, batches, loss_of, total_steps: int, lr: float, weight_decay: float, grad_clip: float,
-        betas: tuple[float, float] = (0.9, 0.999), ema_decay: float | None = None) -> list[float]:
+def fit(params: ParameterSet, batches, loss_of, total_steps: int, lr: float, weight_decay: float,
+        ema_decay: float | None = None) -> list[float]:
     """AdamW over `batches`, the example indices of each step; returns the
     per-step losses. A step scores `loss_of(batch)`, backpropagates, clips
-    the gradient norm, steps at `cosine_lr(step, total_steps, lr)`, clears
-    the gradients and, given `ema_decay`, updates the EMA. A NaN or infinite
-    loss raises a ValueError naming the step and the batch before its step.
-    """
-    opt = AdamW(params, lr=lr, betas=betas, weight_decay=weight_decay)
+    the gradient norm to GRAD_CLIP, steps at `cosine_lr(step, total_steps,
+    lr)`, clears the gradients and, given `ema_decay`, updates the EMA. A NaN
+    or infinite loss raises a ValueError naming the step and the batch before its step."""
+    opt = AdamW(params, lr=lr, weight_decay=weight_decay)
     losses = []
     params.zero_grad()
     for step, batch in enumerate(batches):
@@ -91,7 +92,7 @@ def fit(params: ParameterSet, batches, loss_of, total_steps: int, lr: float, wei
             raise ValueError(f"non-finite loss {loss.item()} at step {step} "
                              f"(batch indices {np.asarray(batch).tolist()})")
         loss.backward()
-        params.clip_grad_norm(grad_clip)
+        params.clip_grad_norm(GRAD_CLIP)
         opt.step(lr=cosine_lr(step, total_steps, lr))
         params.zero_grad()  # the step has used them: no gradient outlives it
         if ema_decay is not None:

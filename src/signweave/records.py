@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -26,6 +27,15 @@ class IngestError(ValueError):
 
     def __init__(self, where: str, message: str):
         super().__init__(f"{where}: {message}")
+
+
+@contextmanager
+def utf8_input(path):
+    """Turn a UnicodeDecodeError raised while reading `path` into a ValueError naming the path and the byte."""
+    try:
+        yield
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text (byte 0x{err.object[err.start]:02x}: {err.reason})") from None
 
 
 @dataclass
@@ -342,14 +352,11 @@ def ingest(path: str | Path, schema: str, strict: bool = True):
         raise ValueError(f"unknown schema {schema!r}")
     records = []
     # newline="": the parse sees the file's own line ends, as json.loads would
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            for i, raw in enumerate(_array_items(fh, path)):
-                source = raw.get("source_info") if isinstance(raw, dict) else None
-                record_id = source.get("id", i) if isinstance(source, dict) else i
-                records.append(parse(raw, f"{path}, record {record_id}", strict))
-        except UnicodeDecodeError as err:
-            raise ValueError(f"{path}: not UTF-8 text (byte 0x{err.object[err.start]:02x}: {err.reason})") from None
+    with open(path, encoding="utf-8", newline="") as fh, utf8_input(path):
+        for i, raw in enumerate(_array_items(fh, path)):
+            source = raw.get("source_info") if isinstance(raw, dict) else None
+            record_id = source.get("id", i) if isinstance(source, dict) else i
+            records.append(parse(raw, f"{path}, record {record_id}", strict))
     return records
 
 
@@ -358,9 +365,9 @@ def read_json_lines(path: str | Path, fields: tuple[str, ...]) -> list[tuple[int
     number, object) pairs.
 
     A line that is not a JSON object carrying every one of `fields` raises a
-    ValueError naming the path and the line number."""
+    ValueError naming the path and the line number (`utf8_input` names it for text that is not UTF-8)."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, utf8_input(path):
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

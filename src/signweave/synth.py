@@ -14,8 +14,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .motion import DEFAULT_FPS, GlossClip, MotionSequence, PartLayout, checked_frames
+from .motion import GlossClip, MotionSequence, PartLayout, checked_frames
 from .records import DialogueRecord, DialogueTurn, Sentence, WordRecord, parts_from_frames
+
+# how an isolated variant departs from its gloss model (`_variant_clip`)
+VARIANT_STRETCH = (1.15, 1.60)  # (low, high) tempo stretch of the core
+RETRACT_FRAMES = (6, 14)  # (low, high) length of the retraction ramp
+AMPLITUDE_JITTER = 0.06  # standard deviation of the per-feature amplitude scale
+STYLE_NOISE = 0.015  # standard deviation of the per-feature style offset
+TIMING_WARP = 0.25  # largest timing warp either way
 
 
 @dataclass(frozen=True)
@@ -24,15 +31,9 @@ class SynthSpec:
     variants_per_gloss: int = 14
     n_sentences: int = 500
     sentence_length: tuple[int, int] = (3, 8)
-    fps: int = DEFAULT_FPS
     canonical_duration: tuple[int, int] = (22, 40)
     sentence_tempo: tuple[float, float] = (0.70, 0.95)
-    variant_stretch: tuple[float, float] = (1.15, 1.60)
     prep_frames: tuple[int, int] = (6, 14)
-    retract_frames: tuple[int, int] = (6, 14)
-    amplitude_jitter: float = 0.06
-    style_noise: float = 0.015
-    timing_warp: float = 0.25
     transition_width: int = 8
     # strength of the pair-specific co-articulation bump inside transitions;
     # isolated clips never contain it, so it must be learned from pair context
@@ -186,14 +187,13 @@ class ClipMotion(MotionSequence):
     ramp. The length is known from the draws, so the clip's span check and
     qc read no frame; the frames are built from the draws on the first read
     of `frames`, since a pipeline rerun that hits its caches reads few or
-    none of them."""
+    none of them. Its `fps` is `MotionSequence`'s default."""
 
     def __init__(self, model: GlossModel, core_len: int, warp: float, amp_scale: np.ndarray,
-                 offset_shift: np.ndarray, style: np.ndarray, prep_len: int, retract_len: int, fps: int):
+                 offset_shift: np.ndarray, style: np.ndarray, prep_len: int, retract_len: int):
         self.model, self.core_len, self.warp = model, core_len, warp
         self.amp_scale, self.offset_shift, self.style = amp_scale, offset_shift, style
         self.prep_len, self.retract_len = prep_len, retract_len
-        self.fps = fps
 
     @cached_property
     def frames(self) -> np.ndarray:
@@ -211,21 +211,20 @@ class ClipMotion(MotionSequence):
         return self.prep_len + self.core_len + self.retract_len
 
 
-def _variant_clip(model: GlossModel, variant: int, rng: np.random.Generator,
-                  spec: SynthSpec, fps: int) -> GlossClip:
+def _variant_clip(model: GlossModel, variant: int, rng: np.random.Generator, spec: SynthSpec) -> GlossClip:
     """One isolated variant of a gloss. Its draws come in a fixed order:
     stretch, warp, amplitude scale, offset shift, style noise, then the prep
     and retract lengths."""
     d = model.offset.shape[0]
-    stretch = rng.uniform(*spec.variant_stretch)
+    stretch = rng.uniform(*VARIANT_STRETCH)
     core_len = max(int(round(model.duration * stretch)), 8)
-    warp = rng.uniform(-spec.timing_warp, spec.timing_warp)
-    amp_scale = 1.0 + rng.normal(0.0, spec.amplitude_jitter, size=d)
+    warp = rng.uniform(-TIMING_WARP, TIMING_WARP)
+    amp_scale = 1.0 + rng.normal(0.0, AMPLITUDE_JITTER, size=d)
     offset_shift = rng.normal(0.0, 0.02, size=d)
-    style = rng.normal(0.0, spec.style_noise, size=d)
+    style = rng.normal(0.0, STYLE_NOISE, size=d)
     prep_len = int(rng.integers(spec.prep_frames[0], spec.prep_frames[1] + 1))
-    retract_len = int(rng.integers(spec.retract_frames[0], spec.retract_frames[1] + 1))
-    motion = ClipMotion(model, core_len, warp, amp_scale, offset_shift, style, prep_len, retract_len, fps)
+    retract_len = int(rng.integers(RETRACT_FRAMES[0], RETRACT_FRAMES[1] + 1))
+    motion = ClipMotion(model, core_len, warp, amp_scale, offset_shift, style, prep_len, retract_len)
     return GlossClip(model.name, motion, (prep_len, prep_len + core_len - 1),
                      {"id": f"{model.name}.v{variant}", "variant": variant})
 
@@ -294,8 +293,7 @@ def synth_generate(spec: SynthSpec, rounds: int = 2) -> SynthCorpus:
     models = {name: _make_gloss_model(name, rng, spec, layout) for name in names}
 
     clips = {
-        name: [_variant_clip(models[name], v, rng, spec, spec.fps)
-               for v in range(spec.variants_per_gloss)]
+        name: [_variant_clip(models[name], v, rng, spec) for v in range(spec.variants_per_gloss)]
         for name in names
     }
 

@@ -12,27 +12,25 @@ import numpy as np
 from .motion import GlossClip, MotionSequence, savgol_smooth, temporal_diff
 
 
+LAMBDA_V = 1.0  # weight of the energy's velocity term (`TrimConfig.lambda_a` weighs acceleration)
+N_CONSECUTIVE = 3  # frames a run stays above the threshold to confirm an onset or offset
+SG_WINDOW, SG_ORDER = 7, 2  # Savitzky-Golay smoothing before the energy is taken
+Q_LO, Q_HI = 0.05, 0.95  # energy quantiles that normalization maps to 0 and 1
+
+
 @dataclass(frozen=True)
 class TrimConfig:
-    lambda_v: float = 1.0
     lambda_a: float = 0.5
     theta_act: float = 0.35
-    n_consecutive: int = 3
     margin: int = 3
     t_min: int = 8
     b_min: int = 5
-    sg_window: int = 7
-    sg_order: int = 2
-    q_lo: float = 0.05
-    q_hi: float = 0.95
 
     def __post_init__(self):
-        for name in ["theta_act", "q_lo", "q_hi"]:
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.n_consecutive < 1 or self.margin < 0:
-            raise ValueError("n_consecutive >= 1 and margin >= 0 required")
+        if not 0.0 <= self.theta_act <= 1.0:
+            raise ValueError(f"trim.theta_act must lie in [0, 1], got {self.theta_act}")
+        if self.margin < 0:
+            raise ValueError(f"trim.margin must be at least 0, got {self.margin}")
 
 
 @dataclass
@@ -57,14 +55,14 @@ def motion_energy(x: MotionSequence, cfg: TrimConfig = TrimConfig()) -> np.ndarr
     d = x.dim
     d1 = temporal_diff(x.frames, 1)
     d2 = temporal_diff(x.frames, 2)
-    return (cfg.lambda_v / d) * np.sum(d1**2, axis=1) + (cfg.lambda_a / d) * np.sum(d2**2, axis=1)
+    return (LAMBDA_V / d) * np.sum(d1**2, axis=1) + (cfg.lambda_a / d) * np.sum(d2**2, axis=1)
 
 
-def normalize_energy(energy: np.ndarray, cfg: TrimConfig = TrimConfig()) -> tuple[np.ndarray, list[str]]:
+def normalize_energy(energy: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Quantile-scaled energy in [0, 1]."""
     flags: list[str] = []
-    q_lo = np.quantile(energy, cfg.q_lo)
-    q_hi = np.quantile(energy, cfg.q_hi)
+    q_lo = np.quantile(energy, Q_LO)
+    q_hi = np.quantile(energy, Q_HI)
     if q_hi <= q_lo:
         flags.append("degenerate-energy")
         scaled = np.zeros_like(energy)
@@ -73,29 +71,21 @@ def normalize_energy(energy: np.ndarray, cfg: TrimConfig = TrimConfig()) -> tupl
     return scaled, flags
 
 
-def _stable_runs(energy: np.ndarray, theta: float, n: int) -> np.ndarray:
-    """Boolean array marking window starts t where energy[t : t+n] >= theta throughout."""
-    above = energy >= theta
-    t = len(energy)
-    if t < n:
-        return np.zeros(0, dtype=bool)
-    windows = np.lib.stride_tricks.sliding_window_view(above, n)
-    return windows.all(axis=1)
-
-
 def detect_boundaries(energy: np.ndarray, cfg: TrimConfig = TrimConfig()) -> tuple[int, int, bool]:
     """Continuity-confirmed onset and offset indices.
 
-    Onset is the end of the first n-frame run above threshold in the
-    normalized energy; offset is the start of the last such run.
+    Onset is the end of the first N_CONSECUTIVE-frame run above threshold in
+    the normalized energy; offset is the start of the last such run.
     Returns (t_on, t_off, fallback) with the full range on fallback.
     """
     t = len(energy)
-    n = cfg.n_consecutive
-    runs = _stable_runs(energy, cfg.theta_act, n)
+    if t < N_CONSECUTIVE:
+        return 0, t - 1, True
+    # runs[s]: frames s to s + N_CONSECUTIVE - 1 all lie at or above the threshold
+    runs = np.lib.stride_tricks.sliding_window_view(energy >= cfg.theta_act, N_CONSECUTIVE).all(axis=1)
     if not runs.any():
         return 0, t - 1, True
-    t_on = int(np.argmax(runs)) + n - 1
+    t_on = int(np.argmax(runs)) + N_CONSECUTIVE - 1
     t_off = int(len(runs) - 1 - np.argmax(runs[::-1]))
     return t_on, t_off, False
 
@@ -105,13 +95,13 @@ def trim(clip: GlossClip, cfg: TrimConfig = TrimConfig()) -> TrimResult:
     motion = clip.motion
     t = motion.num_frames
     flags: list[str] = []
-    if cfg.sg_window <= t:
-        smoothed = savgol_smooth(motion, cfg.sg_window, cfg.sg_order)
+    if SG_WINDOW <= t:
+        smoothed = savgol_smooth(motion, SG_WINDOW, SG_ORDER)
     else:
         smoothed = motion
         flags.append("smoothing-skipped")
     energy = motion_energy(smoothed, cfg)
-    scaled, scale_flags = normalize_energy(energy, cfg)
+    scaled, scale_flags = normalize_energy(energy)
     flags.extend(scale_flags)
 
     t_on, t_off, fb = detect_boundaries(scaled, cfg)

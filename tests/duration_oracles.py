@@ -11,6 +11,7 @@ import numpy as np
 
 from signweave import neuralkit as nk
 from signweave.duration import (
+    LAMBDA_SPLIT,
     LOG_EPS,
     DurationTrainConfig,
     GlossDurationPredictor,
@@ -20,6 +21,7 @@ from signweave.duration import (
     _pinball_t,
 )
 from signweave.neuralkit import Tensor
+from signweave.neuralkit.optim import GRAD_CLIP
 
 
 def loop_train_gloss_predictor(
@@ -48,10 +50,10 @@ def loop_train_gloss_predictor(
             pin = _pinball_t(residual, cfg.tau).mean()
             logs = nk.maximum_const(alloc, LOG_EPS).log()
             ce = -(logs * Tensor(allocs[idx].astype(dtype))).sum(axis=-1).mean()
-            loss = pin + ce * cfg.lambda_split
+            loss = pin + ce * LAMBDA_SPLIT
             model.params.zero_grad()
             loss.backward()
-            model.params.clip_grad_norm(cfg.grad_clip)
+            model.params.clip_grad_norm(GRAD_CLIP)
             opt.step(lr=nk.cosine_lr(step, steps_total, cfg.lr))
             step += 1
             epoch_losses.append(loss.item())
@@ -95,10 +97,10 @@ def loop_train_sentence_predictor(
             masked = nk.where(valid, logs * Tensor(w_target.astype(dtype)),
                               Tensor(np.zeros(valid.shape, dtype=dtype)))
             ce = -masked.sum(axis=-1).mean()
-            loss = pin + ce * cfg.lambda_split
+            loss = pin + ce * LAMBDA_SPLIT
             model.params.zero_grad()
             loss.backward()
-            model.params.clip_grad_norm(cfg.grad_clip)
+            model.params.clip_grad_norm(GRAD_CLIP)
             opt.step(lr=nk.cosine_lr(step, steps_total, cfg.lr))
             step += 1
             epoch_losses.append(loss.item())

@@ -23,6 +23,7 @@ from nn_oracles import composed_segment_attention
 from signweave import neuralkit as nk
 from signweave.inpaint import (DiffusionSchedule, InpaintTrainConfig, LossConfig, batch_loss, combined_loss,
                                make_boundary_mask, min_snr_weight, q_sample)
+from signweave.neuralkit.optim import GRAD_CLIP
 
 
 def full_row_step_loss(item, denoiser, schedule, loss_cfg, t, radius, noise, part_weights):
@@ -41,8 +42,7 @@ def loop_train_inpainter(pairs, denoiser, schedule=None, cfg=InpaintTrainConfig(
     if schedule is None:
         schedule = DiffusionSchedule()
     rng = np.random.default_rng(cfg.seed)
-    denoiser.params.ema_decay = cfg.ema_decay
-    opt = nk.AdamW(denoiser.params, lr=cfg.lr, betas=cfg.betas, weight_decay=cfg.weight_decay)
+    opt = nk.AdamW(denoiser.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     history = []
     n = len(pairs)
     denoiser.params.zero_grad()
@@ -54,10 +54,10 @@ def loop_train_inpainter(pairs, denoiser, schedule=None, cfg=InpaintTrainConfig(
             raise ValueError(f"non-finite loss {loss.item()} at step {step} "
                              f"(batch indices {np.asarray(idx).tolist()})")
         loss.backward()
-        denoiser.params.clip_grad_norm(cfg.grad_clip)
+        denoiser.params.clip_grad_norm(GRAD_CLIP)
         opt.step(lr=nk.cosine_lr(step, cfg.steps, cfg.lr))
         denoiser.params.zero_grad()  # the step has used them: no gradient outlives it
-        denoiser.params.ema_update()
+        denoiser.params.ema_update(cfg.ema_decay)
         history.append(loss.item())
     return history
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from signweave.motion import PartLayout
+from signweave.synth import AMPLITUDE_JITTER, RETRACT_FRAMES, STYLE_NOISE, TIMING_WARP, VARIANT_STRETCH
 
 
 def loop_smoothstep(v):
@@ -70,17 +71,17 @@ def _loop_model(rng, spec, layout) -> dict:
 
 def _loop_clip(model: dict, rng, spec) -> tuple[np.ndarray, tuple[int, int]]:
     d = model["offset"].shape[0]
-    stretch = rng.uniform(*spec.variant_stretch)
+    stretch = rng.uniform(*VARIANT_STRETCH)
     core_len = max(int(round(model["duration"] * stretch)), 8)
     u = np.linspace(0.0, 1.0, core_len)
-    warp = rng.uniform(-spec.timing_warp, spec.timing_warp)
+    warp = rng.uniform(-TIMING_WARP, TIMING_WARP)
     u = (1.0 - warp) * u + warp * loop_smoothstep(u)
-    amp_scale = 1.0 + rng.normal(0.0, spec.amplitude_jitter, size=d)
+    amp_scale = 1.0 + rng.normal(0.0, AMPLITUDE_JITTER, size=d)
     offset_shift = rng.normal(0.0, 0.02, size=d)
     core = loop_evaluate(model, u, amp_scale, offset_shift)
-    core += rng.normal(0.0, spec.style_noise, size=d)[None, :] * np.sin(np.pi * u)[:, None]
+    core += rng.normal(0.0, STYLE_NOISE, size=d)[None, :] * np.sin(np.pi * u)[:, None]
     prep_len = int(rng.integers(spec.prep_frames[0], spec.prep_frames[1] + 1))
-    retract_len = int(rng.integers(spec.retract_frames[0], spec.retract_frames[1] + 1))
+    retract_len = int(rng.integers(RETRACT_FRAMES[0], RETRACT_FRAMES[1] + 1))
     ramp_in = loop_smoothstep(np.arange(prep_len) / prep_len)[:, None] * core[0][None, :]
     ramp_out = loop_smoothstep(1.0 - (np.arange(retract_len) + 1) / retract_len)[:, None] * core[-1][None, :]
     return np.concatenate([ramp_in, core, ramp_out], axis=0), (prep_len, prep_len + core_len - 1)

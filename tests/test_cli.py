@@ -147,6 +147,36 @@ def test_input_file_errors_are_usage_errors(tmp_path, capsys, case, culprit, mes
     assert not (tmp_path / "qc.jsonl").exists() and not (tmp_path / "s.svmx").exists()
 
 
+@pytest.mark.parametrize("case", ["config", "glossnorm-input", "glossnorm-pairs", "retrieve-corpus",
+                                  "retrieve-eval-queries", "stitch-manifest", "stitch-plan", "ingest-path"])
+def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, case):
+    """Every text input that does not decode is named in one error line,
+    with the byte that does not decode."""
+    corpus = tmp_path / "memory.jsonl"
+    save_corpus(corpus, [Document("we drink coffee", "IX-1p DRINK COFFEE", "b")])
+    write_motion(tmp_path / "p0.svmx", MotionSequence(np.zeros((10, 206))))
+    manifest, plan = tmp_path / "pairs.json", tmp_path / "plan.json"
+    manifest.write_text(json.dumps({"pairs": [{"file": "p0.svmx", "boundary": 4}]}))
+    plan.write_text(json.dumps({"lengths": [5, 5]}))
+    bad = tmp_path / "nu.json"
+    bad.write_bytes(b'{"seed": "\xff"}')
+    out = str(tmp_path / "s.svmx")
+    argv = {
+        "config": ["show-config", "--config", str(bad)],
+        "glossnorm-input": ["glossnorm", "--input", str(bad)],
+        "glossnorm-pairs": ["glossnorm", "--pairs", str(bad)],
+        "retrieve-corpus": ["retrieve", "--corpus", str(bad), "--query", "coffee"],
+        "retrieve-eval-queries": ["retrieve", "--corpus", str(corpus), "--eval-queries", str(bad)],
+        "stitch-manifest": ["stitch", "--pairs-manifest", str(bad), "--plan", str(plan), "--out", out],
+        "stitch-plan": ["stitch", "--pairs-manifest", str(manifest), "--plan", str(bad), "--out", out],
+        "ingest-path": ["ingest", "--path", str(bad), "--schema", "W"],
+    }[case]
+    assert main(argv) == 2
+    message = f"{bad}: not UTF-8 text (byte 0xff: invalid start byte)"
+    assert capsys.readouterr() == ("", f"signweave {argv[0]}: error: {message}\n")
+    assert not (tmp_path / "s.svmx").exists()
+
+
 def test_stitch_command(tmp_path):
     rng = np.random.default_rng(0)
     pair1 = rng.normal(size=(10, 206))
@@ -310,6 +340,16 @@ def test_partial_config_section_keeps_pipeline_defaults(tmp_path, capsys):
     # a config file that cannot be read, or that is not JSON, is named
     ("show-config", ["--config", "missing.json"], "[Errno 2] No such file or directory: 'missing.json'"),
     ("pipeline", ["--config", "not_json.json"], "not_json.json: not valid JSON (Expecting value)"),
+    # a value that is now a module constant is no config key
+    ("show-config", ["--set", "synth.style_noise=0.1"], "unknown config key synth.style_noise"),
+    ("train-inpainter", ["--set", "inpaint_train.betas=0.9,0.99"], "unknown config key inpaint_train.betas"),
+    # an EMA decay of 1 leaves the shadows compose samples with untrained, and one above 1 diverges
+    ("show-config", ["--set", "inpaint_train.ema_decay=1.5"], "inpaint_train.ema_decay must lie in [0, 1), got 1.5"),
+    ("train-inpainter", ["--set", "inpaint_train.ema_decay=1"], "inpaint_train.ema_decay must lie in [0, 1), got 1"),
+    ("pipeline", ["--config", "ema_negative.json"], "inpaint_train.ema_decay must lie in [0, 1), got -0.5"),
+    # the trim section's checks name their keys
+    ("show-config", ["--set", "trim.theta_act=2"], "trim.theta_act must lie in [0, 1], got 2"),
+    ("show-config", ["--set", "trim.margin=-1"], "trim.margin must be at least 0, got -1"),
 ])
 def test_bad_config_key_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flags, message):
     monkeypatch.chdir(tmp_path)
@@ -323,6 +363,7 @@ def test_bad_config_key_is_a_usage_error(tmp_path, monkeypatch, capsys, command,
     (tmp_path / "tempo_str.json").write_text(json.dumps({"synth": {"sentence_tempo": [0.7, "0.9"]}}))
     (tmp_path / "motion_dim.json").write_text(json.dumps({"dur_model": {"motion_dim": 34}}))
     (tmp_path / "not_json.json").write_text("qc.max_duration_seconds = 10\n")
+    (tmp_path / "ema_negative.json").write_text(json.dumps({"inpaint_train": {"ema_decay": -0.5}}))
     assert main([command, "--work-dir", "work"] + flags) == 2
     assert capsys.readouterr() == ("", f"signweave {command}: error: {message}\n")
     assert not (tmp_path / "work").exists()

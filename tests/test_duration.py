@@ -7,6 +7,7 @@ import pytest
 
 from signweave import neuralkit as nk
 from signweave.duration import (
+    LAMBDA_SPLIT,
     DurationModelConfig,
     DurationPrediction,
     DurationTrainConfig,
@@ -108,10 +109,9 @@ class TestDurationLoss:
             s_hat = rng.normal()
             s_gt = rng.normal()
             tau = rng.uniform(0.1, 0.9)
-            lam = rng.uniform(0.5, 2.0)
-            got = duration_loss(s_hat, w_hat, s_gt, w_gt, tau, lam).item()
+            got = duration_loss(s_hat, w_hat, s_gt, w_gt, tau).item()
             u = s_gt - s_hat
-            expected = (tau * u if u >= 0 else (tau - 1) * u) - lam * float(
+            expected = (tau * u if u >= 0 else (tau - 1) * u) - LAMBDA_SPLIT * float(
                 np.sum(w_gt * np.log(np.maximum(w_hat, 1e-12)))
             )
             assert got == pytest.approx(expected, rel=1e-9)
@@ -136,8 +136,8 @@ class TestDurationLoss:
         s_hat, s_gt = rng.normal(size=(3, 1)), rng.normal(size=(3, 1))
         # padded slots hold nonzero targets here, so only the mask drops them
         valid = np.array([[True] * 4, [True, True, True, False], [True, True, False, False]])
-        got = duration_loss(s_hat, w_hat, s_gt, w_gt, tau=0.6, lambda_split=1.5, valid=valid).item()
-        singles = [duration_loss(s_hat[i, 0], w_hat[i, :k], s_gt[i, 0], w_gt[i, :k], tau=0.6, lambda_split=1.5).item()
+        got = duration_loss(s_hat, w_hat, s_gt, w_gt, tau=0.6, valid=valid).item()
+        singles = [duration_loss(s_hat[i, 0], w_hat[i, :k], s_gt[i, 0], w_gt[i, :k], tau=0.6).item()
                    for i, k in enumerate(valid.sum(axis=1))]
         assert got == pytest.approx(np.mean(singles), rel=1e-12)
 

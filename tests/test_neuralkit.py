@@ -522,23 +522,23 @@ class TestFit:
     batches = [np.array([0, 1]), np.array([2, 3]), np.array([4, 0]), np.array([1, 2])]
 
     @staticmethod
-    def _params(ema_decay=None):
-        params = ParameterSet(dtype=np.float64, ema_decay=ema_decay)
+    def _params(keeps_ema=False):
+        params = ParameterSet(dtype=np.float64, keeps_ema=keeps_ema)
         params.add("w", np.array([1.0, -2.0, 0.5]))
         return params
 
-    def _fit(self, params, targets, batches):
+    def _fit(self, params, targets, batches, ema_decay=None):
         def loss_of(idx):
             d = params["w"] - Tensor(targets[idx])
             return (d * d).mean()
 
         return fit(params, batches, loss_of, total_steps=len(self.batches), lr=0.1, weight_decay=0.01,
-                   grad_clip=1.0, ema_decay=params.ema_decay)
+                   ema_decay=ema_decay)
 
     def test_returns_per_step_losses_and_updates_the_ema(self):
-        params = self._params(ema_decay=0.5)
+        params = self._params(keeps_ema=True)
         targets = np.random.default_rng(0).normal(size=(5, 3))
-        losses = self._fit(params, targets, self.batches)
+        losses = self._fit(params, targets, self.batches, ema_decay=0.5)
         assert len(losses) == 4 and all(type(loss) is float for loss in losses)
         # each loss is scored before its step
         assert losses[0] == np.mean((np.array([1.0, -2.0, 0.5]) - targets[[0, 1]]) ** 2)
@@ -593,26 +593,26 @@ class TestGradNorm:
 
 class TestEma:
     def test_identical_shadow_unchanged(self):
-        params = ParameterSet(dtype=np.float64, ema_decay=0.9)
+        params = ParameterSet(dtype=np.float64)
         p = params.add("p", np.array([3.0]))
-        params.ema_update()
+        params.ema_update(0.9)
         assert params.ema_value("p")[0] == pytest.approx(3.0)
 
     def test_decay_zero_copies_params(self):
-        params = ParameterSet(dtype=np.float64, ema_decay=0.0)
+        params = ParameterSet(dtype=np.float64)
         p = params.add("p", np.array([1.0]))
         p.data = np.array([5.0])
-        params.ema_update()
+        params.ema_update(0.0)
         assert params.ema_value("p")[0] == pytest.approx(5.0)
 
     def test_two_steps_closed_form(self):
         d = 0.8
-        params = ParameterSet(dtype=np.float64, ema_decay=d)
+        params = ParameterSet(dtype=np.float64)
         p = params.add("p", np.array([0.0]))  # shadow starts at 0
         p.data = np.array([1.0])
-        params.ema_update()
+        params.ema_update(d)
         p.data = np.array([2.0])
-        params.ema_update()
+        params.ema_update(d)
         expected = d * (d * 0.0 + (1 - d) * 1.0) + (1 - d) * 2.0
         assert params.ema_value("p")[0] == pytest.approx(expected, abs=1e-15)
 
@@ -634,8 +634,8 @@ class TestCheckpoint:
         assert np.array_equal(fresh["layer.weight"].data, params["layer.weight"].data)
         assert np.array_equal(fresh.ema_value("layer.bias"), params.ema_value("layer.bias"))
 
-    def _small_checkpoint(self, tmp_path, dtype=np.float32, ema_decay=0.9999):
-        params = ParameterSet(dtype=dtype, ema_decay=ema_decay)
+    def _small_checkpoint(self, tmp_path, dtype=np.float32, keeps_ema=True):
+        params = ParameterSet(dtype=dtype, keeps_ema=keeps_ema)
         params.add("w", np.arange(6.0).reshape(2, 3))
         params.add("scalar", np.array(1.5))
         params.add("b", np.ones(2))
@@ -644,9 +644,9 @@ class TestCheckpoint:
         return path, path.read_bytes()
 
     def test_every_truncation_is_rejected_with_the_path(self, tmp_path):
-        for dtype, ema_decay in ((np.float32, 0.9999), (np.float64, 0.9999), (np.float32, None)):
-            path, raw = self._small_checkpoint(tmp_path, dtype, ema_decay)
-            assert raw[:16] == b"SWCK\x03\x00\x00\x00\x03\x00\x00\x00" + bytes([ema_decay is not None, 0, 0, 0])
+        for dtype, keeps_ema in ((np.float32, True), (np.float64, True), (np.float32, False)):
+            path, raw = self._small_checkpoint(tmp_path, dtype, keeps_ema)
+            assert raw[:16] == b"SWCK\x03\x00\x00\x00\x03\x00\x00\x00" + bytes([keeps_ema, 0, 0, 0])
             assert set(load_checkpoint(path)) == {"w", "scalar", "b"}
             cut = tmp_path / "cut.ckpt"
             for length in range(len(raw)):
@@ -733,11 +733,11 @@ class TestCheckpoint:
 
     def test_set_without_ema_keeps_and_writes_no_shadow(self, tmp_path):
         rng = np.random.default_rng(14)
-        params = ParameterSet(dtype=np.float32, ema_decay=None)
+        params = ParameterSet(dtype=np.float32, keeps_ema=False)
         params.add("w", rng.normal(size=(3, 4)))
         params.add("b", rng.normal(size=4))
         assert not params.keeps_ema and params._ema == {}
-        for call in (params.ema_update, params.swap_in_ema, lambda: params.ema_value("w")):
+        for call in (lambda: params.ema_update(0.5), params.swap_in_ema, lambda: params.ema_value("w")):
             with pytest.raises(ValueError, match="keeps no EMA shadows"):
                 call()
         path = tmp_path / "plain.ckpt"
@@ -746,7 +746,7 @@ class TestCheckpoint:
         assert path.stat().st_size == 16 + (4 + 1 + 8 + 8 + 48) + (4 + 1 + 8 + 4 + 16)
         loaded = load_checkpoint(path)
         assert all(ema is None for _, ema in loaded.values())
-        fresh = ParameterSet(dtype=np.float32, ema_decay=None)
+        fresh = ParameterSet(dtype=np.float32, keeps_ema=False)
         fresh.add("w", np.zeros((3, 4)))
         fresh.add("b", np.zeros(4))
         restore_into(fresh, loaded)
@@ -756,15 +756,15 @@ class TestCheckpoint:
 
     def test_ema_records_must_match_the_set(self, tmp_path):
         sets = {}
-        for ema_decay in (0.9999, None):
-            params = ParameterSet(dtype=np.float32, ema_decay=ema_decay)
+        for keeps_ema in (True, False):
+            params = ParameterSet(dtype=np.float32, keeps_ema=keeps_ema)
             params.add("w", np.ones((2, 2)))
-            save_checkpoint(tmp_path / f"{ema_decay}.ckpt", params)
-            sets[ema_decay] = params
+            save_checkpoint(tmp_path / f"{keeps_ema}.ckpt", params)
+            sets[keeps_ema] = params
         with pytest.raises(ValueError, match="no EMA shadow for w"):
-            restore_into(sets[0.9999], load_checkpoint(tmp_path / "None.ckpt"))
+            restore_into(sets[True], load_checkpoint(tmp_path / "False.ckpt"))
         with pytest.raises(ValueError, match="an EMA shadow for w"):
-            restore_into(sets[None], load_checkpoint(tmp_path / "0.9999.ckpt"))
+            restore_into(sets[False], load_checkpoint(tmp_path / "True.ckpt"))
 
     def test_missing_param_rejected(self, tmp_path):
         params = ParameterSet()
@@ -825,7 +825,7 @@ class TestDeterminism:
                 params.zero_grad()
                 loss.backward()
                 opt.step()
-                params.ema_update()
+                params.ema_update(0.9999)
             return w.data.copy(), params.ema_value("w").copy()
 
         w_a, e_a = run()

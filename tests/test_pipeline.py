@@ -72,17 +72,22 @@ class TestConfig:
         existing work directories: the default config's hashes stay these
         (SCHEMA_VERSION 3; the qc and trim sections hold only the fields
         their rules read; the dur_model and denoiser sections hold no gloss
-        limit and no denoiser motion width). The baseline stage adds no
+        limit and no denoiser motion width; the synth section holds no fps,
+        variant_stretch, retract_frames, amplitude_jitter, style_noise or
+        timing_warp, the trim section no lambda_v, n_consecutive, sg_window,
+        sg_order, q_lo or q_hi, the dur_gloss and dur_sent sections no
+        lambda_split or grad_clip, and the inpaint_train section no grad_clip
+        or betas, all of them module constants). The baseline stage adds no
         field, so its hash is trim's."""
         assert {stage: stage_hash(PipelineConfig(), stage) for stage in STAGES} == {
-            "synth": "2fbcafc31d6225f6",
-            "qc": "26d31f017197e435",
-            "trim": "7c77a5d98cd5d9ad",
-            "baseline": "7c77a5d98cd5d9ad",
-            "duration": "2928ee21b30ac889",
-            "inpaint": "8aca4541d8eb5ca7",
-            "compose": "54c1fabcd2809453",
-            "eval": "54c1fabcd2809453",
+            "synth": "f5e31116d0050dfa",
+            "qc": "d2bb35d00c556a4e",
+            "trim": "7c47bb1b6bbd926e",
+            "baseline": "7c47bb1b6bbd926e",
+            "duration": "67a7d1b55b98ff78",
+            "inpaint": "b82ea75115aac811",
+            "compose": "15f85f8ad0ebf03b",
+            "eval": "15f85f8ad0ebf03b",
         }
 
     def test_apply_overrides(self, tmp_path):
@@ -891,7 +896,7 @@ class TestEvaluation:
 class TestConfigKeys:
     @pytest.mark.parametrize("override", ["synth=3", "inpaint_train=1", "ddim_step=3",
                                           "inpaint_train.stepz=3", "seed.x=1", "workers=2",
-                                          "inpaint_train.betas=0.9"])
+                                          "synth.prep_frames=4"])
     def test_bad_override_key_rejected(self, tmp_path, override):
         # a nested config object, a name that is no config field, or a tuple
         # of the wrong length
@@ -905,7 +910,17 @@ class TestConfigKeys:
                                      {"use_annotated_spans": True}, {"trim": {"theta_low": 0.4}},
                                      {"denoiser": {"dropout": 0.1}},
                                      {"denoiser": {"residual_conditioning": False}},
-                                     {"baseline_transition_frames": 4}])
+                                     {"baseline_transition_frames": 4},
+                                     *({"synth": {key: value}} for key, value in (
+                                         ("fps", 25), ("variant_stretch", [1.15, 1.6]), ("retract_frames", [6, 14]),
+                                         ("amplitude_jitter", 0.06), ("style_noise", 0.015), ("timing_warp", 0.25))),
+                                     *({"trim": {key: value}} for key, value in (
+                                         ("lambda_v", 1.0), ("n_consecutive", 3), ("sg_window", 7), ("sg_order", 2),
+                                         ("q_lo", 0.05), ("q_hi", 0.95))),
+                                     *({section: {key: 1.0}} for section in ("dur_gloss", "dur_sent")
+                                       for key in ("lambda_split", "grad_clip")),
+                                     {"inpaint_train": {"grad_clip": 1.0}},
+                                     {"inpaint_train": {"betas": [0.9, 0.999]}}])
     def test_config_from_dict_rejects_bad_keys(self, raw):
         with pytest.raises(ValueError, match="config key"):
             config_from_dict(raw)

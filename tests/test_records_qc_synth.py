@@ -11,7 +11,7 @@ import pytest
 
 import signweave.qc as qc
 import signweave.records as records_module
-from signweave.motion import GlossClip, MotionSequence
+from signweave.motion import DEFAULT_FPS, GlossClip, MotionSequence
 from dtw_oracles import full_feature_costs, loop_subsequence_distance
 from synth_oracles import loop_evaluate, loop_synth_generate
 from signweave.qc import (
@@ -671,11 +671,11 @@ def test_clip_lengths_are_known_before_any_build():
     clips = [clip for clips in corpus.clips.values() for clip in clips]
     expected = [frames.shape[0] for clips in oracle["clips"].values() for frames, _ in clips]
     # a limit at the median length keeps some clips and discards others
-    cfg = QcConfig(max_duration_seconds=sorted(expected)[len(expected) // 2] / spec.fps)
+    cfg = QcConfig(max_duration_seconds=sorted(expected)[len(expected) // 2] / DEFAULT_FPS)
     kept = [qc_filters(clip, cfg).keep for clip in clips]
     assert [clip.motion.num_frames for clip in clips] == expected
-    assert [clip.motion.duration_seconds for clip in clips] == [n / spec.fps for n in expected]
-    assert kept == [n / spec.fps <= cfg.max_duration_seconds for n in expected] and 0 < sum(kept) < len(kept)
+    assert [clip.motion.duration_seconds for clip in clips] == [n / DEFAULT_FPS for n in expected]
+    assert kept == [n / DEFAULT_FPS <= cfg.max_duration_seconds for n in expected] and 0 < sum(kept) < len(kept)
     assert all("frames" not in vars(clip.motion) for clip in clips)
     first = clips[4].motion.frames
     assert clips[4].motion.frames is first and first.shape == (expected[4], corpus.layout.dim)

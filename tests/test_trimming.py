@@ -5,6 +5,7 @@ import pytest
 
 from signweave.motion import GlossClip, MotionSequence
 from signweave.trimming import (
+    LAMBDA_V,
     TrimConfig,
     apply_margins,
     detect_boundaries,
@@ -26,7 +27,7 @@ class TestMotionEnergy:
         e = motion_energy(MotionSequence(frames))
         cfg = TrimConfig()
         # raw diffs: delta at t=4 only; second diffs spike at t=3 (+1) and t=4 (-1)
-        assert e[4] == pytest.approx((cfg.lambda_v + cfg.lambda_a) / d, abs=1e-15)
+        assert e[4] == pytest.approx((LAMBDA_V + cfg.lambda_a) / d, abs=1e-15)
         assert e[3] == pytest.approx(cfg.lambda_a / d, abs=1e-15)
         assert e[2] == 0.0 and e[6] == 0.0
 
@@ -35,7 +36,7 @@ class TestMotionEnergy:
         frames = (c * np.arange(12.0))[:, None]
         cfg = TrimConfig(lambda_a=0.0)
         e = motion_energy(MotionSequence(frames), cfg)
-        assert np.allclose(e, cfg.lambda_v * c**2, atol=1e-12)
+        assert np.allclose(e, LAMBDA_V * c**2, atol=1e-12)
 
 
 class TestNormalizeAndGate:
